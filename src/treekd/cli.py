@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 
 from . import config_io, eve_analysis, protocol, transcript_io
 from .config_io import ConfigError, RunSpec
+from .eve_analysis import EnumerationCapError
 from .graph_core import (
     DisconnectedGraphError,
     SecurityGraph,
@@ -24,8 +25,9 @@ from .graph_core import (
     terminal_agents,
     validate_graph,
 )
-from .linear_code import code_by_name
+from .linear_code import LinearCode, code_by_name
 from .rng import SeededRng
+from .subroutine import NonTerminalChoiceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -45,10 +47,7 @@ def _check_graph(graph: SecurityGraph, out) -> Optional[int]:
         return EXIT_CONFIG
     components = connected_components(graph)
     if len(components) > 1:
-        parts = "; ".join(
-            "{" + ",".join(map(str, sorted(c))) + "}" for c in components
-        )
-        print(f"error: security graph is disconnected: components {parts}", file=out)
+        print(f"error: {DisconnectedGraphError(components)}", file=out)
         return EXIT_DISCONNECTED
     return None
 
@@ -84,8 +83,7 @@ def cmd_plan(spec: RunSpec, out=None) -> int:
     return EXIT_OK
 
 
-def _summary_lines(results, spec: RunSpec) -> List[str]:
-    code = code_by_name(spec.code_name)
+def _summary_lines(results, code: LinearCode) -> List[str]:
     lines = []
     for i, res in enumerate(results):
         mismatch = ",".join(
@@ -112,14 +110,10 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
     config = _protocol_config(spec)
     results = protocol.run_blocks(config)
     code = config.code
-
-    completed = [r for r in results if r.status == "completed"]
-    agreed = [
-        r for r in completed if len(set(r.key_indices.values())) == 1
-    ]
-    completion_rate = Fraction(len(completed), len(results))
+    stats = protocol.summarize(results)
+    completion_rate = Fraction(stats.completed, stats.blocks)
     agreement_rate = (
-        Fraction(len(agreed), len(completed)) if completed else Fraction(0)
+        Fraction(stats.agreed, stats.completed) if stats.completed else Fraction(0)
     )
 
     transcript_lines: List[str] = []
@@ -127,7 +121,7 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
         transcript_lines.append(f"# block {i}")
         transcript_lines.extend(transcript_io.transcript_lines(res.transcript))
 
-    summary = _summary_lines(results, spec)
+    summary = _summary_lines(results, code)
     bound = protocol.failure_bound(spec.delta, spec.epsilon, code.m)
     eff = protocol.random_efficiency_report(spec.graph.n, code)
     efficiency_lines = [
@@ -139,9 +133,9 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
         f"failure_bound(delta={spec.delta},epsilon={spec.epsilon},m={code.m})={bound:.12g}",
     ]
     stats_lines = [
-        f"blocks={len(results)}",
-        f"completed={len(completed)}",
-        f"aborted={len(results) - len(completed)}",
+        f"blocks={stats.blocks}",
+        f"completed={stats.completed}",
+        f"aborted={stats.blocks - stats.completed}",
         f"completion_rate={completion_rate}",
         f"agreement_rate={agreement_rate}",
     ]
@@ -153,12 +147,10 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
         (out_dir / "efficiency.txt").write_text("\n".join(efficiency_lines) + "\n")
         (out_dir / "stats.txt").write_text("\n".join(stats_lines) + "\n")
 
-    for line in summary:
-        print(line, file=out)
-    for line in efficiency_lines + stats_lines:
+    for line in summary + efficiency_lines + stats_lines:
         print(line, file=out)
 
-    if not completed:
+    if not stats.completed:
         return EXIT_ALL_ABORTED
     return EXIT_OK
 
@@ -177,10 +169,14 @@ def cmd_analyze(transcript_path: Path, graph_path: Path, out=None) -> int:
     round_total = 0
     for b, transcript in enumerate(blocks):
         for rnd in eve_analysis.rounds_from_transcript(transcript):
-            cs = eve_analysis.consistent_configurations(
-                rnd.announcements, tree, round_index=rnd.index
-            )
-            entropy = eve_analysis.secret_entropy(cs, rnd.chosen_terminal, tree)
+            try:
+                cs = eve_analysis.consistent_configurations(
+                    rnd.announcements, tree, round_index=rnd.index
+                )
+                entropy = eve_analysis.secret_entropy(cs, rnd.chosen_terminal, tree)
+            except (EnumerationCapError, NonTerminalChoiceError) as exc:
+                print(f"error: block {b} round {rnd.index}: {exc}", file=out)
+                return EXIT_CONFIG
             count = len(cs.configurations)
             print(
                 f"block {b} round {rnd.index}: configurations={count} "
@@ -212,35 +208,21 @@ def cmd_sweep(
     if len(flips) < 2:
         print("error: sweep needs at least 2 flip values", file=out)
         return EXIT_CONFIG
-    code = code_by_name(spec.code_name)
+    base = _protocol_config(spec)
+    bound = protocol.failure_bound(spec.delta, spec.epsilon, base.code.m)
     rows = ["flip_prob\tabort_rate\tagreement_rate\tmean_check_mismatch\tfailure_bound"]
     for i, flip in enumerate(flips):
         edges = [replace(e, flip_prob=flip) for e in spec.graph.edges]
-        graph = SecurityGraph(spec.graph.n, edges, spec.graph.sources)
-        seed = SeededRng(spec.seed).substream("sweep", i).seed
-        config = protocol.ProtocolConfig(
-            graph=graph,
-            leader=spec.leader,
-            code=code,
-            blocks=spec.blocks,
-            delta=spec.delta,
-            epsilon=spec.epsilon,
-            seed=seed,
+        config = replace(
+            base,
+            graph=SecurityGraph(spec.graph.n, edges, spec.graph.sources),
+            seed=SeededRng(spec.seed).substream("sweep", i).seed,
         )
-        results = protocol.run_blocks(config)
-        completed = [r for r in results if r.status == "completed"]
-        abort_rate = 1.0 - len(completed) / len(results)
-        agreement_rate = (
-            sum(1 for r in completed if len(set(r.key_indices.values())) == 1)
-            / len(completed)
-            if completed
-            else 0.0
-        )
-        mismatches = [
-            float(frac) for r in results for frac in r.mismatch.values()
-        ]
+        stats = protocol.summarize(protocol.run_blocks(config))
+        abort_rate = 1.0 - stats.completed / stats.blocks
+        agreement_rate = stats.agreed / stats.completed if stats.completed else 0.0
+        mismatches = [float(frac) for frac in stats.mismatches]
         mean_mismatch = sum(mismatches) / len(mismatches) if mismatches else 0.0
-        bound = protocol.failure_bound(spec.delta, spec.epsilon, code.m)
         rows.append(
             f"{flip:.6f}\t{abort_rate:.6f}\t{agreement_rate:.6f}"
             f"\t{mean_mismatch:.6f}\t{bound:.6g}"

@@ -10,9 +10,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 EdgeKey = Tuple[int, int]
+Adjacency = Mapping[int, Tuple[int, ...]]
 
 
 class DisconnectedGraphError(Exception):
@@ -79,12 +81,17 @@ class SecurityGraph:
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "sources", frozenset(sources))
 
-    def adjacency(self) -> Dict[int, List[int]]:
-        adj: Dict[int, List[int]] = {v: [] for v in range(self.n)}
-        for e in self.edges:
-            adj[e.a].append(e.b)
-            adj[e.b].append(e.a)
-        return adj
+    def adjacency(self) -> Adjacency:
+        return MappingProxyType(_adjacency(self.n, self.edges))
+
+
+def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ...]]:
+    """Neighbor tuples per vertex, in input edge order."""
+    adj: Dict[int, List[int]] = {v: [] for v in range(n)}
+    for e in edges:
+        adj[e.a].append(e.b)
+        adj[e.b].append(e.a)
+    return {v: tuple(us) for v, us in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Exactly n-1 edges forming a connected acyclic cover of all agents."""
+    """Exactly n-1 edges forming a connected acyclic cover of all agents.
+
+    Its adjacency, incident edges, terminals and key index are built once.
+    """
 
     n: int
     edges: Tuple[WeightedEdge, ...]
@@ -112,43 +122,52 @@ class SpanningTree:
         object.__setattr__(
             self, "total_weight", sum((e.weight for e in edges), Fraction(0))
         )
+        adjacency = _adjacency(n, edges)
+        by_key = {e.key: e for e in edges}
+        incident = {
+            v: tuple(by_key[min(u, v), max(u, v)] for u in us)
+            for v, us in adjacency.items()
+        }
+        terminals = frozenset(v for v, us in adjacency.items() if len(us) == 1)
+        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_by_key", by_key)
+        object.__setattr__(self, "_incident", incident)
+        object.__setattr__(self, "_terminals", terminals)
 
-    def adjacency(self) -> Dict[int, List[int]]:
-        adj: Dict[int, List[int]] = {v: [] for v in range(self.n)}
-        for e in self.edges:
-            adj[e.a].append(e.b)
-            adj[e.b].append(e.a)
-        return adj
+    def adjacency(self) -> Adjacency:
+        return MappingProxyType(self._adjacency)
 
     def edge_by_key(self, key: EdgeKey) -> WeightedEdge:
-        for e in self.edges:
-            if e.key == key:
-                return e
-        raise KeyError(key)
+        return self._by_key[key]
 
-    def incident_edges(self, agent: int) -> List[WeightedEdge]:
-        return [e for e in self.edges if agent in (e.a, e.b)]
+    def incident_edges(self, agent: int) -> Tuple[WeightedEdge, ...]:
+        return self._incident.get(agent, ())
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[rx] = ry
+        return True
 
 
 def _forms_tree(n: int, edges: Sequence[WeightedEdge]) -> bool:
+    """n-1 in-range, cycle-free edges, hence one component covering all n."""
     if len(edges) != max(n - 1, 0):
         return False
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        if e.a >= n or e.b >= n or e.a == e.b:
-            return False
-        ra, rb = find(e.a), find(e.b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return n <= 1 or len({find(v) for v in range(n)}) == 1
+    uf = _UnionFind(n)
+    return all(e.b < n and e.a != e.b and uf.union(e.a, e.b) for e in edges)
 
 
 def validate_graph(g: SecurityGraph) -> ValidationReport:
@@ -177,50 +196,22 @@ def validate_graph(g: SecurityGraph) -> ValidationReport:
 
 
 def connected_components(g: SecurityGraph) -> List[Set[int]]:
-    adj = g.adjacency()
-    remaining = set(range(g.n))
-    components: List[Set[int]] = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        components.append(seen)
-        remaining -= seen
-    return components
+    """Vertex sets of the components, ordered by their smallest vertex."""
+    uf = _UnionFind(g.n)
+    for e in g.edges:
+        uf.union(e.a, e.b)
+    components: Dict[int, Set[int]] = {}
+    for v in range(g.n):
+        components.setdefault(uf.find(v), set()).add(v)
+    return list(components.values())
 
 
 def is_connected(g: SecurityGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
 def mst_kruskal(g: SecurityGraph) -> SpanningTree:
     """Minimum spanning tree; equal weights break ties by input edge index."""
-    if not is_connected(g):
-        raise DisconnectedGraphError(connected_components(g))
     # Stable sort keeps input order within equal weights.
     ordered = sorted(g.edges, key=lambda e: e.weight)
     uf = _UnionFind(g.n)
@@ -230,6 +221,8 @@ def mst_kruskal(g: SecurityGraph) -> SpanningTree:
             chosen.append(e)
             if len(chosen) == g.n - 1:
                 break
+    if len(chosen) != g.n - 1:
+        raise DisconnectedGraphError(connected_components(g))
     return SpanningTree(g.n, chosen)
 
 
@@ -237,8 +230,6 @@ def mst_prim(g: SecurityGraph, root: int = 0) -> SpanningTree:
     """Prim's algorithm grown from root, same tie-break as Kruskal."""
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} out of range")
-    if not is_connected(g):
-        raise DisconnectedGraphError(connected_components(g))
     index = {e: i for i, e in enumerate(g.edges)}
     in_tree = {root}
     chosen: List[WeightedEdge] = []
@@ -249,6 +240,8 @@ def mst_prim(g: SecurityGraph, root: int = 0) -> SpanningTree:
                 cand = (e.weight, index[e])
                 if best is None or cand < best[0]:
                     best = (cand, e)
+        if best is None:
+            raise DisconnectedGraphError(connected_components(g))
         _, e = best
         chosen.append(e)
         in_tree.add(e.a)
@@ -256,13 +249,9 @@ def mst_prim(g: SecurityGraph, root: int = 0) -> SpanningTree:
     return SpanningTree(g.n, chosen)
 
 
-def terminal_agents(t: SpanningTree) -> Set[int]:
+def terminal_agents(t: SpanningTree) -> FrozenSet[int]:
     """Tree vertices of degree exactly one; at least two for n >= 2."""
-    degree = {v: 0 for v in range(t.n)}
-    for e in t.edges:
-        degree[e.a] += 1
-        degree[e.b] += 1
-    return {v for v, d in degree.items() if d == 1}
+    return t._terminals
 
 
 def tree_path(t: SpanningTree, a: int, b: int) -> List[WeightedEdge]:

@@ -6,12 +6,13 @@ big-endian representation is the message, i.e. the first k codeword bits.
 The syndrome table maps every syndrome to its minimum-weight coset leader
 (ties broken by smallest error pattern read as a big-endian integer), so
 decoding is exact within the guaranteed radius t and a defined miscorrection
-beyond it.  Block lengths are capped at 15: the table is built eagerly.
+beyond it.  Block lengths are capped at 15: the table is built on first decode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, Tuple
 
@@ -45,37 +46,32 @@ class LinearCode:
     t: int
     generator: Tuple[Tuple[int, ...], ...]  # k rows of length m
     parity_check: Tuple[Tuple[int, ...], ...]  # m-k rows of length m
-    decode_table: Dict[Tuple[int, ...], Tuple[int, ...]] = field(
-        repr=False, hash=False, compare=False, default=None
-    )
 
     def __post_init__(self):
         if self.m > MAX_BLOCK_LENGTH:
             raise ValueError(f"block length {self.m} exceeds {MAX_BLOCK_LENGTH}")
-        if self.decode_table is None:
-            object.__setattr__(self, "decode_table", _build_decode_table(self))
+
+    @cached_property
+    def decode_table(self) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+        """Minimum-weight coset leader per syndrome, by increasing weight."""
+        table: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        total = 1 << (self.m - self.k)
+        for weight in range(self.m + 1):
+            for positions in combinations(range(self.m), weight):
+                error = [0] * self.m
+                for p in positions:
+                    error[p] = 1
+                syn = self.syndrome(BitString(error))
+                if syn not in table:
+                    table[syn] = tuple(error)
+            if len(table) == total:
+                break
+        return table
 
     def syndrome(self, word: BitString) -> Tuple[int, ...]:
         return tuple(
             sum(h * b for h, b in zip(row, word)) % 2 for row in self.parity_check
         )
-
-
-def _build_decode_table(code: LinearCode) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    """Minimum-weight coset leader per syndrome, by increasing weight."""
-    table: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    total = 1 << (code.m - code.k)
-    for weight in range(code.m + 1):
-        for positions in combinations(range(code.m), weight):
-            error = [0] * code.m
-            for p in positions:
-                error[p] = 1
-            syn = code.syndrome(BitString(error))
-            if syn not in table:
-                table[syn] = tuple(error)
-        if len(table) == total:
-            break
-    return table
 
 
 def _systematic_code(m: int, k: int, t: int, a_rows) -> LinearCode:

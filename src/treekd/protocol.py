@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bits import BitString
 from .channel_sim import (
@@ -23,13 +24,7 @@ from .channel_sim import (
     broadcast,
     simulate_pairwise_kd,
 )
-from .graph_core import (
-    SecurityGraph,
-    SpanningTree,
-    is_connected,
-    mst_kruskal,
-    validate_graph,
-)
+from .graph_core import SecurityGraph, SpanningTree, mst_kruskal, validate_graph
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
 from .subroutine import random_efficiency, subroutine_round
@@ -58,6 +53,14 @@ class ProtocolConfig:
             raise ValueError("leader out of range")
         if self.blocks < 1:
             raise ValueError("blocks must be >= 1")
+
+    @cached_property
+    def tree(self) -> SpanningTree:
+        """The validated graph's minimum spanning tree, built on first use."""
+        report = validate_graph(self.graph)
+        if not report.ok:
+            raise InvalidGraphError("; ".join(report.violations))
+        return mst_kruskal(self.graph)
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,6 @@ def reconcile(
 class BlockState:
     """Intermediate state after the 2m rounds, before the check phase."""
 
-    tree: SpanningTree
     secret_strings: Dict[int, BitString]  # per agent, length 2m
     transcript: Transcript
 
@@ -186,10 +188,7 @@ def run_rounds(
     config: ProtocolConfig, block_index: int, positions: int
 ) -> BlockState:
     """Steps 1-3: pairwise KD on the tree and `positions` subroutine rounds."""
-    report = validate_graph(config.graph)
-    if not report.ok:
-        raise InvalidGraphError("; ".join(report.violations))
-    tree = mst_kruskal(config.graph)
+    tree = config.tree
     rng = SeededRng(config.seed).substream("block", block_index)
 
     materials: Dict[Tuple[int, int], EdgeKeyMaterial] = {}
@@ -213,7 +212,7 @@ def run_rounds(
             per_agent[agent].append(bit)
 
     strings = {agent: BitString(bits) for agent, bits in per_agent.items()}
-    return BlockState(tree=tree, secret_strings=strings, transcript=transcript)
+    return BlockState(secret_strings=strings, transcript=transcript)
 
 
 def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
@@ -259,7 +258,7 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
             transcript=transcript,
         )
 
-    code_positions = [i for i in range(2 * m) if i not in set(check_positions)]
+    code_positions = sorted(set(range(2 * m)).difference(check_positions))
     codebits = {
         agent: state.secret_strings[agent].take(code_positions)
         for agent in range(n)
@@ -290,3 +289,23 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
 
 def run_blocks(config: ProtocolConfig) -> List[KeyResult]:
     return [run_block(config, i) for i in range(config.blocks)]
+
+
+@dataclass(frozen=True)
+class BlockSummary:
+    """Counts over a run's blocks; mismatches in block, then agent, order."""
+
+    blocks: int
+    completed: int
+    agreed: int  # completed blocks whose agents all hold the same key
+    mismatches: Tuple[Fraction, ...]
+
+
+def summarize(results: Sequence[KeyResult]) -> BlockSummary:
+    completed = [r for r in results if r.status == "completed"]
+    return BlockSummary(
+        blocks=len(results),
+        completed=len(completed),
+        agreed=sum(1 for r in completed if len(set(r.key_indices.values())) == 1),
+        mismatches=tuple(frac for r in results for frac in r.mismatch.values()),
+    )

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from .bits import BitString
-from .channel_sim import BroadcastMessage, Transcript, broadcast
+from .channel_sim import BroadcastMessage, SequenceGapError, Transcript, broadcast
 from .graph_core import EdgeKey
 
 
@@ -75,10 +75,12 @@ def _parse_payload(kind: str, text: str):
 def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
     """Parse one or more concatenated block transcripts.
 
-    Sequence numbers restart at 0 at each block boundary.
+    Sequence numbers restart at 0 at each block boundary, and a
+    terminal_choice must close every run of announcements.
     """
     transcripts: List[Transcript] = []
     current: Transcript | None = None
+    open_round = 0  # first line of a round; only a terminal_choice may follow it
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -87,12 +89,17 @@ def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
             seq_s, sender_s, kind, payload_text = (line.split(" ", 3) + [""])[:4]
             seq, sender = int(seq_s), int(sender_s)
             payload = _parse_payload(kind, payload_text)
-        except (ValueError, IndexError) as exc:
+            if open_round and (seq == 0 or kind not in ("announcement", "terminal_choice")):
+                raise ValueError(f"round from line {open_round} has no terminal_choice")
+            if seq == 0:
+                current = Transcript()
+                transcripts.append(current)
+            if current is None:
+                raise ValueError(f"stream starts at seq {seq}")
+            broadcast(current, BroadcastMessage(seq, sender, kind, payload))
+        except (ValueError, IndexError, SequenceGapError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
-        if seq == 0:
-            current = Transcript()
-            transcripts.append(current)
-        if current is None:
-            raise ValueError(f"transcript line {lineno}: stream starts at seq {seq}")
-        broadcast(current, BroadcastMessage(seq, sender, kind, payload))
+        open_round = (open_round or lineno) if kind == "announcement" else 0
+    if open_round:
+        raise ValueError(f"transcript line {open_round}: round has no terminal_choice")
     return transcripts

@@ -182,6 +182,39 @@ class TestAnalyze:
         assert rc == EXIT_OK
         assert "PASS" in out
 
+    STAR21 = "".join(f"node {v}\n" for v in range(21)) + "source 0\n" + "".join(
+        f"edge 0 {v}\n" for v in range(1, 21)
+    )
+    ANNOUNCE = "0 1 announcement (0,1):0,(1,2):1\n"
+
+    @pytest.mark.parametrize(
+        "graph, transcript, message",
+        [
+            (PATH3, ANNOUNCE + "2 0 terminal_choice 0\n",
+             "transcript line 2: expected seq 1, got 2"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 1\n",
+             "block 0 round 0: agent 1 is not terminal"),
+            (STAR21, "0 0 terminal_choice 1\n",
+             "block 0 round 0: 21 agents exceeds the enumeration cap of 20"),
+            (PATH3, ANNOUNCE,
+             "transcript line 1: round has no terminal_choice"),
+            (PATH3, "# block 0\n" + ANNOUNCE + "1 0 check_positions 0\n",
+             "transcript line 3: round from line 2 has no terminal_choice"),
+        ],
+        ids=["sequence-gap", "non-terminal-choice", "enumeration-cap",
+             "unclosed-round-at-end", "unclosed-round-before-check"],
+    )
+    def test_malformed_transcript_exits_1_with_error(
+        self, tmp_path, capsys, graph, transcript, message
+    ):
+        cfg = write(tmp_path, "g.cfg", graph)
+        log = write(tmp_path, "t.log", transcript)
+        rc = main(["analyze", "--transcript", str(log), "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert f"error: {message}" in captured.out + captured.err
+        assert "PASS" not in captured.out
+
 
 class TestSweep:
     def test_table_and_monotonicity(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import brute_force_mst_weight, random_connected_graph
 from treekd.graph_core import (
@@ -180,6 +182,51 @@ class TestTreeQueries:
     def test_tree_path_through_star_hub(self):
         tree = mst_kruskal(star_graph(4))
         assert [e.key for e in tree_path(tree, 1, 2)] == [(0, 1), (0, 2)]
+
+
+@st.composite
+def random_trees(draw):
+    """A tree on 2..12 relabeled agents, its edges in random order."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    label = draw(st.permutations(range(n)))
+    edges = [
+        WeightedEdge(label[i], label[draw(st.integers(0, i - 1))]) for i in range(1, n)
+    ]
+    return SpanningTree(n, draw(st.permutations(edges)))
+
+
+class TestPrecomputedStructure:
+    @given(random_trees())
+    def test_matches_edge_scan(self, tree):
+        degree = {v: 0 for v in range(tree.n)}
+        for e in tree.edges:
+            degree[e.a] += 1
+            degree[e.b] += 1
+        assert terminal_agents(tree) == {v for v, d in degree.items() if d == 1}
+        assert set(tree.adjacency()) == set(range(tree.n))
+        for v in range(tree.n):
+            incident = [e for e in tree.edges if v in (e.a, e.b)]
+            assert list(tree.incident_edges(v)) == incident
+            assert list(tree.adjacency()[v]) == [e.other(v) for e in incident]
+        for e in tree.edges:
+            assert tree.edge_by_key(e.key) is e
+        assert tree.incident_edges(tree.n) == ()
+        with pytest.raises(KeyError):
+            tree.edge_by_key((tree.n, tree.n + 1))
+
+    def test_returned_structures_are_read_only(self):
+        tree = mst_kruskal(star_graph(4))
+        adjacency = tree.adjacency()
+        with pytest.raises(TypeError):
+            adjacency[0] = ()
+        with pytest.raises(AttributeError):
+            adjacency[0].append(9)
+        with pytest.raises(AttributeError):
+            tree.incident_edges(0).append(WeightedEdge(0, 9))
+        with pytest.raises(AttributeError):
+            terminal_agents(tree).add(0)
+        assert tree.adjacency()[0] == (1, 2, 3)
+        assert terminal_agents(tree) == {1, 2, 3}
 
 
 class TestSpanningTreeType:

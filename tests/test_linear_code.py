@@ -175,3 +175,11 @@ class TestCodeByName:
     def test_oversize_block_rejected(self):
         with pytest.raises(ValueError):
             code_by_name("repetition17")
+
+    def test_decode_table_built_on_first_decode(self):
+        code = code_by_name("repetition5")
+        assert "decode_table" not in vars(code)
+        decode_to_codeword(code, BitString([1, 0, 0, 0, 0]))
+        table = vars(code)["decode_table"]
+        decode_to_codeword(code, BitString([0, 1, 1, 1, 1]))
+        assert code.decode_table is table

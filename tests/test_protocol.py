@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from treekd import protocol
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge
@@ -278,6 +280,19 @@ class TestRunBlock:
         )
         with pytest.raises(InvalidGraphError):
             run_block(config)
+
+
+class TestTreeBuiltOnce:
+    def test_run_blocks_validates_and_builds_mst_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("validate_graph", "mst_kruskal"):
+            def counted(graph, _name=name, _original=getattr(protocol, name)):
+                calls[_name] += 1
+                return _original(graph)
+            monkeypatch.setattr(protocol, name, counted)
+        results = run_blocks(path_config(n=4, blocks=5))
+        assert len(results) == 5
+        assert calls == {"validate_graph": 1, "mst_kruskal": 1}
 
 
 class TestConfigValidation:
