@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 
 from . import config_io, eve_analysis, protocol, transcript_io
 from .config_io import ConfigError, RunSpec
-from .eve_analysis import EnumerationCapError
 from .graph_core import (
     DisconnectedGraphError,
     SecurityGraph,
@@ -174,16 +173,15 @@ def cmd_analyze(transcript_path: Path, graph_path: Path, out=None) -> int:
                     rnd.announcements, tree, round_index=rnd.index
                 )
                 entropy = eve_analysis.secret_entropy(cs, rnd.chosen_terminal, tree)
-            except (EnumerationCapError, NonTerminalChoiceError) as exc:
+            except NonTerminalChoiceError as exc:
                 print(f"error: block {b} round {rnd.index}: {exc}", file=out)
                 return EXIT_CONFIG
-            count = len(cs.configurations)
             print(
-                f"block {b} round {rnd.index}: configurations={count} "
+                f"block {b} round {rnd.index}: configurations={cs.count} "
                 f"entropy={entropy:.6f}",
                 file=out,
             )
-            if count != 2 or entropy != 1.0:
+            if cs.count != 2 or entropy != 1.0:
                 ok = False
             round_total += 1
     print(

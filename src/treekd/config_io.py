@@ -13,6 +13,7 @@ is also a valid graph file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -90,6 +91,8 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, str], List[str]]:
                 raise ValueError(f"unknown record kind {kind!r}")
         except (ValueError, IndexError) as exc:
             errors.append(f"line {lineno}: {exc}")
+        except ZeroDivisionError:
+            errors.append(f"line {lineno}: weight has a zero denominator")
 
     if sorted(nodes) != list(range(len(nodes))):
         errors.append("node ids must be dense 0..n-1, each declared once")
@@ -151,8 +154,8 @@ def parse_config(text: str, path: Optional[Path] = None) -> RunSpec:
         errors.append(str(exc))
     if not (0.0 < delta < 1.0) or delta - delta * delta <= 0.0:
         errors.append(f"param delta={delta} out of range: delta - delta^2 must be positive")
-    if epsilon <= 0.0:
-        errors.append(f"param epsilon={epsilon} must be positive")
+    if not 0.0 < epsilon < math.inf:
+        errors.append(f"param epsilon={epsilon} must be finite and positive")
     if blocks < 1:
         errors.append(f"param blocks={blocks} must be >= 1")
     if graph.n and not (0 <= leader < graph.n):

@@ -1,34 +1,26 @@
-"""Brute-force certification of what the public transcript reveals.
+"""Certification of what the public transcript reveals.
 
 The analyzer sees exactly what an eavesdropper sees: the masked
 announcements and the terminal choice, never any ground-truth edge bit.
-It enumerates every edge-bit assignment consistent with a round's
+It counts the edge-bit assignments consistent with a round's
 announcements and measures the entropy of the secret bit over that set.
 Honest rounds must always leave exactly two complementary candidates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .channel_sim import Transcript
 from .graph_core import EdgeKey, SpanningTree
-from .subroutine import NonTerminalChoiceError
-
-ENUMERATION_CAP = 20  # vertices; 2^(n-1) assignments are enumerated
-
-
-class EnumerationCapError(Exception):
-    """Brute-force enumeration refused beyond the configured size cap."""
+from .subroutine import terminal_edge_key
 
 
 @dataclass(frozen=True)
 class ConsistencySet:
     round_index: int
-    configurations: Tuple[Dict[EdgeKey, int], ...]
+    count: int  # edge assignments consistent with the round
 
 
 @dataclass(frozen=True)
@@ -45,51 +37,37 @@ def consistent_configurations(
     tree: SpanningTree,
     round_index: int = 0,
 ) -> ConsistencySet:
-    """All edge assignments an eavesdropper cannot rule out.
+    """Count the edge assignments an eavesdropper cannot rule out.
 
     An assignment is consistent when every announcement can be explained
     by a single mask bit: all its masked bits differ from the assignment's
-    bits by the same constant.
+    bits by the same constant.  A record over d edges therefore fixes the
+    XOR of each pair of them, d - 1 independent constraints, and records
+    of different agents stay independent because a tree has no cycle: the
+    n - 1 edge bits keep n - 1 - sum(d - 1) free bits.
 
     A structurally invalid announcement (sender is a terminal, or the
     record's edge set is not exactly the sender's incident tree edges)
-    is explainable by nothing, so the set comes back empty.  Note that a
-    flipped announcement *value* is not structural: any per-agent record
-    over the right edges still leaves exactly two complementary
-    candidates, which is precisely the masking guarantee.
+    is explainable by nothing, so the count is 0.  Note that a flipped
+    announcement *value* is not structural: any per-agent record over the
+    right edges still leaves exactly two complementary candidates, which
+    is precisely the masking guarantee.
     """
-    if tree.n > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{tree.n} agents exceeds the enumeration cap of {ENUMERATION_CAP}"
-        )
     for agent, masked in announcements.items():
         incident = {e.key for e in tree.incident_edges(agent)}
         if len(incident) <= 1 or set(masked) != incident:
-            return ConsistencySet(round_index=round_index, configurations=())
-    edge_keys = sorted(e.key for e in tree.edges)
-    kept: List[Dict[EdgeKey, int]] = []
-    for bits in product((0, 1), repeat=len(edge_keys)):
-        assignment = dict(zip(edge_keys, bits))
-        if all(
-            len({masked[e] ^ assignment[e] for e in masked}) == 1
-            for masked in announcements.values()
-        ):
-            kept.append(assignment)
-    return ConsistencySet(round_index=round_index, configurations=tuple(kept))
+            return ConsistencySet(round_index=round_index, count=0)
+    fixed = sum(len(masked) - 1 for masked in announcements.values())
+    return ConsistencySet(round_index=round_index, count=2 ** (tree.n - 1 - fixed))
 
 
 def secret_entropy(cs: ConsistencySet, chosen: int, tree: SpanningTree) -> float:
-    """Shannon entropy (bits) of the secret bit over the consistent set."""
-    incident = tree.incident_edges(chosen)
-    if len(incident) != 1:
-        raise NonTerminalChoiceError(f"agent {chosen} is not terminal")
-    if not cs.configurations:
-        return 0.0
-    key = incident[0].key
-    p = sum(cfg[key] for cfg in cs.configurations) / len(cs.configurations)
-    if p in (0.0, 1.0):
-        return 0.0
-    return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+    """Shannon entropy (bits) of the secret bit over the consistent set.
+
+    Complementing every edge maps the set onto itself: a full bit unless empty.
+    """
+    terminal_edge_key(tree, chosen)
+    return 1.0 if cs.count else 0.0
 
 
 def rounds_from_transcript(transcript: Transcript) -> List[RoundView]:

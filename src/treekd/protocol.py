@@ -47,8 +47,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if not (0 <= self.leader < self.graph.n):
             raise ValueError("leader out of range")
         if self.blocks < 1:

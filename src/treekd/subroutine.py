@@ -102,15 +102,18 @@ def choose_secret_terminal(terminals: Set[int], rng: SeededRng) -> int:
     return rng.choice(sorted(terminals))
 
 
+def terminal_edge_key(tree: SpanningTree, agent: int) -> EdgeKey:
+    """The key of a terminal agent's single tree edge, which holds its secret bit."""
+    incident = tree.incident_edges(agent)
+    if len(incident) != 1:
+        raise NonTerminalChoiceError(f"agent {agent} is not terminal")
+    return incident[0].key
+
+
 def secret_bit(
     assignment: Mapping[EdgeKey, int], chosen: int, tree: SpanningTree
 ) -> int:
-    incident = tree.incident_edges(chosen)
-    if len(incident) != 1:
-        raise NonTerminalChoiceError(
-            f"agent {chosen} has tree degree {len(incident)}, not 1"
-        )
-    return assignment[incident[0].key]
+    return assignment[terminal_edge_key(tree, chosen)]
 
 
 def subroutine_round(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .bits import BitString
 from .channel_sim import BroadcastMessage, SequenceGapError, Transcript, broadcast
@@ -75,12 +75,14 @@ def _parse_payload(kind: str, text: str):
 def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
     """Parse one or more concatenated block transcripts.
 
-    Sequence numbers restart at 0 at each block boundary, and a
-    terminal_choice must close every run of announcements.
+    Sequence numbers restart at 0 at each block boundary, a
+    terminal_choice must close every run of announcements, and each agent
+    announces at most once per round.
     """
     transcripts: List[Transcript] = []
     current: Transcript | None = None
     open_round = 0  # first line of a round; only a terminal_choice may follow it
+    announced: Set[int] = set()  # senders in the open round
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -91,6 +93,11 @@ def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
             payload = _parse_payload(kind, payload_text)
             if open_round and (seq == 0 or kind not in ("announcement", "terminal_choice")):
                 raise ValueError(f"round from line {open_round} has no terminal_choice")
+            if kind == "announcement" and sender in announced:
+                raise ValueError(
+                    f"round from line {open_round} has a second announcement "
+                    f"from agent {sender}"
+                )
             if seq == 0:
                 current = Transcript()
                 transcripts.append(current)
@@ -99,7 +106,12 @@ def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
             broadcast(current, BroadcastMessage(seq, sender, kind, payload))
         except (ValueError, IndexError, SequenceGapError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
-        open_round = (open_round or lineno) if kind == "announcement" else 0
+        if kind == "announcement":
+            open_round = open_round or lineno
+            announced.add(sender)
+        else:
+            open_round = 0
+            announced.clear()
     if open_round:
         raise ValueError(f"transcript line {open_round}: round has no terminal_choice")
     return transcripts

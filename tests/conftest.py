@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import combinations
-from typing import List, Optional
+from itertools import combinations, product
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from treekd.graph_core import SecurityGraph, SpanningTree, WeightedEdge, _forms_tree
+from treekd.graph_core import (
+    EdgeKey,
+    SecurityGraph,
+    SpanningTree,
+    WeightedEdge,
+    _forms_tree,
+)
+from treekd.subroutine import NonTerminalChoiceError
 
 
 def random_tree_edges(n: int, rng: random.Random) -> List[WeightedEdge]:
@@ -60,3 +68,45 @@ def brute_force_mst_weight(g: SecurityGraph) -> Optional[Fraction]:
             if best is None or total < best:
                 best = total
     return best
+
+
+def brute_force_configurations(
+    announcements: Mapping[int, Mapping[EdgeKey, int]], tree: SpanningTree
+) -> Tuple[Dict[EdgeKey, int], ...]:
+    """Every edge assignment an eavesdropper cannot rule out, by enumerating
+    all 2^(n-1) of them; the reference for the analyzer's closed-form count.
+
+    An assignment is consistent when every announcement can be explained
+    by a single mask bit.  A terminal sender, or a record whose edge set is
+    not exactly the sender's incident tree edges, is explainable by nothing.
+    """
+    for agent, masked in announcements.items():
+        incident = {e.key for e in tree.incident_edges(agent)}
+        if len(incident) <= 1 or set(masked) != incident:
+            return ()
+    edge_keys = sorted(e.key for e in tree.edges)
+    kept: List[Dict[EdgeKey, int]] = []
+    for bits in product((0, 1), repeat=len(edge_keys)):
+        assignment = dict(zip(edge_keys, bits))
+        if all(
+            len({masked[e] ^ assignment[e] for e in masked}) == 1
+            for masked in announcements.values()
+        ):
+            kept.append(assignment)
+    return tuple(kept)
+
+
+def brute_force_entropy(
+    configurations: Tuple[Dict[EdgeKey, int], ...], chosen: int, tree: SpanningTree
+) -> float:
+    """Shannon entropy (bits) of the chosen terminal's edge bit over the set."""
+    incident = tree.incident_edges(chosen)
+    if len(incident) != 1:
+        raise NonTerminalChoiceError(f"agent {chosen} is not terminal")
+    if not configurations:
+        return 0.0
+    key = incident[0].key
+    p = sum(cfg[key] for cfg in configurations) / len(configurations)
+    if p in (0.0, 1.0):
+        return 0.0
+    return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))

@@ -11,7 +11,12 @@ import mpmath
 import pytest
 from scipy import stats
 
-from conftest import brute_force_mst_weight, random_connected_graph, random_tree_edges
+from conftest import (
+    brute_force_configurations,
+    brute_force_mst_weight,
+    random_connected_graph,
+    random_tree_edges,
+)
 from treekd.channel_sim import Transcript, simulate_pairwise_kd
 from treekd.cli import EXIT_DISCONNECTED, EXIT_OK, main
 from treekd.bits import BitString
@@ -94,9 +99,11 @@ def test_criterion_2_two_configuration_security():
         chosen = next(
             m.payload for m in transcript.messages if m.kind == "terminal_choice"
         )
+        configs = brute_force_configurations(announcements, tree)
         cs = consistent_configurations(announcements, tree)
-        assert len(cs.configurations) == 2
-        a, b = cs.configurations
+        assert cs.count == len(configs)
+        assert len(configs) == 2
+        a, b = configs
         assert all(a[e] == b[e] ^ 1 for e in a)
         assert secret_entropy(cs, chosen, tree) == 1.0
     print(

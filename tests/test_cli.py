@@ -63,6 +63,26 @@ class TestParseConfig:
             parse_config(bad)
         assert len(err.value.errors) == 3
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("edge 0 1 weight=1/0\n", "line 4: weight has a zero denominator"),
+            ("param epsilon=nan\n", "param epsilon=nan must be finite and positive"),
+            ("param epsilon=inf\n", "param epsilon=inf must be finite and positive"),
+        ],
+        ids=["zero-denominator", "epsilon-nan", "epsilon-inf"],
+    )
+    def test_bad_number_exits_1_with_error(self, tmp_path, capsys, extra, message):
+        text = "node 0\nnode 1\nsource 0\n" + extra
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = write(tmp_path, "bad.cfg", text)
+        for command in ("plan", "run"):
+            assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"error: {message}" in err
+            assert "Traceback" not in err
+
     def test_missing_file_names_path(self, tmp_path, capsys):
         rc = main(["plan", "--config", str(tmp_path / "nope.cfg")])
         assert rc == EXIT_CONFIG
@@ -194,15 +214,18 @@ class TestAnalyze:
              "transcript line 2: expected seq 1, got 2"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 1\n",
              "block 0 round 0: agent 1 is not terminal"),
-            (STAR21, "0 0 terminal_choice 1\n",
-             "block 0 round 0: 21 agents exceeds the enumeration cap of 20"),
             (PATH3, ANNOUNCE,
              "transcript line 1: round has no terminal_choice"),
             (PATH3, "# block 0\n" + ANNOUNCE + "1 0 check_positions 0\n",
              "transcript line 3: round from line 2 has no terminal_choice"),
+            (PATH3, "# block 0\n" + ANNOUNCE + "1 1 announcement (0,1):0,(1,2):0\n"
+             "2 0 terminal_choice 0\n",
+             "transcript line 3: round from line 2 has a second announcement "
+             "from agent 1"),
         ],
-        ids=["sequence-gap", "non-terminal-choice", "enumeration-cap",
-             "unclosed-round-at-end", "unclosed-round-before-check"],
+        ids=["sequence-gap", "non-terminal-choice",
+             "unclosed-round-at-end", "unclosed-round-before-check",
+             "duplicate-announcement"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message
@@ -214,6 +237,28 @@ class TestAnalyze:
         assert rc == EXIT_CONFIG
         assert f"error: {message}" in captured.out + captured.err
         assert "PASS" not in captured.out
+
+    def test_noisy_tree_of_21_agents_passes(self, tmp_path, capsys):
+        noisy = "".join(f"node {v}\nsource {v}\n" for v in range(21)) + "".join(
+            f"edge {(v - 1) // 2} {v} flip=0.01\n" for v in range(1, 21)
+        )
+        rc, out = self.run_and_analyze(
+            tmp_path, capsys, noisy + "param blocks=2\nparam delta=0.3\nparam seed=5\n"
+        )
+        assert rc == EXIT_OK
+        rounds = out.splitlines()[:-1]
+        assert len(rounds) == 2 * 14
+        assert all(line.endswith(": configurations=2 entropy=1.000000") for line in rounds)
+        assert out.splitlines()[-1].startswith("PASS: 28 rounds")
+
+    def test_star21_without_hub_announcement_fails(self, tmp_path, capsys):
+        cfg = write(tmp_path, "g.cfg", self.STAR21)
+        log = write(tmp_path, "t.log", "0 0 terminal_choice 1\n")
+        rc = main(["analyze", "--transcript", str(log), "--config", str(cfg)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_CONFIG
+        assert "block 0 round 0: configurations=1048576 entropy=1.000000" in out
+        assert "FAIL" in out
 
 
 class TestSweep:

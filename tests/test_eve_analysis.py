@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_tree_edges
+from conftest import brute_force_configurations, brute_force_entropy, random_tree_edges
 from treekd.channel_sim import Transcript
 from treekd.eve_analysis import (
     ConsistencySet,
-    EnumerationCapError,
     InsufficientSampleError,
     consistent_configurations,
     key_uniformity_test,
@@ -15,7 +16,7 @@ from treekd.eve_analysis import (
 )
 from treekd.graph_core import SpanningTree, WeightedEdge, terminal_agents
 from treekd.rng import SeededRng
-from treekd.subroutine import subroutine_round
+from treekd.subroutine import NonTerminalChoiceError, subroutine_round
 
 
 def honest_round(tree, rng, seed):
@@ -25,6 +26,13 @@ def honest_round(tree, rng, seed):
     subroutine_round(tree, bits, SeededRng(seed), transcript)
     (view,) = rounds_from_transcript(transcript)
     return view, bits
+
+
+def configurations(announcements, tree):
+    """The oracle's consistent set, after checking the analyzer counts it."""
+    configs = brute_force_configurations(announcements, tree)
+    assert consistent_configurations(announcements, tree).count == len(configs)
+    return configs
 
 
 def complementary(configs):
@@ -40,15 +48,14 @@ class TestConsistentConfigurations:
         rng = random.Random(0)
         for seed in range(16):
             view, bits = honest_round(tree, rng, seed)
-            cs = consistent_configurations(view.announcements, tree)
-            assert complementary(cs.configurations)
+            configs = configurations(view.announcements, tree)
+            assert complementary(configs)
             truth = {e: ab[0] for e, ab in bits.items()}
-            assert truth in cs.configurations
+            assert truth in configs
 
     def test_two_agents_both_configurations(self):
         tree = SpanningTree(2, [WeightedEdge(0, 1)])
-        cs = consistent_configurations({}, tree)
-        assert len(cs.configurations) == 2
+        assert len(configurations({}, tree)) == 2
 
     def test_random_trees_up_to_12(self):
         rng = random.Random(51)
@@ -56,8 +63,7 @@ class TestConsistentConfigurations:
             n = rng.randrange(2, 13)
             tree = SpanningTree(n, random_tree_edges(n, rng))
             view, _ = honest_round(tree, rng, trial)
-            cs = consistent_configurations(view.announcements, tree)
-            assert complementary(cs.configurations)
+            assert complementary(configurations(view.announcements, tree))
 
     def test_flipped_value_bit_is_invisible(self):
         # Flipping an announced *value* cannot be detected: any record over
@@ -71,8 +77,7 @@ class TestConsistentConfigurations:
             agent: {**masked, min(masked): masked[min(masked)] ^ 1}
             for agent, masked in view.announcements.items()
         }
-        cs = consistent_configurations(tampered, tree)
-        assert complementary(cs.configurations)
+        assert complementary(configurations(tampered, tree))
 
     def test_structural_tampering_yields_no_configuration(self):
         # Relabeling an announced edge so the record no longer matches the
@@ -83,19 +88,46 @@ class TestConsistentConfigurations:
         (agent,) = view.announcements
         masked = dict(view.announcements[agent])
         masked[(0, 2)] = masked.pop((1, 2))  # not an edge at agent 1
-        cs = consistent_configurations({agent: masked}, tree)
-        assert len(cs.configurations) == 0
+        assert len(configurations({agent: masked}, tree)) == 0
 
     def test_terminal_announcer_is_structural_violation(self):
         tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
-        cs = consistent_configurations({0: {(0, 1): 1}}, tree)
-        assert len(cs.configurations) == 0
+        assert len(configurations({0: {(0, 1): 1}}, tree)) == 0
 
-    def test_enumeration_cap(self):
-        n = 21
-        tree = SpanningTree(n, [WeightedEdge(i, i + 1) for i in range(n - 1)])
-        with pytest.raises(EnumerationCapError):
-            consistent_configurations({}, tree)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+        silent=st.floats(0.0, 1.0),
+        tampered=st.booleans(),
+    )
+    def test_count_and_entropy_match_oracle(self, n, seed, silent, tampered):
+        # Random announcer subsets with random values.  In a tampered round
+        # senders may be terminals or not agents at all (ids n and n+1), and
+        # records may drop an incident edge or carry a key that is not one
+        # of the sender's edges; otherwise only non-terminals announce.
+        rng = random.Random(seed)
+        tree = SpanningTree(n, random_tree_edges(n, rng))
+        announcements = {}
+        for agent in range(n + 2):
+            masked = {e.key: rng.randrange(2) for e in tree.incident_edges(agent)}
+            if rng.random() < silent or not (tampered or len(masked) > 1):
+                continue
+            if tampered and masked and rng.random() < 0.25:
+                masked.pop(rng.choice(sorted(masked)))
+            if tampered and rng.random() < 0.25:
+                masked[(agent, n + 2)] = rng.randrange(2)
+            announcements[agent] = masked
+        configs = brute_force_configurations(announcements, tree)
+        cs = consistent_configurations(announcements, tree)
+        assert cs.count == len(configs)
+        for chosen in sorted(terminal_agents(tree)):
+            assert secret_entropy(cs, chosen, tree) == brute_force_entropy(
+                configs, chosen, tree
+            )
+        for chosen in set(range(n + 1)) - terminal_agents(tree):
+            with pytest.raises(NonTerminalChoiceError):
+                secret_entropy(cs, chosen, tree)
 
 
 class TestSecretEntropy:
@@ -110,8 +142,8 @@ class TestSecretEntropy:
 
     def test_single_configuration_zero_entropy(self):
         tree = SpanningTree(2, [WeightedEdge(0, 1)])
-        cs = ConsistencySet(0, ({(0, 1): 1},))
-        assert secret_entropy(cs, 0, tree) == 0.0
+        assert brute_force_entropy(({(0, 1): 1},), 0, tree) == 0.0
+        assert secret_entropy(ConsistencySet(0, 0), 0, tree) == 0.0
 
     def test_honest_random_trees_always_one_bit(self):
         rng = random.Random(13)

@@ -304,6 +304,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             path_config(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            path_config(epsilon=epsilon)
+
     def test_bad_leader(self):
         with pytest.raises(ValueError):
             config = path_config()
