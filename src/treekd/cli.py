@@ -184,6 +184,9 @@ def cmd_analyze(transcript_path: Path, graph_path: Path, out=None) -> int:
             if cs.count != 2 or entropy != 1.0:
                 ok = False
             round_total += 1
+    if not round_total:
+        print("error: transcript has no rounds", file=out)
+        return EXIT_CONFIG
     print(
         f"{'PASS' if ok else 'FAIL'}: {round_total} rounds, "
         "two-configuration property "

@@ -271,10 +271,8 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
         transcript,
         config.leader,
     )
-    key_bits = {
-        agent: BitString(
-            (idx >> (config.code.k - 1 - i)) & 1 for i in range(config.code.k)
-        )
+    key_bits = {  # systematic code: the message is the codeword's first k bits
+        agent: config.code.codewords[idx].take(range(config.code.k))
         for agent, idx in indices.items()
     }
     return KeyResult(

@@ -3,7 +3,7 @@
 One line per message: ``<seq> <sender> <kind> <payload>``.  Lines starting
 with ``#`` are comments.  Payload text per kind:
 
-- announcement:      sorted ``(a,b):bit`` pairs, comma-separated
+- announcement:      sorted ``(a,b):bit`` pairs, comma-separated, each edge once
 - terminal_choice:   the chosen agent id
 - check_positions:   sorted position indices, comma-separated
 - check_values:      the m check bits as 0/1 characters, index 0 first
@@ -47,14 +47,20 @@ def transcript_lines(t: Transcript) -> List[str]:
     return [format_message(m) for m in t.messages]
 
 
+_EDGE_BIT = re.compile(r"\((\d+),(\d+)\):([01])")
+_ANNOUNCEMENT = re.compile(r"\(\d+,\d+\):[01](?:,\(\d+,\d+\):[01])*")
+
+
 def _parse_payload(kind: str, text: str):
     if kind == "announcement":
-        record: Dict[EdgeKey, int] = {}
-        matches = re.findall(r"\((\d+),(\d+)\):([01])", text)
-        if text and not matches:
+        if not _ANNOUNCEMENT.fullmatch(text):
             raise ValueError(f"malformed announcement payload {text!r}")
-        for a, b, bit in matches:
-            record[(int(a), int(b))] = int(bit)
+        items = _EDGE_BIT.findall(text)
+        record: Dict[EdgeKey, int] = {
+            (int(a), int(b)): int(bit) for a, b, bit in items
+        }
+        if len(record) != len(items):
+            raise ValueError(f"announcement repeats an edge: {text!r}")
         return record
     if kind == "terminal_choice":
         return int(text)

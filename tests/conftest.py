@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from treekd.bits import BitString
 from treekd.graph_core import (
     EdgeKey,
     SecurityGraph,
@@ -15,6 +16,7 @@ from treekd.graph_core import (
     WeightedEdge,
     _forms_tree,
 )
+from treekd.linear_code import LinearCode, encode
 from treekd.subroutine import NonTerminalChoiceError
 
 
@@ -110,3 +112,24 @@ def brute_force_entropy(
     if p in (0.0, 1.0):
         return 0.0
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+
+
+def coset_leader_decode(
+    code: LinearCode, word: BitString
+) -> Tuple[BitString, BitString]:
+    """(codeword, error) for the first error pattern, by weight and then
+    ``combinations`` order, that turns word into a codeword: the coset-leader
+    rule of a syndrome table, and the reference for decode_to_codeword."""
+    codewords = {
+        int(str(encode(code, BitString(msg))), 2)
+        for msg in product((0, 1), repeat=code.k)
+    }
+    value = int(str(word), 2)
+    for weight in range(code.m + 1):
+        for positions in combinations(range(code.m), weight):
+            error = sum(1 << (code.m - 1 - p) for p in positions)
+            if value ^ error in codewords:
+                return (
+                    BitString.from_text(f"{value ^ error:0{code.m}b}"),
+                    BitString.from_text(f"{error:0{code.m}b}"),
+                )

@@ -222,10 +222,22 @@ class TestAnalyze:
              "2 0 terminal_choice 0\n",
              "transcript line 3: round from line 2 has a second announcement "
              "from agent 1"),
+            (PATH3,
+             "0 1 announcement (0,1):0,(0,1):1,(1,2):0\n1 0 terminal_choice 0\n",
+             "transcript line 1: announcement repeats an edge: "
+             "'(0,1):0,(0,1):1,(1,2):0'"),
+            (PATH3,
+             "0 1 announcement (0,1):0 junk (1,2):1 more\n1 0 terminal_choice 0\n",
+             "transcript line 1: malformed announcement payload "
+             "'(0,1):0 junk (1,2):1 more'"),
+            (PATH3, "", "transcript has no rounds"),
+            (PATH3, "# block 0\n", "transcript has no rounds"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
-             "duplicate-announcement"],
+             "duplicate-announcement", "repeated-edge-key",
+             "text-between-announcement-items", "empty-transcript",
+             "comment-only-transcript"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message

@@ -1,10 +1,14 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import coset_leader_decode
 from treekd.bits import BitString
 from treekd.linear_code import (
     NotACodewordError,
+    _systematic_code,
     code_by_name,
     decode_to_codeword,
     encode,
@@ -21,6 +25,11 @@ def all_codewords(code):
     return [encode_index(code, i) for i in range(1 << code.k)]
 
 
+# A [6,3] code with a weight-2 codeword (001100), so some words have two
+# nearest codewords and the decoder's tie rule decides.
+TIED_6_3 = _systematic_code(6, 3, 0, ((1, 1, 0), (0, 1, 1), (1, 0, 0)))
+
+
 class TestHamming74:
     def test_parameters(self):
         code = hamming_7_4()
@@ -33,11 +42,6 @@ class TestHamming74:
     def test_minimum_nonzero_weight_is_3(self):
         weights = [c.weight() for c in all_codewords(hamming_7_4()) if c.weight()]
         assert min(weights) == 3
-
-    def test_generator_parity_orthogonal(self):
-        code = hamming_7_4()
-        for row in code.generator:
-            assert code.syndrome(BitString(row)) == (0,) * (code.m - code.k)
 
 
 class TestRepetition:
@@ -112,12 +116,36 @@ class TestDecode:
                         decoded, _ = decode_to_codeword(code, cw ^ e)
                         assert decoded == cw
 
-    def test_decoded_word_has_zero_syndrome(self):
+    def test_decoded_word_is_a_codeword(self):
         code = hamming_7_4()
         for value in range(1 << code.m):
             word = BitString((value >> i) & 1 for i in range(code.m))
             decoded, _ = decode_to_codeword(code, word)
-            assert code.syndrome(decoded) == (0,) * (code.m - code.k)
+            index_of(code, decoded)  # raises NotACodewordError otherwise
+
+    @pytest.mark.parametrize(
+        "code",
+        [hamming_7_4()] + [repetition_code(m) for m in range(1, 12, 2)]
+        + [TIED_6_3],
+        ids=lambda code: f"{code.m}_{code.k}",
+    )
+    def test_matches_coset_leader_oracle_on_every_word(self, code):
+        for value in range(1 << code.m):
+            word = BitString.from_text(f"{value:0{code.m}b}")
+            assert decode_to_codeword(code, word) == coset_leader_decode(code, word)
+
+    def test_tie_goes_to_earliest_error(self):
+        # 001000 and 000100 are each at distance 1 from 000000 and 001100.
+        for word, codeword in (("001000", "000000"), ("000100", "001100")):
+            decoded, err = decode_to_codeword(TIED_6_3, BitString.from_text(word))
+            assert (str(decoded), str(err)) == (codeword, "001000")
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([13, 15]), data=st.data())
+    def test_matches_coset_leader_oracle_on_long_repetition(self, m, data):
+        code = repetition_code(m)
+        word = BitString(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+        assert decode_to_codeword(code, word) == coset_leader_decode(code, word)
 
     def test_weight_two_miscorrects_to_some_codeword(self):
         code = hamming_7_4()
@@ -172,14 +200,14 @@ class TestCodeByName:
         with pytest.raises(ValueError):
             code_by_name("golay23")
 
-    def test_oversize_block_rejected(self):
-        with pytest.raises(ValueError):
-            code_by_name("repetition17")
-
-    def test_decode_table_built_on_first_decode(self):
-        code = code_by_name("repetition5")
-        assert "decode_table" not in vars(code)
-        decode_to_codeword(code, BitString([1, 0, 0, 0, 0]))
-        table = vars(code)["decode_table"]
-        decode_to_codeword(code, BitString([0, 1, 1, 1, 1]))
-        assert code.decode_table is table
+    def test_repetition17_corrects_8_errors(self):
+        code = code_by_name("repetition17")
+        assert (code.m, code.k, code.t) == (17, 1, 8)
+        zeros, ones = all_codewords(code)
+        for cw in (zeros, ones):
+            for w in range(9):
+                for e in ("1" * w + "0" * (17 - w), "0" * (17 - w) + "1" * w):
+                    decoded, _ = decode_to_codeword(code, cw ^ BitString.from_text(e))
+                    assert decoded == cw
+        nine = BitString.from_text("1" * 9 + "0" * 8)
+        assert decode_to_codeword(code, zeros ^ nine)[0] == ones
