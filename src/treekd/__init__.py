@@ -2,7 +2,8 @@
 
 A deterministic simulator and analysis toolkit: pairwise key distribution
 along spanning-tree edges, the randomized-record classical round, code-based
-reconciliation, and a brute-force eavesdropper-view analyzer.
+reconciliation, and an eavesdropper-view analyzer that counts the edge
+assignments a round's transcript leaves open.
 """
 
 from .bits import BitString

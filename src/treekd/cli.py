@@ -169,19 +169,17 @@ def cmd_analyze(transcript_path: Path, graph_path: Path, out=None) -> int:
     for b, transcript in enumerate(blocks):
         for rnd in eve_analysis.rounds_from_transcript(transcript):
             try:
-                cs = eve_analysis.consistent_configurations(
-                    rnd.announcements, tree, round_index=rnd.index
-                )
-                entropy = eve_analysis.secret_entropy(cs, rnd.chosen_terminal, tree)
+                count = eve_analysis.consistent_configurations(rnd.announcements, tree)
+                entropy = eve_analysis.secret_entropy(count, rnd.chosen_terminal, tree)
             except NonTerminalChoiceError as exc:
                 print(f"error: block {b} round {rnd.index}: {exc}", file=out)
                 return EXIT_CONFIG
             print(
-                f"block {b} round {rnd.index}: configurations={cs.count} "
+                f"block {b} round {rnd.index}: configurations={count} "
                 f"entropy={entropy:.6f}",
                 file=out,
             )
-            if cs.count != 2 or entropy != 1.0:
+            if count != 2 or entropy != 1.0:
                 ok = False
             round_total += 1
     if not round_total:

@@ -65,6 +65,8 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, str], List[str]]:
         fields = line.split()
         kind = fields[0]
         try:
+            if kind in ("node", "source", "param") and len(fields) > 2:
+                raise ValueError(f"unexpected field {fields[2]!r}")
             if kind == "node":
                 nodes.append(int(fields[1]))
             elif kind == "source":

@@ -18,12 +18,6 @@ from .subroutine import terminal_edge_key
 
 
 @dataclass(frozen=True)
-class ConsistencySet:
-    round_index: int
-    count: int  # edge assignments consistent with the round
-
-
-@dataclass(frozen=True)
 class RoundView:
     """One round as visible on the wire: masked records plus the choice."""
 
@@ -35,8 +29,7 @@ class RoundView:
 def consistent_configurations(
     announcements: Mapping[int, Mapping[EdgeKey, int]],
     tree: SpanningTree,
-    round_index: int = 0,
-) -> ConsistencySet:
+) -> int:
     """Count the edge assignments an eavesdropper cannot rule out.
 
     An assignment is consistent when every announcement can be explained
@@ -56,18 +49,19 @@ def consistent_configurations(
     for agent, masked in announcements.items():
         incident = {e.key for e in tree.incident_edges(agent)}
         if len(incident) <= 1 or set(masked) != incident:
-            return ConsistencySet(round_index=round_index, count=0)
+            return 0
     fixed = sum(len(masked) - 1 for masked in announcements.values())
-    return ConsistencySet(round_index=round_index, count=2 ** (tree.n - 1 - fixed))
+    return 2 ** (tree.n - 1 - fixed)
 
 
-def secret_entropy(cs: ConsistencySet, chosen: int, tree: SpanningTree) -> float:
+def secret_entropy(count: int, chosen: int, tree: SpanningTree) -> float:
     """Shannon entropy (bits) of the secret bit over the consistent set.
 
-    Complementing every edge maps the set onto itself: a full bit unless empty.
+    count is the set's size from consistent_configurations.  Complementing
+    every edge maps the set onto itself: a full bit unless empty.
     """
     terminal_edge_key(tree, chosen)
-    return 1.0 if cs.count else 0.0
+    return 1.0 if count else 0.0
 
 
 def rounds_from_transcript(transcript: Transcript) -> List[RoundView]:

@@ -104,7 +104,8 @@ class ValidationReport:
 class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
-    Its adjacency, incident edges, terminals and key index are built once.
+    Its adjacency, incident edges, terminals, key index and parent table
+    are built once.
     """
 
     n: int
@@ -129,10 +130,21 @@ class SpanningTree:
             for v, us in adjacency.items()
         }
         terminals = frozenset(v for v, us in adjacency.items() if len(us) == 1)
+        parents: List[Tuple[int, int, EdgeKey]] = []
+        seen = {0}
+        queue = deque([0] if n else [])
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+                    parents.append((v, u, (min(u, v), max(u, v))))
         object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "_by_key", by_key)
         object.__setattr__(self, "_incident", incident)
         object.__setattr__(self, "_terminals", terminals)
+        object.__setattr__(self, "_parents", tuple(parents))
 
     def adjacency(self) -> Adjacency:
         return MappingProxyType(self._adjacency)
@@ -142,6 +154,11 @@ class SpanningTree:
 
     def incident_edges(self, agent: int) -> Tuple[WeightedEdge, ...]:
         return self._incident.get(agent, ())
+
+    def parent_edges(self) -> Tuple[Tuple[int, int, EdgeKey], ...]:
+        """(vertex, parent, edge key) for every vertex but 0, in BFS order
+        from agent 0, so each parent appears before its children."""
+        return self._parents
 
 
 class _UnionFind:
@@ -258,24 +275,18 @@ def tree_path(t: SpanningTree, a: int, b: int) -> List[WeightedEdge]:
     """The unique simple path from a to b; empty when a == b."""
     if not (0 <= a < t.n and 0 <= b < t.n):
         raise ValueError("endpoints out of range")
-    if a == b:
-        return []
-    adj = t.adjacency()
-    parent: Dict[int, int] = {a: a}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        if u == b:
-            break
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    path: List[WeightedEdge] = []
-    v = b
-    while v != a:
-        u = parent[v]
-        path.append(t.edge_by_key((min(u, v), max(u, v))))
-        v = u
-    path.reverse()
-    return path
+    up = {v: (parent, key) for v, parent, key in t.parent_edges()}
+
+    def to_root(v: int) -> List[int]:
+        chain = [v]
+        while chain[-1] != 0:
+            chain.append(up[chain[-1]][0])
+        return chain
+
+    from_a, from_b = to_root(a), to_root(b)
+    # Drop the shared part above the meeting vertex, which then ends both.
+    while len(from_a) > 1 and len(from_b) > 1 and from_a[-2] == from_b[-2]:
+        from_a.pop()
+        from_b.pop()
+    below = from_a[:-1] + from_b[-2::-1]
+    return [t.edge_by_key(up[v][1]) for v in below]

@@ -1,10 +1,16 @@
 """The classical round that turns n-1 pairwise bits into one n-party bit.
 
 Each non-terminal agent broadcasts its incident edge bits XORed with one
-fresh private mask bit (the uniformly randomized record).  Every agent then
-reconstructs the full edge assignment from its own copies plus the masked
+fresh private mask bit (the uniformly randomized record).  Every agent can
+reconstruct the full edge assignment from its own copies plus the masked
 records, and the round's secret bit is the edge bit at a randomly chosen
 terminal agent.
+
+The masks cancel along tree paths, so two agents' reconstructions of any
+edge differ exactly by the XOR of the pairwise disagreements (a-side copy
+XOR b-side copy) on the tree path between them.  The simulator therefore
+runs the reconstruction once, for the leader, and derives every other
+agent's bit from the leader's by that path parity.
 """
 
 from __future__ import annotations
@@ -34,25 +40,6 @@ class AgentView:
 
     agent: int
     incident_bits: Mapping[EdgeKey, int]
-
-
-@dataclass(frozen=True)
-class AnnouncementRecord:
-    """A masked incident-bit record; only masked_bits is ever broadcast."""
-
-    agent: int
-    masked_bits: Mapping[EdgeKey, int]
-    mask: int  # private, never serialized
-
-    def broadcast_payload(self) -> Dict[EdgeKey, int]:
-        return dict(sorted(self.masked_bits.items()))
-
-
-def make_announcement(view: AgentView, mask: int) -> AnnouncementRecord:
-    if mask not in (0, 1):
-        raise ValueError("mask must be a bit")
-    masked = {e: bit ^ mask for e, bit in view.incident_bits.items()}
-    return AnnouncementRecord(agent=view.agent, masked_bits=masked, mask=mask)
 
 
 def reconstruct_assignment(
@@ -110,12 +97,6 @@ def terminal_edge_key(tree: SpanningTree, agent: int) -> EdgeKey:
     return incident[0].key
 
 
-def secret_bit(
-    assignment: Mapping[EdgeKey, int], chosen: int, tree: SpanningTree
-) -> int:
-    return assignment[terminal_edge_key(tree, chosen)]
-
-
 def subroutine_round(
     tree: SpanningTree,
     position_bits: Mapping[EdgeKey, Tuple[int, int]],
@@ -128,28 +109,26 @@ def subroutine_round(
     position_bits maps each tree edge to the (a-side, b-side) copies for the
     current position.  Round randomness draws in a fixed order: one fresh
     mask per non-terminal agent in ascending id, then the leader's terminal
-    choice.  Returns each agent's secret bit as computed from its own
-    reconstruction.
+    choice.  Returns each agent's secret bit: the leader's from its own
+    reconstruction, every other agent's equal to what its own
+    reconstruction would give, found by tree-path parity.
     """
     if set(position_bits) != {e.key for e in tree.edges}:
         raise ValueError("position_bits must cover exactly the tree edges")
     terminals = terminal_agents(tree)
 
-    def view_of(agent: int) -> AgentView:
-        bits = {}
-        for e in tree.incident_edges(agent):
-            a_copy, b_copy = position_bits[e.key]
-            bits[e.key] = a_copy if agent == e.a else b_copy
-        return AgentView(agent=agent, incident_bits=bits)
-
-    views = {agent: view_of(agent) for agent in range(tree.n)}
+    def own_copies(agent: int) -> Dict[EdgeKey, int]:
+        return {
+            e.key: position_bits[e.key][0 if agent == e.a else 1]
+            for e in tree.incident_edges(agent)
+        }
 
     announcements: Dict[int, Dict[EdgeKey, int]] = {}
     for agent in range(tree.n):
         if agent in terminals:
             continue
-        record = make_announcement(views[agent], rng.bit())
-        payload = record.broadcast_payload()
+        mask = rng.bit()
+        payload = {key: bit ^ mask for key, bit in sorted(own_copies(agent).items())}
         announcements[agent] = payload
         broadcast(
             transcript,
@@ -162,11 +141,15 @@ def subroutine_round(
         BroadcastMessage(transcript.next_seq(), leader, "terminal_choice", chosen),
     )
 
-    secrets: Dict[int, int] = {}
-    for agent in range(tree.n):
-        assignment = reconstruct_assignment(views[agent], announcements, tree)
-        secrets[agent] = secret_bit(assignment, chosen, tree)
-    return secrets
+    assignment = reconstruct_assignment(
+        AgentView(agent=leader, incident_bits=own_copies(leader)), announcements, tree
+    )
+    parity = [0] * tree.n  # disagreements on the tree path from agent 0
+    for v, parent, key in tree.parent_edges():
+        a_copy, b_copy = position_bits[key]
+        parity[v] = parity[parent] ^ a_copy ^ b_copy
+    base = assignment[terminal_edge_key(tree, chosen)] ^ parity[leader]
+    return {agent: base ^ parity[agent] for agent in range(tree.n)}
 
 
 def random_efficiency(n: int) -> Fraction:

@@ -73,7 +73,12 @@ def _parse_payload(kind: str, text: str):
         if text:
             for item in text.split(","):
                 agent, frac = item.split(":")
-                out[int(agent)] = Fraction(frac)
+                try:
+                    out[int(agent)] = Fraction(frac)
+                except ZeroDivisionError:
+                    raise ValueError(
+                        f"abort mismatch {frac!r} has a zero denominator"
+                    ) from None
         return out
     raise ValueError(f"unknown kind {kind!r}")
 

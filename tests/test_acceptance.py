@@ -100,12 +100,12 @@ def test_criterion_2_two_configuration_security():
             m.payload for m in transcript.messages if m.kind == "terminal_choice"
         )
         configs = brute_force_configurations(announcements, tree)
-        cs = consistent_configurations(announcements, tree)
-        assert cs.count == len(configs)
+        count = consistent_configurations(announcements, tree)
+        assert count == len(configs)
         assert len(configs) == 2
         a, b = configs
         assert all(a[e] == b[e] ^ 1 for e in a)
-        assert secret_entropy(cs, chosen, tree) == 1.0
+        assert secret_entropy(count, chosen, tree) == 1.0
     print(
         f"ACCEPTANCE 2 PASS: {rounds} honest rounds, always exactly 2 "
         "complementary configurations, entropy 1.0"

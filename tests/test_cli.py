@@ -69,8 +69,12 @@ class TestParseConfig:
             ("edge 0 1 weight=1/0\n", "line 4: weight has a zero denominator"),
             ("param epsilon=nan\n", "param epsilon=nan must be finite and positive"),
             ("param epsilon=inf\n", "param epsilon=inf must be finite and positive"),
+            ("node 2 3\n", "line 4: unexpected field '3'"),
+            ("source 1 0\n", "line 4: unexpected field '0'"),
+            ("param blocks=2 seed=5\n", "line 4: unexpected field 'seed=5'"),
         ],
-        ids=["zero-denominator", "epsilon-nan", "epsilon-inf"],
+        ids=["zero-denominator", "epsilon-nan", "epsilon-inf",
+             "node-extra-field", "source-extra-field", "param-extra-field"],
     )
     def test_bad_number_exits_1_with_error(self, tmp_path, capsys, extra, message):
         text = "node 0\nnode 1\nsource 0\n" + extra
@@ -230,13 +234,16 @@ class TestAnalyze:
              "0 1 announcement (0,1):0 junk (1,2):1 more\n1 0 terminal_choice 0\n",
              "transcript line 1: malformed announcement payload "
              "'(0,1):0 junk (1,2):1 more'"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:1/0\n",
+             "transcript line 3: abort mismatch '1/0' has a zero denominator"),
             (PATH3, "", "transcript has no rounds"),
             (PATH3, "# block 0\n", "transcript has no rounds"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
              "duplicate-announcement", "repeated-edge-key",
-             "text-between-announcement-items", "empty-transcript",
+             "text-between-announcement-items", "abort-zero-denominator",
+             "empty-transcript",
              "comment-only-transcript"],
     )
     def test_malformed_transcript_exits_1_with_error(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import brute_force_configurations, brute_force_entropy, random_tree_edges
 from treekd.channel_sim import Transcript
 from treekd.eve_analysis import (
-    ConsistencySet,
     InsufficientSampleError,
     consistent_configurations,
     key_uniformity_test,
@@ -31,7 +30,7 @@ def honest_round(tree, rng, seed):
 def configurations(announcements, tree):
     """The oracle's consistent set, after checking the analyzer counts it."""
     configs = brute_force_configurations(announcements, tree)
-    assert consistent_configurations(announcements, tree).count == len(configs)
+    assert consistent_configurations(announcements, tree) == len(configs)
     return configs
 
 
@@ -119,15 +118,15 @@ class TestConsistentConfigurations:
                 masked[(agent, n + 2)] = rng.randrange(2)
             announcements[agent] = masked
         configs = brute_force_configurations(announcements, tree)
-        cs = consistent_configurations(announcements, tree)
-        assert cs.count == len(configs)
+        count = consistent_configurations(announcements, tree)
+        assert count == len(configs)
         for chosen in sorted(terminal_agents(tree)):
-            assert secret_entropy(cs, chosen, tree) == brute_force_entropy(
+            assert secret_entropy(count, chosen, tree) == brute_force_entropy(
                 configs, chosen, tree
             )
         for chosen in set(range(n + 1)) - terminal_agents(tree):
             with pytest.raises(NonTerminalChoiceError):
-                secret_entropy(cs, chosen, tree)
+                secret_entropy(count, chosen, tree)
 
 
 class TestSecretEntropy:
@@ -136,14 +135,14 @@ class TestSecretEntropy:
         rng = random.Random(8)
         for seed in range(10):
             view, _ = honest_round(tree, rng, seed)
-            cs = consistent_configurations(view.announcements, tree)
+            count = consistent_configurations(view.announcements, tree)
             for chosen in terminal_agents(tree):
-                assert secret_entropy(cs, chosen, tree) == 1.0
+                assert secret_entropy(count, chosen, tree) == 1.0
 
     def test_single_configuration_zero_entropy(self):
         tree = SpanningTree(2, [WeightedEdge(0, 1)])
         assert brute_force_entropy(({(0, 1): 1},), 0, tree) == 0.0
-        assert secret_entropy(ConsistencySet(0, 0), 0, tree) == 0.0
+        assert secret_entropy(0, 0, tree) == 0.0
 
     def test_honest_random_trees_always_one_bit(self):
         rng = random.Random(13)
@@ -151,8 +150,8 @@ class TestSecretEntropy:
             n = rng.randrange(2, 13)
             tree = SpanningTree(n, random_tree_edges(n, rng))
             view, _ = honest_round(tree, rng, trial)
-            cs = consistent_configurations(view.announcements, tree)
-            assert secret_entropy(cs, view.chosen_terminal, tree) == 1.0
+            count = consistent_configurations(view.announcements, tree)
+            assert secret_entropy(count, view.chosen_terminal, tree) == 1.0
 
 
 class TestKeyUniformity:

@@ -213,6 +213,22 @@ class TestPrecomputedStructure:
         assert tree.incident_edges(tree.n) == ()
         with pytest.raises(KeyError):
             tree.edge_by_key((tree.n, tree.n + 1))
+        reached = [0]  # BFS order: each parent is reached before its child
+        for v, parent, key in tree.parent_edges():
+            assert parent in reached and v not in reached
+            assert tree.edge_by_key(key).key == (min(v, parent), max(v, parent))
+            reached.append(v)
+        assert sorted(reached) == list(range(tree.n))
+
+    @given(random_trees(), st.data())
+    def test_tree_path_is_the_simple_path(self, tree, data):
+        a = data.draw(st.integers(0, tree.n - 1))
+        b = data.draw(st.integers(0, tree.n - 1))
+        walked = [a]
+        for e in tree_path(tree, a, b):
+            walked.append(e.other(walked[-1]))
+        assert walked[-1] == b
+        assert len(set(walked)) == len(walked)
 
     def test_returned_structures_are_read_only(self):
         tree = mst_kruskal(star_graph(4))
@@ -225,6 +241,8 @@ class TestPrecomputedStructure:
             tree.incident_edges(0).append(WeightedEdge(0, 9))
         with pytest.raises(AttributeError):
             terminal_agents(tree).add(0)
+        with pytest.raises(AttributeError):
+            tree.parent_edges().append((9, 0, (0, 9)))
         assert tree.adjacency()[0] == (1, 2, 3)
         assert terminal_agents(tree) == {1, 2, 3}
 

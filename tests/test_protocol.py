@@ -1,11 +1,12 @@
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from treekd import protocol
+from treekd import protocol, subroutine
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge
@@ -293,6 +294,21 @@ class TestTreeBuiltOnce:
         results = run_blocks(path_config(n=4, blocks=5))
         assert len(results) == 5
         assert calls == {"validate_graph": 1, "mst_kruskal": 1}
+
+
+class TestOneReconstructionPerRound:
+    def test_run_block_reconstructs_once_per_round(self, monkeypatch):
+        original = subroutine.reconstruct_assignment
+        agents = []
+
+        def counted(own, announcements, tree):
+            agents.append(own.agent)
+            return original(own, announcements, tree)
+
+        monkeypatch.setattr(subroutine, "reconstruct_assignment", counted)
+        config = replace(path_config(n=6, flip=0.05, delta=0.5), leader=3)
+        run_block(config)
+        assert agents == [3] * (2 * config.code.m)
 
 
 class TestConfigValidation:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tree_edges
@@ -15,11 +15,10 @@ from treekd.subroutine import (
     MissingAnnouncementError,
     NonTerminalChoiceError,
     choose_secret_terminal,
-    make_announcement,
     random_efficiency,
     reconstruct_assignment,
-    secret_bit,
     subroutine_round,
+    terminal_edge_key,
 )
 
 
@@ -30,48 +29,21 @@ def path_tree(n=3):
 def announce_all(tree, assignment, masks):
     """Honest announcements for every non-terminal agent."""
     terminals = terminal_agents(tree)
-    out = {}
-    for agent in range(tree.n):
-        if agent in terminals:
-            continue
-        view = AgentView(
-            agent,
-            {e.key: assignment[e.key] for e in tree.incident_edges(agent)},
-        )
-        out[agent] = make_announcement(view, masks[agent]).broadcast_payload()
-    return out
+    return {
+        agent: {
+            e.key: assignment[e.key] ^ masks[agent] for e in tree.incident_edges(agent)
+        }
+        for agent in range(tree.n)
+        if agent not in terminals
+    }
 
 
-class TestMakeAnnouncement:
-    # The three-edge record 0,1,1 announces as itself under mask 0 and as
-    # its complement 1,0,0 under mask 1.
-    def test_three_edge_record_mask0(self):
-        view = AgentView(1, {(0, 1): 0, (1, 2): 1, (1, 3): 1})
-        rec = make_announcement(view, 0)
-        assert rec.masked_bits == {(0, 1): 0, (1, 2): 1, (1, 3): 1}
-
-    def test_three_edge_record_mask1(self):
-        view = AgentView(1, {(0, 1): 0, (1, 2): 1, (1, 3): 1})
-        rec = make_announcement(view, 1)
-        assert rec.masked_bits == {(0, 1): 1, (1, 2): 0, (1, 3): 0}
-
-    def test_single_edge(self):
-        for b, m in product((0, 1), repeat=2):
-            rec = make_announcement(AgentView(0, {(0, 1): b}), m)
-            assert rec.masked_bits == {(0, 1): b ^ m}
-
-    @given(
-        st.dictionaries(
-            st.tuples(st.integers(0, 5), st.integers(6, 9)),
-            st.integers(0, 1),
-            min_size=1,
-            max_size=6,
-        ),
-        st.integers(0, 1),
-    )
-    def test_masking_is_an_involution(self, bits, mask):
-        rec = make_announcement(AgentView(0, bits), mask)
-        assert {e: b ^ mask for e, b in rec.masked_bits.items()} == dict(bits)
+def copies_of(tree, position_bits, agent):
+    """An agent's own copies of its incident edge bits."""
+    return {
+        e.key: position_bits[e.key][0 if agent == e.a else 1]
+        for e in tree.incident_edges(agent)
+    }
 
 
 class TestReconstruction:
@@ -136,12 +108,12 @@ class TestSecretBit:
     def test_path_terminals(self):
         tree = path_tree()
         assignment = {(0, 1): 1, (1, 2): 0}
-        assert secret_bit(assignment, 0, tree) == 1
-        assert secret_bit(assignment, 2, tree) == 0
+        assert assignment[terminal_edge_key(tree, 0)] == 1
+        assert assignment[terminal_edge_key(tree, 2)] == 0
 
     def test_non_terminal_rejected(self):
         with pytest.raises(NonTerminalChoiceError):
-            secret_bit({(0, 1): 1, (1, 2): 0}, 1, path_tree())
+            terminal_edge_key(path_tree(), 1)
 
 
 class TestSubroutineRound:
@@ -202,6 +174,40 @@ class TestSubroutineRound:
                 continue
             diffs = {truth[e] ^ b for e, b in m.payload.items()}
             assert len(diffs) == 1  # consistent with one mask, value unknown
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        flip=st.floats(0.0, 0.5),
+        leader=st.integers(0, 11),
+    )
+    def test_every_bit_matches_own_reconstruction(self, n, seed, flip, leader):
+        # Random tree, each edge's b-side copy flipped with probability
+        # flip, any leader: every agent's bit equals the one its own
+        # reconstruction from the broadcast records gives, and every record
+        # is its sender's copies XOR one constant.
+        rng = random.Random(seed)
+        tree = SpanningTree(n, random_tree_edges(n, rng))
+        bits = {
+            e.key: (b := rng.randrange(2), b ^ (rng.random() < flip))
+            for e in tree.edges
+        }
+        transcript = Transcript()
+        secrets = subroutine_round(tree, bits, SeededRng(seed), transcript, leader % n)
+        announcements = {
+            m.sender: m.payload for m in transcript.messages if m.kind == "announcement"
+        }
+        (chosen,) = (m.payload for m in transcript.messages if m.kind == "terminal_choice")
+        assert set(announcements) == set(range(n)) - terminal_agents(tree)
+        for agent, masked in announcements.items():
+            copies = copies_of(tree, bits, agent)
+            assert set(masked) == set(copies)
+            assert len({masked[e] ^ copies[e] for e in copies}) == 1
+        key = terminal_edge_key(tree, chosen)
+        for agent in range(n):
+            own = AgentView(agent, copies_of(tree, bits, agent))
+            assert secrets[agent] == reconstruct_assignment(own, announcements, tree)[key]
 
 
 class TestRandomEfficiency:
