@@ -19,10 +19,6 @@ class BitString:
         object.__setattr__(self, "_bits", data)
 
     @classmethod
-    def zeros(cls, length: int) -> "BitString":
-        return cls((0,) * length)
-
-    @classmethod
     def from_text(cls, text: str) -> "BitString":
         return cls(int(ch) for ch in text)
 
@@ -54,9 +50,6 @@ class BitString:
         if len(self) != len(other):
             raise ValueError("length mismatch in XOR")
         return BitString(a ^ b for a, b in zip(self._bits, other._bits))
-
-    def complement(self) -> "BitString":
-        return BitString(1 - b for b in self._bits)
 
     def hamming(self, other: "BitString") -> int:
         if len(self) != len(other):

@@ -1,15 +1,16 @@
 """Pairwise key distribution as a noisy shared-randomness source.
 
 The quantum pairwise step is modeled abstractly: each tree edge yields two
-endpoint bit strings that are (anti-)correlated up to independent symmetric
-bit flips at the edge's flip probability, and an eavesdropper learns nothing
-from this step.  Everything broadcast afterwards goes through an append-only
-public transcript.
+endpoint bit strings that agree up to independent symmetric bit flips at
+the edge's flip probability, and an eavesdropper learns nothing from this
+step.  An anti-correlated link is corrected by its endpoints (one of them
+complements its string), so the simulator hands out aligned strings and no
+output depends on the ``anti`` flag.  Everything broadcast afterwards goes
+through an append-only public transcript.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
@@ -29,19 +30,6 @@ MESSAGE_KINDS = (
 
 class SequenceGapError(Exception):
     """A broadcast arrived with a non-contiguous sequence number."""
-
-
-@dataclass(frozen=True)
-class EdgeKeyMaterial:
-    """Both endpoints' bit strings from one simulated pairwise-KD session."""
-
-    edge: WeightedEdge
-    bits_at_a: BitString
-    bits_at_b: BitString
-
-    def __post_init__(self):
-        if len(self.bits_at_a) != len(self.bits_at_b):
-            raise ValueError("endpoint strings must have equal length")
 
 
 @dataclass(frozen=True)
@@ -85,31 +73,20 @@ def broadcast(t: Transcript, msg: BroadcastMessage) -> Transcript:
 
 def simulate_pairwise_kd(
     edge: WeightedEdge, length: int, rng: SeededRng
-) -> EdgeKeyMaterial:
+) -> Tuple[BitString, BitString]:
     """One pairwise-KD session of `length` positions on an edge.
 
-    The a-side string is uniform; the b-side is the (complemented, if the
-    edge is anti-correlated) a-side XOR independent Bernoulli(flip_prob)
-    noise.  Applying noise to one side only is equivalent in distribution
-    to symmetric application.
+    Returns the (a-side, b-side) strings after the endpoints have corrected
+    any anti-correlation: the a-side is uniform and the b-side is the a-side
+    XOR independent Bernoulli(flip_prob) noise, whatever the edge's
+    anti_correlated flag.  Applying noise to one side only is equivalent in
+    distribution to symmetric application.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     bits_a = BitString.random(length, rng)
-    base = bits_a.complement() if edge.anti_correlated else bits_a
     noise = BitString.bernoulli(length, edge.flip_prob, rng)
-    return EdgeKeyMaterial(edge=edge, bits_at_a=bits_a, bits_at_b=base ^ noise)
-
-
-def align_correlation(m: EdgeKeyMaterial) -> EdgeKeyMaterial:
-    """Complement the b-side of anti-correlated material and clear the flag."""
-    if not m.edge.anti_correlated:
-        return m
-    return EdgeKeyMaterial(
-        edge=dataclasses.replace(m.edge, anti_correlated=False),
-        bits_at_a=m.bits_at_a,
-        bits_at_b=m.bits_at_b.complement(),
-    )
+    return bits_a, bits_a ^ noise
 
 
 def combined_flip_probability(ps: Sequence[float]) -> float:

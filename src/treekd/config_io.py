@@ -51,11 +51,11 @@ class RunSpec:
     seed: int
 
 
-def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, str], List[str]]:
+def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], List[str]]:
     nodes: List[int] = []
     sources: List[int] = []
     edges: List[WeightedEdge] = []
-    params: Dict[str, str] = {}
+    params: Dict[str, Tuple[int, str]] = {}
     errors: List[str] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -67,31 +67,40 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, str], List[str]]:
         try:
             if kind in ("node", "source", "param") and len(fields) > 2:
                 raise ValueError(f"unexpected field {fields[2]!r}")
+            if kind in ("node", "source") and len(fields) < 2:
+                raise ValueError(f"{kind} needs an agent id")
             if kind == "node":
                 nodes.append(int(fields[1]))
             elif kind == "source":
                 sources.append(int(fields[1]))
             elif kind == "edge":
+                if len(fields) < 3:
+                    raise ValueError("edge needs two agent ids")
                 a, b = int(fields[1]), int(fields[2])
-                weight, flip, anti = Fraction(1), 0.0, False
+                attrs: Dict[str, str] = {}
                 for extra in fields[3:]:
-                    if extra == "anti":
-                        anti = True
-                    elif extra.startswith("weight="):
-                        weight = Fraction(extra.split("=", 1)[1])
-                    elif extra.startswith("flip="):
-                        flip = float(extra.split("=", 1)[1])
-                    else:
+                    name, _, value = extra.partition("=")
+                    # anti is a bare flag; weight and flip take a value.
+                    if extra not in ("anti", f"weight={value}", f"flip={value}"):
                         raise ValueError(f"unknown edge attribute {extra!r}")
+                    if name in attrs:
+                        raise ValueError(f"repeated edge attribute {name!r}")
+                    attrs[name] = value
+                weight = Fraction(attrs.get("weight", 1))
+                flip, anti = float(attrs.get("flip", 0.0)), "anti" in attrs
                 edges.append(
                     WeightedEdge(a, b, weight=weight, flip_prob=flip, anti_correlated=anti)
                 )
             elif kind == "param":
+                if len(fields) < 2 or "=" not in fields[1]:
+                    raise ValueError("param needs key=value")
                 key, value = fields[1].split("=", 1)
-                params[key] = value
+                if key in params:
+                    raise ValueError(f"param {key} already set on line {params[key][0]}")
+                params[key] = (lineno, value)
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
         except ZeroDivisionError:
             errors.append(f"line {lineno}: weight has a zero denominator")
@@ -121,7 +130,7 @@ def parse_config(text: str, path: Optional[Path] = None) -> RunSpec:
     graph, params, errors = _parse_lines(text)
 
     merged = dict(DEFAULTS)
-    for key, value in params.items():
+    for key, (_line, value) in params.items():
         if key not in DEFAULTS:
             errors.append(f"unknown param key {key!r}")
             continue

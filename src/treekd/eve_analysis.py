@@ -10,7 +10,7 @@ Honest rounds must always leave exactly two complementary candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping
 
 from .channel_sim import Transcript
 from .graph_core import EdgeKey, SpanningTree
@@ -86,53 +86,3 @@ def rounds_from_transcript(transcript: Transcript) -> List[RoundView]:
             )
             pending = {}
     return rounds
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    samples: int
-    counts: Dict[int, int]
-    chi_square: float
-    p_value: float
-    per_bit_bias: Tuple[float, ...]
-    rejects_uniformity: bool
-
-
-class InsufficientSampleError(Exception):
-    pass
-
-
-def key_uniformity_test(
-    indices: Sequence[int], k: int, significance: float = 0.001
-) -> UniformityReport:
-    """Chi-square test of completed-block key indices against uniform.
-
-    `indices` are the agreed key indices of >= 1000 completed blocks.
-    """
-    from scipy import stats
-
-    if len(indices) < 1000:
-        raise InsufficientSampleError(
-            f"need >= 1000 completed blocks, got {len(indices)}"
-        )
-    cells = 1 << k
-    counts = {i: 0 for i in range(cells)}
-    for idx in indices:
-        counts[idx] += 1
-    expected = len(indices) / cells
-    chi_square = sum((c - expected) ** 2 / expected for c in counts.values())
-    p_value = float(stats.chi2.sf(chi_square, cells - 1))
-    bias = tuple(
-        abs(
-            sum((idx >> (k - 1 - bit)) & 1 for idx in indices) / len(indices) - 0.5
-        )
-        for bit in range(k)
-    )
-    return UniformityReport(
-        samples=len(indices),
-        counts=counts,
-        chi_square=chi_square,
-        p_value=p_value,
-        per_bit_bias=bias,
-        rejects_uniformity=p_value < significance,
-    )

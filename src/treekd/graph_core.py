@@ -1,4 +1,4 @@
-"""Security graphs, validation, connectivity, and minimum spanning trees.
+"""Security graphs, validation, and minimum spanning trees.
 
 Agents are dense integer ids 0..n-1.  Edges are undirected; identity is the
 unordered endpoint pair, stored normalized as (min, max).  Weights are exact
@@ -33,8 +33,8 @@ class WeightedEdge:
     """An undirected edge carrying a resource cost and a noise model.
 
     flip_prob is the per-position probability of a bit mismatch on this
-    link; anti_correlated marks links whose endpoint bits are complements
-    before alignment.
+    link; anti_correlated marks links whose endpoint bits are complements,
+    which the endpoints correct, so no output depends on it.
     """
 
     a: int
@@ -60,13 +60,6 @@ class WeightedEdge:
     def key(self) -> EdgeKey:
         return (self.a, self.b)
 
-    def other(self, agent: int) -> int:
-        if agent == self.a:
-            return self.b
-        if agent == self.b:
-            return self.a
-        raise ValueError(f"agent {agent} is not an endpoint of {self.key}")
-
 
 @dataclass(frozen=True)
 class SecurityGraph:
@@ -80,9 +73,6 @@ class SecurityGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "sources", frozenset(sources))
-
-    def adjacency(self) -> Adjacency:
-        return MappingProxyType(_adjacency(self.n, self.edges))
 
 
 def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ...]]:
@@ -221,10 +211,6 @@ def connected_components(g: SecurityGraph) -> List[Set[int]]:
     for v in range(g.n):
         components.setdefault(uf.find(v), set()).add(v)
     return list(components.values())
-
-
-def is_connected(g: SecurityGraph) -> bool:
-    return len(connected_components(g)) == 1
 
 
 def mst_kruskal(g: SecurityGraph) -> SpanningTree:

@@ -18,9 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .bits import BitString
 from .channel_sim import (
     BroadcastMessage,
-    EdgeKeyMaterial,
     Transcript,
-    align_correlation,
     broadcast,
     simulate_pairwise_kd,
 )
@@ -191,20 +189,15 @@ def run_rounds(
     tree = config.tree
     rng = SeededRng(config.seed).substream("block", block_index)
 
-    materials: Dict[Tuple[int, int], EdgeKeyMaterial] = {}
+    pairs: Dict[Tuple[int, int], Tuple[BitString, BitString]] = {}
     for edge in tree.edges:
         edge_rng = rng.substream("edge", edge.a, edge.b)
-        materials[edge.key] = align_correlation(
-            simulate_pairwise_kd(edge, positions, edge_rng)
-        )
+        pairs[edge.key] = simulate_pairwise_kd(edge, positions, edge_rng)
 
     transcript = Transcript()
     per_agent: Dict[int, List[int]] = {agent: [] for agent in range(tree.n)}
     for r in range(positions):
-        position_bits = {
-            key: (mat.bits_at_a[r], mat.bits_at_b[r])
-            for key, mat in materials.items()
-        }
+        position_bits = {key: (a[r], b[r]) for key, (a, b) in pairs.items()}
         secrets = subroutine_round(
             tree, position_bits, rng.substream("round", r), transcript, config.leader
         )

@@ -6,7 +6,9 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from scipy import stats
 
 from treekd.bits import BitString
 from treekd.graph_core import (
@@ -70,6 +72,17 @@ def brute_force_mst_weight(g: SecurityGraph) -> Optional[Fraction]:
             if best is None or total < best:
                 best = total
     return best
+
+
+def chi_square_uniformity(indices: Sequence[int], cells: int) -> Tuple[float, float]:
+    """Pearson's chi-square of the index counts against the uniform law on
+    range(cells), and its p-value with cells - 1 degrees of freedom."""
+    counts = [0] * cells
+    for idx in indices:
+        counts[idx] += 1
+    expected = len(indices) / cells
+    chi_square = sum((c - expected) ** 2 / expected for c in counts)
+    return chi_square, float(stats.chi2.sf(chi_square, cells - 1))
 
 
 def brute_force_configurations(

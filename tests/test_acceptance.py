@@ -9,11 +9,11 @@ from itertools import combinations, product
 
 import mpmath
 import pytest
-from scipy import stats
 
 from conftest import (
     brute_force_configurations,
     brute_force_mst_weight,
+    chi_square_uniformity,
     random_connected_graph,
     random_tree_edges,
 )
@@ -25,7 +25,7 @@ from treekd.graph_core import (
     SecurityGraph,
     SpanningTree,
     WeightedEdge,
-    is_connected,
+    connected_components,
     mst_kruskal,
     mst_prim,
 )
@@ -125,7 +125,7 @@ def test_criterion_3_spanning_tree_necessity_sufficiency(tmp_path):
         cfg = tmp_path / f"g{subset_bits}.cfg"
         cfg.write_text("\n".join(lines) + "\n")
         rc = main(["plan", "--config", str(cfg)])
-        if is_connected(graph):
+        if len(connected_components(graph)) == 1:
             assert rc == EXIT_OK
             result = run_block(
                 ProtocolConfig(
@@ -167,7 +167,7 @@ def test_criterion_5_reconciliation_exhaustive():
     # Exhaustive: 16 codewords x 8^3 error placements for n = 4 (8 = no
     # error or one of 7 single-bit positions per non-leader agent).
     code = hamming_7_4()
-    errors = [BitString.zeros(7)] + [
+    errors = [BitString.from_text("0000000")] + [
         BitString(1 if i == p else 0 for i in range(7)) for p in range(7)
     ]
     cases = 0
@@ -230,8 +230,8 @@ def test_criterion_7_failure_bound():
     hits = 0
     for b in range(blocks):
         rng = root.substream("mcblock", b)
-        material = simulate_pairwise_kd(edge, 2 * m, rng)
-        mismatches = material.bits_at_a ^ material.bits_at_b
+        bits_a, bits_b = simulate_pairwise_kd(edge, 2 * m, rng)
+        mismatches = bits_a ^ bits_b
         check = set(select_check_positions(rng.substream("check"), 2 * m))
         check_errors = sum(mismatches[i] for i in check)
         code_errors = mismatches.weight() - check_errors
@@ -258,9 +258,7 @@ def test_criterion_8_key_uniformity():
         assert len(agreed) == 1
         indices.append(agreed.pop())
     counts = [indices.count(i) for i in range(16)]
-    expected = blocks / 16
-    chi_square = sum((c - expected) ** 2 / expected for c in counts)
-    p_value = float(stats.chi2.sf(chi_square, 15))
+    chi_square, p_value = chi_square_uniformity(indices, 16)
     assert p_value >= 0.001  # does not reject uniformity
     assert all(abs(c - 1000) <= 120 for c in counts)
     print(

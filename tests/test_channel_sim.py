@@ -9,7 +9,6 @@ from treekd.channel_sim import (
     BroadcastMessage,
     SequenceGapError,
     Transcript,
-    align_correlation,
     broadcast,
     combined_flip_probability,
     simulate_pairwise_kd,
@@ -33,18 +32,22 @@ def exhaustive_odd_flip_probability(ps):
 class TestSimulatePairwiseKd:
     def test_noiseless_correlated_identical(self):
         edge = WeightedEdge(0, 1, flip_prob=0.0)
-        m = simulate_pairwise_kd(edge, 8, SeededRng(1))
-        assert m.bits_at_a == m.bits_at_b
+        bits_a, bits_b = simulate_pairwise_kd(edge, 8, SeededRng(1))
+        assert bits_a == bits_b
 
     def test_noiseless_anti_correlated_complement(self):
+        # The endpoints correct anti-correlation, so the returned pair is
+        # aligned, and drawn from the same stream as a correlated edge.
         edge = WeightedEdge(0, 1, flip_prob=0.0, anti_correlated=True)
-        m = simulate_pairwise_kd(edge, 8, SeededRng(1))
-        assert m.bits_at_b == m.bits_at_a.complement()
+        bits_a, bits_b = simulate_pairwise_kd(edge, 8, SeededRng(1))
+        assert bits_a == bits_b
+        plain = simulate_pairwise_kd(WeightedEdge(0, 1), 8, SeededRng(1))
+        assert (bits_a, bits_b) == plain
 
     def test_mismatch_rate_concentrates_at_flip_prob(self):
         edge = WeightedEdge(0, 1, flip_prob=0.05)
-        m = simulate_pairwise_kd(edge, 10**5, SeededRng(20))
-        rate = m.bits_at_a.hamming(m.bits_at_b) / 10**5
+        bits_a, bits_b = simulate_pairwise_kd(edge, 10**5, SeededRng(20))
+        rate = bits_a.hamming(bits_b) / 10**5
         assert abs(rate - 0.05) <= 0.005
 
     def test_determinism(self):
@@ -56,23 +59,6 @@ class TestSimulatePairwiseKd:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             simulate_pairwise_kd(WeightedEdge(0, 1), 0, SeededRng(0))
-
-
-class TestAlignCorrelation:
-    def test_aligns_anti_correlated(self):
-        edge = WeightedEdge(0, 1, anti_correlated=True)
-        aligned = align_correlation(simulate_pairwise_kd(edge, 16, SeededRng(3)))
-        assert aligned.bits_at_a == aligned.bits_at_b
-        assert not aligned.edge.anti_correlated
-
-    def test_correlated_unchanged(self):
-        m = simulate_pairwise_kd(WeightedEdge(0, 1), 16, SeededRng(3))
-        assert align_correlation(m) is m
-
-    def test_idempotent(self):
-        edge = WeightedEdge(0, 1, anti_correlated=True)
-        once = align_correlation(simulate_pairwise_kd(edge, 16, SeededRng(4)))
-        assert align_correlation(once) == once
 
 
 class TestTranscript:
@@ -130,12 +116,12 @@ class TestBitString:
         a = BitString.from_text("0110")
         b = BitString.from_text("0011")
         assert str(a ^ b) == "0101"
-        assert str(a.complement()) == "1001"
+        assert str(a ^ BitString.from_text("1111")) == "1001"
 
     def test_hamming_and_weight(self):
         a = BitString.from_text("10110")
         assert a.weight() == 3
-        assert a.hamming(BitString.zeros(5)) == 3
+        assert a.hamming(BitString.from_text("00000")) == 3
 
     def test_take(self):
         a = BitString.from_text("10110")
@@ -144,8 +130,9 @@ class TestBitString:
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=32))
     def test_xor_involution(self, bits):
         a = BitString(bits)
-        assert (a ^ a) == BitString.zeros(len(bits))
-        assert a.complement().complement() == a
+        assert (a ^ a) == BitString.from_text("0" * len(bits))
+        ones = BitString.from_text("1" * len(bits))
+        assert (a ^ ones) ^ ones == a
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):

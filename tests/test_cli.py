@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import treekd
 from treekd.cli import (
     EXIT_ALL_ABORTED,
     EXIT_CONFIG,
@@ -72,9 +78,21 @@ class TestParseConfig:
             ("node 2 3\n", "line 4: unexpected field '3'"),
             ("source 1 0\n", "line 4: unexpected field '0'"),
             ("param blocks=2 seed=5\n", "line 4: unexpected field 'seed=5'"),
+            ("edge 0 1 flip=0.01 flip=0.02\n", "line 4: repeated edge attribute 'flip'"),
+            ("edge 0 1 anti anti\n", "line 4: repeated edge attribute 'anti'"),
+            ("edge 0 1 weight=2 weight=3\n", "line 4: repeated edge attribute 'weight'"),
+            ("param seed=1\nparam seed=2\n", "line 5: param seed already set on line 4"),
+            ("node\n", "line 4: node needs an agent id"),
+            ("source\n", "line 4: source needs an agent id"),
+            ("edge 0\n", "line 4: edge needs two agent ids"),
+            ("param blocks\n", "line 4: param needs key=value"),
+            ("param\n", "line 4: param needs key=value"),
         ],
         ids=["zero-denominator", "epsilon-nan", "epsilon-inf",
-             "node-extra-field", "source-extra-field", "param-extra-field"],
+             "node-extra-field", "source-extra-field", "param-extra-field",
+             "edge-repeated-flip", "edge-repeated-anti", "edge-repeated-weight",
+             "param-repeated", "node-missing-id", "source-missing-id",
+             "edge-missing-id", "param-missing-value", "param-missing-key-value"],
     )
     def test_bad_number_exits_1_with_error(self, tmp_path, capsys, extra, message):
         text = "node 0\nnode 1\nsource 0\n" + extra
@@ -360,3 +378,39 @@ class TestTranscriptRoundTrip:
 
         with pytest.raises(ValueError, match="line 2"):
             transcript_io.parse_transcript(["0 0 terminal_choice 1", "garbage"])
+
+
+# Runs every command in one interpreter in which importing scipy fails.
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+from treekd.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+print([
+    main(["plan", "--config", cfg]),
+    main(["run", "--config", cfg, "--out", out + "/run"]),
+    main(["sweep", "--config", cfg, "--out", out + "/sweep", "--flip-min", "0",
+          "--flip-max", "0.1", "--flip-steps", "2"]),
+    main(["analyze", "--transcript", out + "/run/transcript.log", "--config", cfg]),
+])
+"""
+
+
+class TestRuntimeDependencies:
+    def test_commands_run_without_scipy(self, tmp_path):
+        # scipy is a test-only dependency: no command may import it.
+        cfg = write(
+            tmp_path,
+            "noisy.cfg",
+            "node 0\nnode 1\nnode 2\nsource 1\nedge 0 1 flip=0.01\n"
+            "edge 1 2 flip=0.01 anti\nparam leader=2\nparam blocks=4\n",
+        )
+        env = dict(os.environ)
+        src = str(Path(treekd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT, str(cfg), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0]", done.stderr

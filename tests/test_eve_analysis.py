@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_configurations, brute_force_entropy, random_tree_edges
+from conftest import (
+    brute_force_configurations,
+    brute_force_entropy,
+    chi_square_uniformity,
+    random_tree_edges,
+)
 from treekd.channel_sim import Transcript
 from treekd.eve_analysis import (
-    InsufficientSampleError,
     consistent_configurations,
-    key_uniformity_test,
     rounds_from_transcript,
     secret_entropy,
 )
@@ -155,18 +158,18 @@ class TestSecretEntropy:
 
 
 class TestKeyUniformity:
+    """The chi-square test that acceptance criterion 8 applies to key indices."""
+
     def test_uniform_sample_not_rejected(self):
         rng = SeededRng(6)
         indices = [rng.randrange(16) for _ in range(4000)]
-        report = key_uniformity_test(indices, k=4)
-        assert not report.rejects_uniformity
-        assert all(b < 0.02 for b in report.per_bit_bias)
+        _, p_value = chi_square_uniformity(indices, 16)
+        assert p_value >= 0.001
+        for bit in range(4):
+            ones = sum(idx >> bit & 1 for idx in indices)
+            assert abs(ones / len(indices) - 0.5) < 0.02
 
     def test_constant_key_rejected(self):
-        report = key_uniformity_test([5] * 2000, k=4)
-        assert report.rejects_uniformity
-        assert report.p_value < 1e-10
-
-    def test_insufficient_sample(self):
-        with pytest.raises(InsufficientSampleError):
-            key_uniformity_test([1] * 999, k=4)
+        chi_square, p_value = chi_square_uniformity([5] * 2000, 16)
+        assert chi_square == 2000 * 15
+        assert p_value < 1e-10

@@ -75,12 +75,24 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_run_outputs_match_golden(tmp_path, capsys):
+def _run_digests(tmp_path, config_text):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(RUN_CONFIG)
+    cfg.write_text(config_text)
     out_dir = tmp_path / "run"
     assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
-    assert {name: _sha256(out_dir / name) for name in RUN_DIGESTS} == RUN_DIGESTS
+    return {name: _sha256(out_dir / name) for name in RUN_DIGESTS}
+
+
+def test_run_outputs_match_golden(tmp_path, capsys):
+    assert _run_digests(tmp_path, RUN_CONFIG) == RUN_DIGESTS
+
+
+def test_run_outputs_ignore_anti_flags(tmp_path, capsys):
+    # The endpoints correct anti-correlated links, so no output depends on
+    # the flag: the config without any `anti` gives the same bytes.
+    plain = RUN_CONFIG.replace(" anti", "")
+    assert "anti" in RUN_CONFIG and "anti" not in plain
+    assert _run_digests(tmp_path, plain) == RUN_DIGESTS
 
 
 def test_sweep_table_matches_golden(tmp_path, capsys):

@@ -11,7 +11,7 @@ from treekd.graph_core import (
     SecurityGraph,
     SpanningTree,
     WeightedEdge,
-    is_connected,
+    connected_components,
     mst_kruskal,
     mst_prim,
     terminal_agents,
@@ -32,6 +32,10 @@ def star_graph(n, hub=0):
     return SecurityGraph(n=n, edges=edges, sources={hub})
 
 
+def other_end(e, v):
+    return e.b if v == e.a else e.a
+
+
 class TestWeightedEdge:
     def test_normalizes_endpoint_order(self):
         e = WeightedEdge(3, 1)
@@ -45,11 +49,6 @@ class TestWeightedEdge:
     def test_rejects_flip_prob_at_half(self):
         with pytest.raises(ValueError):
             WeightedEdge(0, 1, flip_prob=0.5)
-
-    def test_other_endpoint(self):
-        e = WeightedEdge(2, 5)
-        assert e.other(2) == 5
-        assert e.other(5) == 2
 
 
 class TestValidateGraph:
@@ -78,15 +77,16 @@ class TestValidateGraph:
 
 class TestConnectivity:
     def test_path_connected(self):
-        assert is_connected(path_graph())
+        assert connected_components(path_graph()) == [{0, 1, 2}]
 
     def test_isolated_vertex(self):
         g = SecurityGraph(3, [WeightedEdge(0, 1)], sources={0})
-        assert not is_connected(g)
+        assert connected_components(g) == [{0, 1}, {2}]
 
     def test_complete_graph(self):
         edges = [WeightedEdge(a, b) for a in range(4) for b in range(a + 1, 4)]
-        assert is_connected(SecurityGraph(4, edges, sources=range(4)))
+        g = SecurityGraph(4, edges, sources=range(4))
+        assert connected_components(g) == [{0, 1, 2, 3}]
 
 
 class TestMst:
@@ -207,7 +207,7 @@ class TestPrecomputedStructure:
         for v in range(tree.n):
             incident = [e for e in tree.edges if v in (e.a, e.b)]
             assert list(tree.incident_edges(v)) == incident
-            assert list(tree.adjacency()[v]) == [e.other(v) for e in incident]
+            assert list(tree.adjacency()[v]) == [other_end(e, v) for e in incident]
         for e in tree.edges:
             assert tree.edge_by_key(e.key) is e
         assert tree.incident_edges(tree.n) == ()
@@ -226,7 +226,7 @@ class TestPrecomputedStructure:
         b = data.draw(st.integers(0, tree.n - 1))
         walked = [a]
         for e in tree_path(tree, a, b):
-            walked.append(e.other(walked[-1]))
+            walked.append(other_end(e, walked[-1]))
         assert walked[-1] == b
         assert len(set(walked)) == len(walked)
 

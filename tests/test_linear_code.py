@@ -37,7 +37,8 @@ class TestHamming74:
         assert len(all_codewords(code)) == 16
 
     def test_zero_maps_to_zero(self):
-        assert encode(hamming_7_4(), BitString.zeros(4)) == BitString.zeros(7)
+        zero = encode(hamming_7_4(), BitString.from_text("0000"))
+        assert zero == BitString.from_text("0000000")
 
     def test_minimum_nonzero_weight_is_3(self):
         weights = [c.weight() for c in all_codewords(hamming_7_4()) if c.weight()]
@@ -81,7 +82,7 @@ class TestEncode:
 
     def test_length_error(self):
         with pytest.raises(ValueError):
-            encode(hamming_7_4(), BitString.zeros(3))
+            encode(hamming_7_4(), BitString.from_text("000"))
 
 
 class TestDecode:
@@ -163,7 +164,7 @@ class TestIndexing:
                 assert index_of(code, encode_index(code, i)) == i
 
     def test_zero_codeword_is_index_zero(self):
-        assert index_of(hamming_7_4(), BitString.zeros(7)) == 0
+        assert index_of(hamming_7_4(), BitString.from_text("0000000")) == 0
 
     def test_non_codeword_rejected(self):
         with pytest.raises(NotACodewordError):

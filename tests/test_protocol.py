@@ -75,11 +75,11 @@ class TestDecideAbort:
         m = 10
         delta = 0.2
         bad = BitString([1, 1, 1] + [0] * 7)  # 3 > ceil(0.2*10)
-        values = {0: BitString.zeros(m), 1: bad}
+        values = {0: BitString.from_text("0" * m), 1: bad}
         assert decide_abort(values, leader=0, delta=delta).abort
 
     def test_exactly_delta_proceeds(self):
-        values = {0: BitString.zeros(4), 1: BitString.from_text("1000")}
+        values = {0: BitString.from_text("0000"), 1: BitString.from_text("1000")}
         decision = decide_abort(values, leader=0, delta=0.25)
         assert decision.mismatch[1] == Fraction(1, 4)
         assert not decision.abort
@@ -118,7 +118,7 @@ class TestReconcile:
 
     def test_weight_two_error_can_miscorrect(self):
         code = hamming_7_4()
-        v = BitString.zeros(7)
+        v = BitString.from_text("0000000")
         bad = v ^ BitString.from_text("1100000")
         indices = reconcile(
             v, code, SeededRng(0), {0: v, 1: bad}, Transcript(), leader=0
