@@ -8,63 +8,95 @@ from .rng import SeededRng
 
 
 class BitString:
-    """An immutable sequence of bits, index 0 first."""
+    """An immutable sequence of bits, index 0 first, held as one int.
 
-    __slots__ = ("_bits",)
+    ``value`` is big-endian: bit i of the string is bit ``len - 1 - i`` of
+    the int, so the int's binary digits read as the string and comparing
+    two equal-length values compares the strings lexicographically.
+    """
 
-    def __init__(self, bits: Iterable[int]):
-        data = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in data):
-            raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "_bits", data)
+    __slots__ = ("value", "_length")
+
+    def __init__(self, value: int, length: int):
+        if length < 0 or value < 0 or value >> length:
+            raise ValueError(f"value {value} does not fit in {length} bits")
+        self.value = value
+        self._length = length
+
+    @classmethod
+    def from_bits(cls, bits: Iterable[int]) -> "BitString":
+        value = length = 0
+        for b in bits:
+            if b not in (0, 1):
+                raise ValueError("bits must be 0 or 1")
+            value = value << 1 | int(b)
+            length += 1
+        return cls(value, length)
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        return cls(int(ch) for ch in text)
+        if text.strip("01"):
+            raise ValueError("bits must be 0 or 1")
+        return cls(int(text, 2) if text else 0, len(text))
 
     @classmethod
     def random(cls, length: int, rng: SeededRng) -> "BitString":
-        return cls(rng.bit() for _ in range(length))
+        value = 0
+        for _ in range(length):
+            value = value << 1 | rng.bit()
+        return cls(value, length)
 
     @classmethod
     def bernoulli(cls, length: int, p: float, rng: SeededRng) -> "BitString":
         """Independent bits, each 1 with probability p."""
-        return cls(1 if rng.random() < p else 0 for _ in range(length))
+        value = 0
+        for _ in range(length):
+            value = value << 1 | (rng.random() < p)
+        return cls(value, length)
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._length
 
     def __getitem__(self, i: int) -> int:
-        return self._bits[i]
+        n = self._length
+        if not -n <= i < n:
+            raise IndexError("BitString index out of range")
+        return self.value >> (n - 1 - i % n) & 1
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._bits)
+        value = self.value
+        return (value >> shift & 1 for shift in range(self._length - 1, -1, -1))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BitString) and self._bits == other._bits
+        return (
+            isinstance(other, BitString)
+            and self.value == other.value
+            and self._length == other._length
+        )
 
     def __hash__(self) -> int:
-        return hash(self._bits)
+        return hash((self.value, self._length))
 
     def __xor__(self, other: "BitString") -> "BitString":
-        if len(self) != len(other):
+        if self._length != other._length:
             raise ValueError("length mismatch in XOR")
-        return BitString(a ^ b for a, b in zip(self._bits, other._bits))
+        return BitString(self.value ^ other.value, self._length)
 
     def hamming(self, other: "BitString") -> int:
-        if len(self) != len(other):
+        if self._length != other._length:
             raise ValueError("length mismatch in Hamming distance")
-        return sum(a != b for a, b in zip(self._bits, other._bits))
+        return (self.value ^ other.value).bit_count()
 
     def weight(self) -> int:
-        return sum(self._bits)
+        return self.value.bit_count()
 
     def take(self, positions: Sequence[int]) -> "BitString":
         """The sub-string at the given positions, in the given order."""
-        return BitString(self._bits[i] for i in positions)
+        text = str(self)
+        return BitString.from_text("".join([text[i] for i in positions]))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self._bits)
+        return format(self.value, f"0{self._length}b") if self._length else ""
 
     def __repr__(self) -> str:
         return f"BitString({self})"

@@ -129,32 +129,30 @@ def parse_config(text: str, path: Optional[Path] = None) -> RunSpec:
     """Parse a run config; collects every error before failing."""
     graph, params, errors = _parse_lines(text)
 
+    def fail(key: str, message: str) -> None:
+        """Record an error, naming the line when the file set the param."""
+        errors.append(f"line {params[key][0]}: {message}" if key in params else message)
+
     merged = dict(DEFAULTS)
     for key, (_line, value) in params.items():
         if key not in DEFAULTS:
-            errors.append(f"unknown param key {key!r}")
+            fail(key, f"unknown param key {key!r}")
             continue
         merged[key] = value
 
-    def as_int(key: str) -> int:
+    def convert(key: str, kind, noun: str):
+        """The param as kind, or None (with an error) when it does not convert."""
         try:
-            return int(merged[key])
+            return kind(merged[key])
         except ValueError:
-            errors.append(f"param {key} must be an integer, got {merged[key]!r}")
-            return 0
+            fail(key, f"param {key} must be {noun}, got {merged[key]!r}")
+            return None
 
-    def as_float(key: str) -> float:
-        try:
-            return float(merged[key])
-        except ValueError:
-            errors.append(f"param {key} must be a number, got {merged[key]!r}")
-            return 0.0
-
-    leader = as_int("leader")
-    blocks = as_int("blocks")
-    seed = as_int("seed")
-    delta = as_float("delta")
-    epsilon = as_float("epsilon")
+    leader = convert("leader", int, "an integer")
+    blocks = convert("blocks", int, "an integer")
+    seed = convert("seed", int, "an integer")
+    delta = convert("delta", float, "a number")
+    epsilon = convert("epsilon", float, "a number")
     code_name = str(merged["code"])
 
     from .linear_code import code_by_name
@@ -162,15 +160,17 @@ def parse_config(text: str, path: Optional[Path] = None) -> RunSpec:
     try:
         code_by_name(code_name)
     except ValueError as exc:
-        errors.append(str(exc))
-    if not (0.0 < delta < 1.0) or delta - delta * delta <= 0.0:
-        errors.append(f"param delta={delta} out of range: delta - delta^2 must be positive")
-    if not 0.0 < epsilon < math.inf:
-        errors.append(f"param epsilon={epsilon} must be finite and positive")
-    if blocks < 1:
-        errors.append(f"param blocks={blocks} must be >= 1")
-    if graph.n and not (0 <= leader < graph.n):
-        errors.append(f"param leader={leader} is not an agent id")
+        fail("code", str(exc))
+    if delta is not None and (
+        not (0.0 < delta < 1.0) or delta - delta * delta <= 0.0
+    ):
+        fail("delta", f"param delta={delta} out of range: delta - delta^2 must be positive")
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        fail("epsilon", f"param epsilon={epsilon} must be finite and positive")
+    if blocks is not None and blocks < 1:
+        fail("blocks", f"param blocks={blocks} must be >= 1")
+    if leader is not None and graph.n and not (0 <= leader < graph.n):
+        fail("leader", f"param leader={leader} is not an agent id")
 
     if errors:
         raise ConfigError(errors)

@@ -94,8 +94,8 @@ class ValidationReport:
 class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
-    Its adjacency, incident edges, terminals, key index and parent table
-    are built once.
+    Its adjacency, incident edges, terminals, announcers, key index and
+    parent table are built once.
     """
 
     n: int
@@ -120,6 +120,11 @@ class SpanningTree:
             for v, us in adjacency.items()
         }
         terminals = frozenset(v for v, us in adjacency.items() if len(us) == 1)
+        announcers = tuple(
+            (v, tuple(sorted((e.key, int(v == e.b)) for e in incident[v])))
+            for v in range(n)
+            if v not in terminals
+        )
         parents: List[Tuple[int, int, EdgeKey]] = []
         seen = {0}
         queue = deque([0] if n else [])
@@ -134,6 +139,7 @@ class SpanningTree:
         object.__setattr__(self, "_by_key", by_key)
         object.__setattr__(self, "_incident", incident)
         object.__setattr__(self, "_terminals", terminals)
+        object.__setattr__(self, "_announcers", announcers)
         object.__setattr__(self, "_parents", tuple(parents))
 
     def adjacency(self) -> Adjacency:
@@ -144,6 +150,12 @@ class SpanningTree:
 
     def incident_edges(self, agent: int) -> Tuple[WeightedEdge, ...]:
         return self._incident.get(agent, ())
+
+    def announcers(self) -> Tuple[Tuple[int, Tuple[Tuple[EdgeKey, int], ...]], ...]:
+        """(agent, ((edge key, side), ...)) for every non-terminal agent in
+        ascending id, its edges in ascending key order; side is 0 at an
+        edge's a end and 1 at its b end."""
+        return self._announcers
 
     def parent_edges(self) -> Tuple[Tuple[int, int, EdgeKey], ...]:
         """(vertex, parent, edge key) for every vertex but 0, in BFS order

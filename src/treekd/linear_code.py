@@ -22,10 +22,6 @@ class NotACodewordError(Exception):
     """index_of was handed a word outside the code."""
 
 
-def _bits_of_int(value: int, width: int) -> Tuple[int, ...]:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
 @dataclass(frozen=True)
 class LinearCode:
     """A t-error-correcting [m,k] code over GF(2)."""
@@ -38,10 +34,7 @@ class LinearCode:
     @cached_property
     def codewords(self) -> Tuple[BitString, ...]:
         """All 2^k codewords in index order, built on first use."""
-        return tuple(
-            encode(self, BitString(_bits_of_int(i, self.k)))
-            for i in range(1 << self.k)
-        )
+        return tuple(encode(self, BitString(i, self.k)) for i in range(1 << self.k))
 
 
 def _systematic_code(m: int, k: int, t: int, a_rows) -> LinearCode:
@@ -74,7 +67,7 @@ def encode(code: LinearCode, message: BitString) -> BitString:
         if bit:
             for j in range(code.m):
                 out[j] ^= code.generator[i][j]
-    return BitString(out)
+    return BitString.from_bits(out)
 
 
 def decode_to_codeword(
@@ -87,10 +80,11 @@ def decode_to_codeword(
     """
     if len(word) != code.m:
         raise ValueError(f"word length {len(word)} != m={code.m}")
+    value = word.value
     error = max(
-        (word ^ c for c in code.codewords), key=lambda e: (-e.weight(), tuple(e))
+        (value ^ c.value for c in code.codewords), key=lambda e: (-e.bit_count(), e)
     )
-    return word ^ error, error
+    return BitString(value ^ error, code.m), BitString(error, code.m)
 
 
 def encode_index(code: LinearCode, index: int) -> BitString:

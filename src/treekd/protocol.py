@@ -185,26 +185,42 @@ class BlockState:
 def run_rounds(
     config: ProtocolConfig, block_index: int, positions: int
 ) -> BlockState:
-    """Steps 1-3: pairwise KD on the tree and `positions` subroutine rounds."""
+    """Steps 1-3: pairwise KD on the tree and `positions` subroutine rounds.
+
+    Each edge's a-side and b-side strings are held as int words, position
+    0 in the most significant bit.  The leader reconstructs once per round;
+    every agent j's string is the leader's XOR P[leader] XOR P[j], where
+    P[v] is the XOR of the disagreement words A ^ B on the tree path from
+    agent 0 to v, built once per block.
+    """
     tree = config.tree
     rng = SeededRng(config.seed).substream("block", block_index)
 
-    pairs: Dict[Tuple[int, int], Tuple[BitString, BitString]] = {}
+    words: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for edge in tree.edges:
         edge_rng = rng.substream("edge", edge.a, edge.b)
-        pairs[edge.key] = simulate_pairwise_kd(edge, positions, edge_rng)
+        a, b = simulate_pairwise_kd(edge, positions, edge_rng)
+        words[edge.key] = (a.value, b.value)
+    parity = [0] * tree.n
+    for v, parent, key in tree.parent_edges():
+        a, b = words[key]
+        parity[v] = parity[parent] ^ a ^ b
 
     transcript = Transcript()
-    per_agent: Dict[int, List[int]] = {agent: [] for agent in range(tree.n)}
+    leader_word = 0
     for r in range(positions):
-        position_bits = {key: (a[r], b[r]) for key, (a, b) in pairs.items()}
-        secrets = subroutine_round(
-            tree, position_bits, rng.substream("round", r), transcript, config.leader
+        leader_word = leader_word << 1 | subroutine_round(
+            tree,
+            words,
+            rng.substream("round", r),
+            transcript,
+            config.leader,
+            positions - 1 - r,
         )
-        for agent, bit in secrets.items():
-            per_agent[agent].append(bit)
-
-    strings = {agent: BitString(bits) for agent, bits in per_agent.items()}
+    base = leader_word ^ parity[config.leader]
+    strings = {
+        agent: BitString(base ^ parity[agent], positions) for agent in range(tree.n)
+    }
     return BlockState(secret_strings=strings, transcript=transcript)
 
 

@@ -9,8 +9,9 @@ terminal agent.
 The masks cancel along tree paths, so two agents' reconstructions of any
 edge differ exactly by the XOR of the pairwise disagreements (a-side copy
 XOR b-side copy) on the tree path between them.  The simulator therefore
-runs the reconstruction once, for the leader, and derives every other
-agent's bit from the leader's by that path parity.
+runs the reconstruction once per round, for the leader, and
+protocol.run_rounds derives every other agent's bits from the leader's by
+that path parity, for a whole block at once.
 """
 
 from __future__ import annotations
@@ -99,57 +100,49 @@ def terminal_edge_key(tree: SpanningTree, agent: int) -> EdgeKey:
 
 def subroutine_round(
     tree: SpanningTree,
-    position_bits: Mapping[EdgeKey, Tuple[int, int]],
+    edge_words: Mapping[EdgeKey, Tuple[int, int]],
     rng: SeededRng,
     transcript: Transcript,
     leader: int = 0,
-) -> Dict[int, int]:
-    """One full round: announcements, terminal choice, per-agent secret bits.
+    bit: int = 0,
+) -> int:
+    """One full round: announcements, terminal choice, the leader's secret bit.
 
-    position_bits maps each tree edge to the (a-side, b-side) copies for the
-    current position.  Round randomness draws in a fixed order: one fresh
-    mask per non-terminal agent in ascending id, then the leader's terminal
-    choice.  Returns each agent's secret bit: the leader's from its own
-    reconstruction, every other agent's equal to what its own
-    reconstruction would give, found by tree-path parity.
+    edge_words maps each tree edge to its (a-side, b-side) copies as int
+    words; the round reads bit `bit` of each (0 = least significant), so a
+    mapping to single 0/1 copies is the bit = 0 case.  Round randomness
+    draws in a fixed order: one fresh mask per non-terminal agent in
+    ascending id, then the leader's terminal choice.  Returns the leader's
+    bit from its own reconstruction; every other agent's bit differs from
+    it by the tree-path parity of the pairwise disagreements.
     """
-    if set(position_bits) != {e.key for e in tree.edges}:
-        raise ValueError("position_bits must cover exactly the tree edges")
-    terminals = terminal_agents(tree)
-
-    def own_copies(agent: int) -> Dict[EdgeKey, int]:
-        return {
-            e.key: position_bits[e.key][0 if agent == e.a else 1]
-            for e in tree.incident_edges(agent)
-        }
+    if set(edge_words) != {e.key for e in tree.edges}:
+        raise ValueError("edge_words must cover exactly the tree edges")
 
     announcements: Dict[int, Dict[EdgeKey, int]] = {}
-    for agent in range(tree.n):
-        if agent in terminals:
-            continue
+    for agent, sides in tree.announcers():
         mask = rng.bit()
-        payload = {key: bit ^ mask for key, bit in sorted(own_copies(agent).items())}
+        payload = {
+            key: (edge_words[key][side] >> bit & 1) ^ mask for key, side in sides
+        }
         announcements[agent] = payload
         broadcast(
             transcript,
             BroadcastMessage(transcript.next_seq(), agent, "announcement", payload),
         )
 
-    chosen = choose_secret_terminal(terminals, rng)
+    chosen = choose_secret_terminal(terminal_agents(tree), rng)
     broadcast(
         transcript,
         BroadcastMessage(transcript.next_seq(), leader, "terminal_choice", chosen),
     )
 
-    assignment = reconstruct_assignment(
-        AgentView(agent=leader, incident_bits=own_copies(leader)), announcements, tree
-    )
-    parity = [0] * tree.n  # disagreements on the tree path from agent 0
-    for v, parent, key in tree.parent_edges():
-        a_copy, b_copy = position_bits[key]
-        parity[v] = parity[parent] ^ a_copy ^ b_copy
-    base = assignment[terminal_edge_key(tree, chosen)] ^ parity[leader]
-    return {agent: base ^ parity[agent] for agent in range(tree.n)}
+    own = {
+        e.key: edge_words[e.key][int(leader == e.b)] >> bit & 1
+        for e in tree.incident_edges(leader)
+    }
+    assignment = reconstruct_assignment(AgentView(leader, own), announcements, tree)
+    return assignment[terminal_edge_key(tree, chosen)]
 
 
 def random_efficiency(n: int) -> Fraction:

@@ -134,7 +134,7 @@ def coset_leader_decode(
     ``combinations`` order, that turns word into a codeword: the coset-leader
     rule of a syndrome table, and the reference for decode_to_codeword."""
     codewords = {
-        int(str(encode(code, BitString(msg))), 2)
+        int(str(encode(code, BitString.from_bits(msg))), 2)
         for msg in product((0, 1), repeat=code.k)
     }
     value = int(str(word), 2)

@@ -168,7 +168,7 @@ def test_criterion_5_reconciliation_exhaustive():
     # error or one of 7 single-bit positions per non-leader agent).
     code = hamming_7_4()
     errors = [BitString.from_text("0000000")] + [
-        BitString(1 if i == p else 0 for i in range(7)) for p in range(7)
+        BitString.from_bits(1 if i == p else 0 for i in range(7)) for p in range(7)
     ]
     cases = 0
     for index in range(16):

@@ -129,14 +129,14 @@ class TestBitString:
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=32))
     def test_xor_involution(self, bits):
-        a = BitString(bits)
+        a = BitString.from_bits(bits)
         assert (a ^ a) == BitString.from_text("0" * len(bits))
         ones = BitString.from_text("1" * len(bits))
         assert (a ^ ones) ^ ones == a
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            BitString([0, 2])
+            BitString.from_bits([0, 2])
 
 
 class TestSeededRng:

@@ -73,8 +73,8 @@ class TestParseConfig:
         "extra, message",
         [
             ("edge 0 1 weight=1/0\n", "line 4: weight has a zero denominator"),
-            ("param epsilon=nan\n", "param epsilon=nan must be finite and positive"),
-            ("param epsilon=inf\n", "param epsilon=inf must be finite and positive"),
+            ("param epsilon=nan\n", "line 4: param epsilon=nan must be finite and positive"),
+            ("param epsilon=inf\n", "line 4: param epsilon=inf must be finite and positive"),
             ("node 2 3\n", "line 4: unexpected field '3'"),
             ("source 1 0\n", "line 4: unexpected field '0'"),
             ("param blocks=2 seed=5\n", "line 4: unexpected field 'seed=5'"),
@@ -87,17 +87,28 @@ class TestParseConfig:
             ("edge 0\n", "line 4: edge needs two agent ids"),
             ("param blocks\n", "line 4: param needs key=value"),
             ("param\n", "line 4: param needs key=value"),
+            ("param verbosity=9\n", "line 4: unknown param key 'verbosity'"),
+            ("param blocks=x\n", "line 4: param blocks must be an integer, got 'x'"),
+            ("param delta=abc\n", "line 4: param delta must be a number, got 'abc'"),
+            ("param blocks=0\n", "line 4: param blocks=0 must be >= 1"),
+            ("param leader=5\n", "line 4: param leader=5 is not an agent id"),
+            ("param code=golay\n", "line 4: unknown code name 'golay'"),
         ],
         ids=["zero-denominator", "epsilon-nan", "epsilon-inf",
              "node-extra-field", "source-extra-field", "param-extra-field",
              "edge-repeated-flip", "edge-repeated-anti", "edge-repeated-weight",
              "param-repeated", "node-missing-id", "source-missing-id",
-             "edge-missing-id", "param-missing-value", "param-missing-key-value"],
+             "edge-missing-id", "param-missing-value", "param-missing-key-value",
+             "param-unknown-key", "param-blocks-not-integer", "param-delta-not-number",
+             "param-blocks-zero", "param-leader-not-agent", "param-code-unknown"],
     )
     def test_bad_number_exits_1_with_error(self, tmp_path, capsys, extra, message):
+        # Each case is exactly one error: a value that fails to convert
+        # gets no follow-on range error.
         text = "node 0\nnode 1\nsource 0\n" + extra
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=message) as err:
             parse_config(text)
+        assert len(err.value.errors) == 1, err.value.errors
         cfg = write(tmp_path, "bad.cfg", text)
         for command in ("plan", "run"):
             assert main([command, "--config", str(cfg)]) == EXIT_CONFIG

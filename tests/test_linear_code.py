@@ -99,7 +99,7 @@ class TestDecode:
         cases = 0
         for cw in all_codewords(code):
             for pos in range(7):
-                flip = BitString(1 if i == pos else 0 for i in range(7))
+                flip = BitString.from_bits(1 if i == pos else 0 for i in range(7))
                 decoded, err = decode_to_codeword(code, cw ^ flip)
                 assert decoded == cw
                 assert err == flip
@@ -111,7 +111,7 @@ class TestDecode:
             for cw in all_codewords(code):
                 for w in range(code.t + 1):
                     for positions in combinations(range(code.m), w):
-                        e = BitString(
+                        e = BitString.from_bits(
                             1 if i in positions else 0 for i in range(code.m)
                         )
                         decoded, _ = decode_to_codeword(code, cw ^ e)
@@ -120,7 +120,7 @@ class TestDecode:
     def test_decoded_word_is_a_codeword(self):
         code = hamming_7_4()
         for value in range(1 << code.m):
-            word = BitString((value >> i) & 1 for i in range(code.m))
+            word = BitString.from_bits((value >> i) & 1 for i in range(code.m))
             decoded, _ = decode_to_codeword(code, word)
             index_of(code, decoded)  # raises NotACodewordError otherwise
 
@@ -145,7 +145,7 @@ class TestDecode:
     @given(m=st.sampled_from([13, 15]), data=st.data())
     def test_matches_coset_leader_oracle_on_long_repetition(self, m, data):
         code = repetition_code(m)
-        word = BitString(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+        word = BitString.from_bits(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
         assert decode_to_codeword(code, word) == coset_leader_decode(code, word)
 
     def test_weight_two_miscorrects_to_some_codeword(self):

@@ -74,7 +74,7 @@ class TestDecideAbort:
     def test_excess_mismatch_aborts(self):
         m = 10
         delta = 0.2
-        bad = BitString([1, 1, 1] + [0] * 7)  # 3 > ceil(0.2*10)
+        bad = BitString.from_bits([1, 1, 1] + [0] * 7)  # 3 > ceil(0.2*10)
         values = {0: BitString.from_text("0" * m), 1: bad}
         assert decide_abort(values, leader=0, delta=delta).abort
 
@@ -99,7 +99,7 @@ class TestReconcile:
         # per non-leader agent (n=4: 7^3 placements), all indices agree.
         code = hamming_7_4()
         singles = [
-            BitString(1 if i == p else 0 for i in range(7)) for p in range(7)
+            BitString.from_bits(1 if i == p else 0 for i in range(7)) for p in range(7)
         ]
         for index in range(16):
             rng = SeededRng(1000 + index)
@@ -240,7 +240,7 @@ class TestRunBlock:
             )
 
         perturbed = {
-            a: BitString(
+            a: BitString.from_bits(
                 b ^ 1 if i in check else b for i, b in enumerate(s)
             )
             for a, s in state.secret_strings.items()

@@ -1,14 +1,19 @@
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tree_edges
-from treekd.channel_sim import Transcript
-from treekd.graph_core import SpanningTree, WeightedEdge, terminal_agents
+from treekd import protocol
+from treekd.channel_sim import Transcript, simulate_pairwise_kd
+from treekd.eve_analysis import rounds_from_transcript
+from treekd.graph_core import SecurityGraph, SpanningTree, WeightedEdge, terminal_agents
+from treekd.linear_code import hamming_7_4
+from treekd.protocol import ProtocolConfig
 from treekd.rng import SeededRng
 from treekd.subroutine import (
     AgentView,
@@ -20,6 +25,7 @@ from treekd.subroutine import (
     subroutine_round,
     terminal_edge_key,
 )
+from treekd.transcript_io import parse_transcript, transcript_lines
 
 
 def path_tree(n=3):
@@ -38,12 +44,20 @@ def announce_all(tree, assignment, masks):
     }
 
 
-def copies_of(tree, position_bits, agent):
-    """An agent's own copies of its incident edge bits."""
-    return {
-        e.key: position_bits[e.key][0 if agent == e.a else 1]
-        for e in tree.incident_edges(agent)
+def agent_bits(tree, position_bits, seed):
+    """Every agent's secret bit for one round, and the round's transcript.
+
+    subroutine_round returns its leader's own reconstruction, and the
+    leader only signs the terminal choice, so running the same seeded round
+    with each agent as leader gives each agent's bit."""
+    transcripts = [Transcript() for _ in range(tree.n)]
+    bits = {
+        agent: subroutine_round(
+            tree, position_bits, SeededRng(seed), transcripts[agent], agent
+        )
+        for agent in range(tree.n)
     }
+    return bits, transcripts[0]
 
 
 class TestReconstruction:
@@ -123,13 +137,12 @@ class TestSubroutineRound:
             n = 5
             tree = SpanningTree(n, random_tree_edges(n, rng))
             bits = {e.key: (b := rng.randrange(2), b) for e in tree.edges}
-            secrets = subroutine_round(tree, bits, SeededRng(rng.randrange(2**32)), Transcript())
+            secrets, _ = agent_bits(tree, bits, rng.randrange(2**32))
             assert len(set(secrets.values())) == 1
 
     def test_two_agents_no_announcements(self):
         tree = SpanningTree(2, [WeightedEdge(0, 1)])
-        transcript = Transcript()
-        secrets = subroutine_round(tree, {(0, 1): (1, 1)}, SeededRng(2), transcript)
+        secrets, transcript = agent_bits(tree, {(0, 1): (1, 1)}, 2)
         assert secrets == {0: 1, 1: 1}
         assert [m.kind for m in transcript.messages] == ["terminal_choice"]
 
@@ -141,8 +154,7 @@ class TestSubroutineRound:
         bits = {(0, 1): (1, 1), (1, 2): (0, 1)}  # b-side of (1,2) flipped
         seen_disagreement = False
         for seed in range(20):
-            transcript = Transcript()
-            secrets = subroutine_round(tree, bits, SeededRng(seed), transcript)
+            secrets, transcript = agent_bits(tree, bits, seed)
             chosen = next(
                 m.payload for m in transcript.messages if m.kind == "terminal_choice"
             )
@@ -175,39 +187,75 @@ class TestSubroutineRound:
             diffs = {truth[e] ^ b for e, b in m.payload.items()}
             assert len(diffs) == 1  # consistent with one mask, value unknown
 
+    def test_reads_the_given_bit_of_each_word(self):
+        # Bit 2 of these words is the single-bit mapping's round.
+        rng = random.Random(5)
+        tree = SpanningTree(6, random_tree_edges(6, rng))
+        single = {e.key: (rng.randrange(2), rng.randrange(2)) for e in tree.edges}
+        words = {
+            key: (a << 2 | rng.randrange(4), b << 2 | rng.randrange(4))
+            for key, (a, b) in single.items()
+        }
+        for leader in range(6):
+            plain, wide = Transcript(), Transcript()
+            bit = subroutine_round(tree, single, SeededRng(9), plain, leader)
+            assert subroutine_round(tree, words, SeededRng(9), wide, leader, 2) == bit
+            assert plain.messages == wide.messages
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(2, 12),
         seed=st.integers(0, 2**32 - 1),
-        flip=st.floats(0.0, 0.5),
+        flip=st.floats(0.0, 0.49),
         leader=st.integers(0, 11),
+        positions=st.integers(1, 6),
     )
-    def test_every_bit_matches_own_reconstruction(self, n, seed, flip, leader):
-        # Random tree, each edge's b-side copy flipped with probability
-        # flip, any leader: every agent's bit equals the one its own
-        # reconstruction from the broadcast records gives, and every record
-        # is its sender's copies XOR one constant.
+    def test_every_bit_matches_own_reconstruction(self, n, seed, flip, leader, positions):
+        # The block engine against the per-agent oracle.  Random tree, each
+        # edge's b-side copies flipped with probability flip, any leader:
+        # every record parsed back from the transcript is its sender's
+        # copies XOR one constant, and at every position every agent's
+        # secret bit equals the one its own reconstruction gives.
         rng = random.Random(seed)
-        tree = SpanningTree(n, random_tree_edges(n, rng))
-        bits = {
-            e.key: (b := rng.randrange(2), b ^ (rng.random() < flip))
-            for e in tree.edges
-        }
-        transcript = Transcript()
-        secrets = subroutine_round(tree, bits, SeededRng(seed), transcript, leader % n)
-        announcements = {
-            m.sender: m.payload for m in transcript.messages if m.kind == "announcement"
-        }
-        (chosen,) = (m.payload for m in transcript.messages if m.kind == "terminal_choice")
-        assert set(announcements) == set(range(n)) - terminal_agents(tree)
-        for agent, masked in announcements.items():
-            copies = copies_of(tree, bits, agent)
-            assert set(masked) == set(copies)
-            assert len({masked[e] ^ copies[e] for e in copies}) == 1
-        key = terminal_edge_key(tree, chosen)
-        for agent in range(n):
-            own = AgentView(agent, copies_of(tree, bits, agent))
-            assert secrets[agent] == reconstruct_assignment(own, announcements, tree)[key]
+        edges = [
+            WeightedEdge(e.a, e.b, flip_prob=flip) for e in random_tree_edges(n, rng)
+        ]
+        config = ProtocolConfig(
+            graph=SecurityGraph(n, edges, range(n)),
+            leader=leader % n,
+            code=hamming_7_4(),
+            blocks=1,
+            delta=0.5,
+            epsilon=0.05,
+            seed=seed,
+        )
+        pairs = {}
+
+        def recording(edge, length, edge_rng):
+            pairs[edge.key] = simulate_pairwise_kd(edge, length, edge_rng)
+            return pairs[edge.key]
+
+        with mock.patch.object(protocol, "simulate_pairwise_kd", recording):
+            state = protocol.run_rounds(config, 0, positions)
+        tree = config.tree
+        (transcript,) = parse_transcript(transcript_lines(state.transcript))
+        views = rounds_from_transcript(transcript)
+        assert len(views) == positions
+        for r, view in enumerate(views):
+            assert set(view.announcements) == set(range(n)) - terminal_agents(tree)
+            key = terminal_edge_key(tree, view.chosen_terminal)
+            for agent in range(n):
+                copies = {
+                    e.key: pairs[e.key][0 if agent == e.a else 1][r]
+                    for e in tree.incident_edges(agent)
+                }
+                if agent in view.announcements:
+                    masked = view.announcements[agent]
+                    assert set(masked) == set(copies)
+                    assert len({masked[e] ^ copies[e] for e in copies}) == 1
+                own = AgentView(agent, copies)
+                expected = reconstruct_assignment(own, view.announcements, tree)[key]
+                assert state.secret_strings[agent][r] == expected
 
 
 class TestRandomEfficiency:
