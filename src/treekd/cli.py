@@ -154,9 +154,9 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(transcript_path: Path, graph_path: Path, out=None) -> int:
+def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
     out = out if out is not None else sys.stdout
-    graph = config_io.load_graph(graph_path)
+    graph = config_io.load_config(config_path).graph
     status = _check_graph(graph, out)
     if status is not None:
         return status
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="eavesdropper-view transcript analysis")
     p_analyze.add_argument("--transcript", type=Path, required=True)
     p_analyze.add_argument("--config", type=Path, required=True,
-                           help="graph (or run config) file for the topology")
+                           help="run config (or graph) file for the topology")
 
     p_sweep = sub.add_parser("sweep", help="abort/agreement table over flip_prob")
     add_common(p_sweep)

@@ -7,8 +7,8 @@ One record per line; ``#`` starts a comment.  Graph records:
     edge <a> <b> weight=<w> flip=<p> [anti]
 
 A run config is the same graph format plus ``param key=value`` lines
-(keys: leader, code, blocks, delta, epsilon, seed), so every run config
-is also a valid graph file.
+(keys: leader, code, blocks, delta, epsilon, seed), each optional, so a
+graph file with no ``param`` lines is a valid run config.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .graph_core import SecurityGraph, WeightedEdge
 
@@ -42,7 +42,6 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class RunSpec:
     graph: SecurityGraph
-    graph_path: Optional[Path]
     leader: int
     code_name: str
     blocks: int
@@ -112,20 +111,7 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
     return graph, params, errors
 
 
-def parse_graph(text: str) -> SecurityGraph:
-    graph, _params, errors = _parse_lines(text)
-    if errors:
-        raise ConfigError(errors)
-    return graph
-
-
-def load_graph(path: Path) -> SecurityGraph:
-    if not path.exists():
-        raise ConfigError([f"graph file not found: {path}"])
-    return parse_graph(path.read_text())
-
-
-def parse_config(text: str, path: Optional[Path] = None) -> RunSpec:
+def parse_config(text: str) -> RunSpec:
     """Parse a run config; collects every error before failing."""
     graph, params, errors = _parse_lines(text)
 
@@ -176,7 +162,6 @@ def parse_config(text: str, path: Optional[Path] = None) -> RunSpec:
         raise ConfigError(errors)
     return RunSpec(
         graph=graph,
-        graph_path=path,
         leader=leader,
         code_name=code_name,
         blocks=blocks,
@@ -189,4 +174,4 @@ def parse_config(text: str, path: Optional[Path] = None) -> RunSpec:
 def load_config(path: Path) -> RunSpec:
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
-    return parse_config(path.read_text(), path=path)
+    return parse_config(path.read_text())

@@ -76,12 +76,12 @@ class SecurityGraph:
 
 
 def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ...]]:
-    """Neighbor tuples per vertex, in input edge order."""
+    """Neighbor tuples per vertex, in ascending id."""
     adj: Dict[int, List[int]] = {v: [] for v in range(n)}
     for e in edges:
         adj[e.a].append(e.b)
         adj[e.b].append(e.a)
-    return {v: tuple(us) for v, us in adj.items()}
+    return {v: tuple(sorted(us)) for v, us in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
     Its adjacency, incident edges, terminals, announcers, key index and
-    parent table are built once.
+    parent table are built once.  Neighbours and incident edges are listed
+    in ascending neighbour id, which is also ascending edge-key order.
     """
 
     n: int
@@ -121,7 +122,7 @@ class SpanningTree:
         }
         terminals = frozenset(v for v, us in adjacency.items() if len(us) == 1)
         announcers = tuple(
-            (v, tuple(sorted((e.key, int(v == e.b)) for e in incident[v])))
+            (v, tuple((e.key, int(v == e.b)) for e in incident[v]))
             for v in range(n)
             if v not in terminals
         )

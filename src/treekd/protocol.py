@@ -16,12 +16,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bits import BitString
-from .channel_sim import (
-    BroadcastMessage,
-    Transcript,
-    broadcast,
-    simulate_pairwise_kd,
-)
+from .channel_sim import Transcript, broadcast, simulate_pairwise_kd
 from .graph_core import SecurityGraph, SpanningTree, mst_kruskal, validate_graph
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
@@ -89,9 +84,7 @@ class AbortDecision:
 class KeyResult:
     status: str  # "completed" | "aborted"
     key_indices: Optional[Dict[int, int]]
-    key_bits: Optional[Dict[int, BitString]]
     mismatch: Mapping[int, Fraction]
-    efficiency: Optional[EfficiencyReport]
     transcript: Transcript
 
 
@@ -160,10 +153,7 @@ def reconcile(
     """Code-based reconciliation: broadcast c XOR v, decode, output index."""
     index, codeword = random_codeword(code, rng)
     masked = codeword ^ leader_codebits
-    broadcast(
-        transcript,
-        BroadcastMessage(transcript.next_seq(), leader, "code_broadcast", masked),
-    )
+    broadcast(transcript, leader, "code_broadcast", masked)
     indices: Dict[int, int] = {leader: index}
     for agent, bits in agent_codebits.items():
         if agent == leader:
@@ -225,73 +215,32 @@ def run_rounds(
 
 
 def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
-    """One full block: rounds, check phase, abort decision, reconciliation."""
-    m = config.code.m
+    """One full block: rounds, check phase, abort decision, reconciliation.
+
+    A completed block's key is the codeword index each agent decoded; for
+    these systematic codes the key bits are the index's k bits.
+    """
+    m, leader = config.code.m, config.leader
     state = run_rounds(config, block_index, 2 * m)
-    transcript = state.transcript
+    strings, transcript = state.secret_strings, state.transcript
     rng = SeededRng(config.seed).substream("block", block_index)
-    n = config.graph.n
 
     check_positions = select_check_positions(rng.substream("check"), 2 * m)
-    broadcast(
-        transcript,
-        BroadcastMessage(
-            transcript.next_seq(), config.leader, "check_positions", check_positions
-        ),
-    )
-    check_values = {
-        agent: state.secret_strings[agent].take(check_positions)
-        for agent in range(n)
-    }
-    for agent in range(n):
-        broadcast(
-            transcript,
-            BroadcastMessage(
-                transcript.next_seq(), agent, "check_values", check_values[agent]
-            ),
-        )
-    decision = decide_abort(check_values, config.leader, config.delta)
+    broadcast(transcript, leader, "check_positions", check_positions)
+    check_values = {agent: bits.take(check_positions) for agent, bits in strings.items()}
+    for agent, bits in check_values.items():
+        broadcast(transcript, agent, "check_values", bits)
+    decision = decide_abort(check_values, leader, config.delta)
     if decision.abort:
-        broadcast(
-            transcript,
-            BroadcastMessage(
-                transcript.next_seq(), config.leader, "abort", dict(decision.mismatch)
-            ),
-        )
-        return KeyResult(
-            status="aborted",
-            key_indices=None,
-            key_bits=None,
-            mismatch=decision.mismatch,
-            efficiency=None,
-            transcript=transcript,
-        )
+        broadcast(transcript, leader, "abort", dict(decision.mismatch))
+        return KeyResult("aborted", None, decision.mismatch, transcript)
 
     code_positions = sorted(set(range(2 * m)).difference(check_positions))
-    codebits = {
-        agent: state.secret_strings[agent].take(code_positions)
-        for agent in range(n)
-    }
+    codebits = {agent: bits.take(code_positions) for agent, bits in strings.items()}
     indices = reconcile(
-        codebits[config.leader],
-        config.code,
-        rng.substream("code"),
-        codebits,
-        transcript,
-        config.leader,
+        codebits[leader], config.code, rng.substream("code"), codebits, transcript, leader
     )
-    key_bits = {  # systematic code: the message is the codeword's first k bits
-        agent: config.code.codewords[idx].take(range(config.code.k))
-        for agent, idx in indices.items()
-    }
-    return KeyResult(
-        status="completed",
-        key_indices=indices,
-        key_bits=key_bits,
-        mismatch=decision.mismatch,
-        efficiency=random_efficiency_report(n, config.code),
-        transcript=transcript,
-    )
+    return KeyResult("completed", indices, decision.mismatch, transcript)
 
 
 def run_blocks(config: ProtocolConfig) -> List[KeyResult]:

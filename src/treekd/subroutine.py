@@ -22,7 +22,7 @@ from typing import Dict, Mapping, Set, Tuple
 
 from collections import deque
 
-from .channel_sim import BroadcastMessage, Transcript, broadcast
+from .channel_sim import Transcript, broadcast
 from .graph_core import EdgeKey, SpanningTree, terminal_agents
 from .rng import SeededRng
 
@@ -69,7 +69,7 @@ def reconstruct_assignment(
     queue = deque([own.agent])
     while queue:
         u = queue.popleft()
-        for v in sorted(adj[u]):
+        for v in adj[u]:
             if v in visited:
                 continue
             visited.add(v)
@@ -126,16 +126,10 @@ def subroutine_round(
             key: (edge_words[key][side] >> bit & 1) ^ mask for key, side in sides
         }
         announcements[agent] = payload
-        broadcast(
-            transcript,
-            BroadcastMessage(transcript.next_seq(), agent, "announcement", payload),
-        )
+        broadcast(transcript, agent, "announcement", payload)
 
     chosen = choose_secret_terminal(terminal_agents(tree), rng)
-    broadcast(
-        transcript,
-        BroadcastMessage(transcript.next_seq(), leader, "terminal_choice", chosen),
-    )
+    broadcast(transcript, leader, "terminal_choice", chosen)
 
     own = {
         e.key: edge_words[e.key][int(leader == e.b)] >> bit & 1

@@ -1,9 +1,11 @@
 """Plain-text transcript log rendering and parsing.
 
-One line per message: ``<seq> <sender> <kind> <payload>``.  Lines starting
-with ``#`` are comments.  Payload text per kind:
+One line per message: ``<seq> <sender> <kind> <payload>``, where seq is the
+message's position in its block.  Lines starting with ``#`` are comments.
+Payload text per kind:
 
-- announcement:      sorted ``(a,b):bit`` pairs, comma-separated, each edge once
+- announcement:      ``(a,b):bit`` pairs, comma-separated, each edge once, in
+                     the order recorded (ascending edge key from the engine)
 - terminal_choice:   the chosen agent id
 - check_positions:   sorted position indices, comma-separated
 - check_values:      the m check bits as 0/1 characters, index 0 first
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Set, Tuple
 
 from .bits import BitString
-from .channel_sim import BroadcastMessage, SequenceGapError, Transcript, broadcast
+from .channel_sim import BroadcastMessage, Transcript, broadcast
 from .graph_core import EdgeKey
 
 
@@ -26,7 +28,7 @@ def format_payload(msg: BroadcastMessage) -> str:
     kind, payload = msg.kind, msg.payload
     if kind == "announcement":
         return ",".join(
-            f"({a},{b}):{bit}" for (a, b), bit in sorted(payload.items())
+            f"({a},{b}):{bit}" for (a, b), bit in payload.items()
         )
     if kind == "terminal_choice":
         return str(payload)
@@ -86,7 +88,9 @@ def _parse_payload(kind: str, text: str):
 def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
     """Parse one or more concatenated block transcripts.
 
-    Sequence numbers restart at 0 at each block boundary, a
+    This is where sequence numbers and kinds enter the program from
+    outside, so they are checked here: each block's numbers run 0, 1, 2,
+    ... (a 0 starts the next block), every kind is a known one, a
     terminal_choice must close every run of announcements, and each agent
     announces at most once per round.
     """
@@ -114,8 +118,10 @@ def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
                 transcripts.append(current)
             if current is None:
                 raise ValueError(f"stream starts at seq {seq}")
-            broadcast(current, BroadcastMessage(seq, sender, kind, payload))
-        except (ValueError, IndexError, SequenceGapError) as exc:
+            if seq != len(current):
+                raise ValueError(f"expected seq {len(current)}, got {seq}")
+            broadcast(current, sender, kind, payload)
+        except (ValueError, IndexError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
         if kind == "announcement":
             open_round = open_round or lineno

@@ -40,6 +40,7 @@ from treekd.protocol import (
     ProtocolConfig,
     code_efficiency,
     failure_bound,
+    random_efficiency_report,
     run_block,
     select_check_positions,
 )
@@ -65,7 +66,7 @@ def test_criterion_1_efficiency_formulas():
     for n in (2, 3, 5, 10):
         result = run_block(path_config(n, code, seed=n))
         assert result.status == "completed"
-        eff = result.efficiency
+        eff = random_efficiency_report(n, code)
         # counted resources: 2m positions per tree edge, one n-party bit
         # per round, k key bits from the m code rounds
         edges = n - 1

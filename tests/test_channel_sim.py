@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from treekd.bits import BitString
 from treekd.channel_sim import (
-    BroadcastMessage,
-    SequenceGapError,
     Transcript,
     broadcast,
     combined_flip_probability,
@@ -64,24 +62,18 @@ class TestSimulatePairwiseKd:
 class TestTranscript:
     def test_append_from_empty(self):
         t = Transcript()
-        broadcast(t, BroadcastMessage(0, 0, "terminal_choice", 1))
-        assert len(t.messages) == 1
-
-    def test_sequence_gap_rejected(self):
-        t = Transcript()
-        with pytest.raises(SequenceGapError):
-            broadcast(t, BroadcastMessage(1, 0, "terminal_choice", 1))
+        broadcast(t, 0, "terminal_choice", 1)
+        assert [(m.seq, m.sender, m.kind, m.payload) for m in t.messages] == [
+            (0, 0, "terminal_choice", 1)
+        ]
 
     def test_append_order_preserved(self):
         t = Transcript()
         for i in range(3):
-            broadcast(t, BroadcastMessage(i, i, "terminal_choice", i))
+            broadcast(t, i, "terminal_choice", i)
         assert [m.seq for m in t.messages] == [0, 1, 2]
         assert [m.sender for m in t.messages] == [0, 1, 2]
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            BroadcastMessage(0, 0, "gossip", None)
+        assert len(t) == 3
 
 
 class TestCombinedFlipProbability:

@@ -267,13 +267,17 @@ class TestAnalyze:
              "transcript line 3: abort mismatch '1/0' has a zero denominator"),
             (PATH3, "", "transcript has no rounds"),
             (PATH3, "# block 0\n", "transcript has no rounds"),
+            (PATH3, "0 0 gossip x\n", "transcript line 1: unknown kind 'gossip'"),
+            # --config goes through the run-config loader, params included.
+            (PATH3 + "param blocks=0\n", ANNOUNCE + "1 0 terminal_choice 0\n",
+             "line 7: param blocks=0 must be >= 1"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
              "duplicate-announcement", "repeated-edge-key",
              "text-between-announcement-items", "abort-zero-denominator",
              "empty-transcript",
-             "comment-only-transcript"],
+             "comment-only-transcript", "unknown-kind", "config-param-error"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message

@@ -205,7 +205,10 @@ class TestPrecomputedStructure:
         assert terminal_agents(tree) == {v for v, d in degree.items() if d == 1}
         assert set(tree.adjacency()) == set(range(tree.n))
         for v in range(tree.n):
-            incident = [e for e in tree.edges if v in (e.a, e.b)]
+            incident = sorted(
+                (e for e in tree.edges if v in (e.a, e.b)),
+                key=lambda e: other_end(e, v),
+            )
             assert list(tree.incident_edges(v)) == incident
             assert list(tree.adjacency()[v]) == [other_end(e, v) for e in incident]
         for e in tree.edges:
