@@ -15,15 +15,7 @@ from typing import List, Optional, Sequence
 
 from . import config_io, eve_analysis, protocol, transcript_io
 from .config_io import ConfigError, RunSpec
-from .graph_core import (
-    DisconnectedGraphError,
-    SecurityGraph,
-    connected_components,
-    mst_kruskal,
-    mst_prim,
-    terminal_agents,
-    validate_graph,
-)
+from .graph_core import DisconnectedGraphError, SecurityGraph, mst_prim, terminal_agents
 from .linear_code import LinearCode, code_by_name
 from .rng import SeededRng
 from .subroutine import NonTerminalChoiceError
@@ -38,20 +30,8 @@ def _key_hex(index: int, k: int) -> str:
     return f"{index:0{(k + 3) // 4}x}"
 
 
-def _check_graph(graph: SecurityGraph, out) -> Optional[int]:
-    report = validate_graph(graph)
-    if not report.ok:
-        for v in report.violations:
-            print(f"error: {v}", file=out)
-        return EXIT_CONFIG
-    components = connected_components(graph)
-    if len(components) > 1:
-        print(f"error: {DisconnectedGraphError(components)}", file=out)
-        return EXIT_DISCONNECTED
-    return None
-
-
 def _protocol_config(spec: RunSpec) -> protocol.ProtocolConfig:
+    """The run's config; its tree is the one graph check every command uses."""
     return protocol.ProtocolConfig(
         graph=spec.graph,
         leader=spec.leader,
@@ -64,11 +44,7 @@ def _protocol_config(spec: RunSpec) -> protocol.ProtocolConfig:
 
 
 def cmd_plan(spec: RunSpec, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    status = _check_graph(spec.graph, out)
-    if status is not None:
-        return status
-    tree = mst_kruskal(spec.graph)
+    tree = _protocol_config(spec).tree
     prim = mst_prim(spec.graph, root=0)
     print(f"agents: {spec.graph.n}", file=out)
     print("minimum spanning security tree:", file=out)
@@ -102,10 +78,6 @@ def _summary_lines(results, code: LinearCode) -> List[str]:
 
 
 def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
-    out = out if out is not None else sys.stdout
-    status = _check_graph(spec.graph, out)
-    if status is not None:
-        return status
     config = _protocol_config(spec)
     results = protocol.run_blocks(config)
     code = config.code
@@ -155,12 +127,7 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
 
 
 def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    graph = config_io.load_config(config_path).graph
-    status = _check_graph(graph, out)
-    if status is not None:
-        return status
-    tree = mst_kruskal(graph)
+    tree = _protocol_config(config_io.load_config(config_path)).tree
     blocks = transcript_io.parse_transcript(
         transcript_path.read_text().splitlines()
     )
@@ -172,8 +139,7 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
                 count = eve_analysis.consistent_configurations(rnd.announcements, tree)
                 entropy = eve_analysis.secret_entropy(count, rnd.chosen_terminal, tree)
             except NonTerminalChoiceError as exc:
-                print(f"error: block {b} round {rnd.index}: {exc}", file=out)
-                return EXIT_CONFIG
+                raise ValueError(f"block {b} round {rnd.index}: {exc}") from exc
             print(
                 f"block {b} round {rnd.index}: configurations={count} "
                 f"entropy={entropy:.6f}",
@@ -183,8 +149,7 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
                 ok = False
             round_total += 1
     if not round_total:
-        print("error: transcript has no rounds", file=out)
-        return EXIT_CONFIG
+        raise ValueError("transcript has no rounds")
     print(
         f"{'PASS' if ok else 'FAIL'}: {round_total} rounds, "
         "two-configuration property "
@@ -200,13 +165,6 @@ def cmd_sweep(
     out_dir: Optional[Path],
     out=None,
 ) -> int:
-    out = out if out is not None else sys.stdout
-    status = _check_graph(spec.graph, out)
-    if status is not None:
-        return status
-    if len(flips) < 2:
-        print("error: sweep needs at least 2 flip values", file=out)
-        return EXIT_CONFIG
     base = _protocol_config(spec)
     bound = protocol.failure_bound(spec.delta, spec.epsilon, base.code.m)
     rows = ["flip_prob\tabort_rate\tagreement_rate\tmean_check_mismatch\tfailure_bound"]
@@ -246,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=Path, default=None)
 
-    add_common(sub.add_parser("plan", help="show the minimum spanning security tree"))
+    p_plan = sub.add_parser("plan", help="show the minimum spanning security tree")
+    p_plan.add_argument("--config", type=Path, required=True)
     add_common(sub.add_parser("run", help="run protocol blocks and write reports"))
 
     p_analyze = sub.add_parser("analyze", help="eavesdropper-view transcript analysis")
@@ -274,23 +233,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_analyze(args.transcript, args.config)
 
         spec = config_io.load_config(args.config)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-
         if args.command == "plan":
             return cmd_plan(spec)
+
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
         if args.command == "run":
             return cmd_run(spec, args.out)
-        if args.command == "sweep":
-            if args.flip_steps < 2:
-                print("error: --flip-steps must be >= 2", file=sys.stderr)
-                return EXIT_CONFIG
-            span = args.flip_max - args.flip_min
-            flips = [
-                args.flip_min + span * i / (args.flip_steps - 1)
-                for i in range(args.flip_steps)
-            ]
-            return cmd_sweep(spec, flips, args.out)
+
+        # The one command left is sweep.
+        if args.flip_steps < 2:
+            raise ValueError("--flip-steps must be >= 2")
+        span = args.flip_max - args.flip_min
+        flips = [
+            args.flip_min + span * i / (args.flip_steps - 1)
+            for i in range(args.flip_steps)
+        ]
+        return cmd_sweep(spec, flips, args.out)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)
@@ -301,7 +260,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_CONFIG
 
 
 def entrypoint() -> None:

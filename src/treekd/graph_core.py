@@ -85,12 +85,6 @@ def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ..
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
@@ -190,8 +184,8 @@ def _forms_tree(n: int, edges: Sequence[WeightedEdge]) -> bool:
     return all(e.b < n and e.a != e.b and uf.union(e.a, e.b) for e in edges)
 
 
-def validate_graph(g: SecurityGraph) -> ValidationReport:
-    """Check all SecurityGraph invariants; violations are reported, not raised."""
+def validate_graph(g: SecurityGraph) -> Tuple[str, ...]:
+    """Every violated SecurityGraph invariant; empty when the graph is valid."""
     violations: List[str] = []
     if g.n < 2:
         violations.append(f"agent count {g.n} < 2")
@@ -212,7 +206,7 @@ def validate_graph(g: SecurityGraph) -> ValidationReport:
         seen.add(e.key)
         if g.sources and e.a not in g.sources and e.b not in g.sources:
             violations.append(f"edge {e.key} has no endpoint in the source set")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 def connected_components(g: SecurityGraph) -> List[Set[int]]:

@@ -17,14 +17,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bits import BitString
 from .channel_sim import Transcript, broadcast, simulate_pairwise_kd
+from .config_io import ConfigError
 from .graph_core import SecurityGraph, SpanningTree, mst_kruskal, validate_graph
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
 from .subroutine import random_efficiency, subroutine_round
 
 
-class InvalidGraphError(Exception):
-    """The protocol refuses to run on an invalid security graph."""
+class InvalidGraphError(ConfigError):
+    """The protocol refuses to run on an invalid security graph; one error
+    per violated invariant."""
 
 
 @dataclass(frozen=True)
@@ -42,17 +44,22 @@ class ProtocolConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        if not (0 <= self.leader < self.graph.n):
+        # An agentless graph is left to the graph check in tree.
+        if self.graph.n and not (0 <= self.leader < self.graph.n):
             raise ValueError("leader out of range")
         if self.blocks < 1:
             raise ValueError("blocks must be >= 1")
 
     @cached_property
     def tree(self) -> SpanningTree:
-        """The validated graph's minimum spanning tree, built on first use."""
-        report = validate_graph(self.graph)
-        if not report.ok:
-            raise InvalidGraphError("; ".join(report.violations))
+        """The validated graph's minimum spanning tree, built on first use.
+
+        The one place a run's graph is checked: InvalidGraphError lists every
+        violation, and mst_kruskal raises DisconnectedGraphError.
+        """
+        violations = validate_graph(self.graph)
+        if violations:
+            raise InvalidGraphError(violations)
         return mst_kruskal(self.graph)
 
 

@@ -147,8 +147,16 @@ class TestPlan:
     def test_disconnected_names_components(self, tmp_path, capsys):
         cfg = write(tmp_path, "disc.cfg", DISCONNECTED)
         assert main(["plan", "--config", str(cfg)]) == EXIT_DISCONNECTED
-        out = capsys.readouterr().out
-        assert "{0,1}" in out and "{2,3}" in out
+        err = capsys.readouterr().err
+        assert "{0,1}" in err and "{2,3}" in err
+
+    def test_run_options_rejected(self, tmp_path, capsys):
+        # plan neither writes files nor draws randomness.
+        cfg = write(tmp_path, "p.cfg", PATH3)
+        out_dir = tmp_path / "out"
+        for option in (["--out", str(out_dir)], ["--seed", "3"]):
+            assert main(["plan", "--config", str(cfg), *option]) == EXIT_CONFIG
+        assert not out_dir.exists()
 
 
 class TestRun:
@@ -287,7 +295,7 @@ class TestAnalyze:
         rc = main(["analyze", "--transcript", str(log), "--config", str(cfg)])
         captured = capsys.readouterr()
         assert rc == EXIT_CONFIG
-        assert f"error: {message}" in captured.out + captured.err
+        assert f"error: {message}" in captured.err
         assert "PASS" not in captured.out
 
     def test_noisy_tree_of_21_agents_passes(self, tmp_path, capsys):
@@ -311,6 +319,50 @@ class TestAnalyze:
         assert rc == EXIT_CONFIG
         assert "block 0 round 0: configurations=1048576 entropy=1.000000" in out
         assert "FAIL" in out
+
+
+class TestGraphErrors:
+    COMMAND_ARGS = {
+        "plan": [],
+        "run": [],
+        "sweep": ["--flip-min", "0", "--flip-max", "0.1", "--flip-steps", "2"],
+        "analyze": ["--transcript", "{log}"],
+    }
+
+    @pytest.mark.parametrize("command", ["plan", "run", "sweep", "analyze"])
+    @pytest.mark.parametrize(
+        "graph, status, errors",
+        [
+            ("", EXIT_CONFIG, ["agent count 0 < 2", "source set is empty"]),
+            ("node 0\nsource 0\n", EXIT_CONFIG, ["agent count 1 < 2"]),
+            ("node 0\nnode 1\nsource 0\nedge 0 5\n", EXIT_CONFIG,
+             ["edge (0, 5) references unknown agent 5"]),
+            ("node 0\nnode 1\nsource 0\nedge 0 1\nedge 1 1\n", EXIT_CONFIG,
+             ["self-loop at agent 1"]),
+            ("node 0\nnode 1\nsource 0\nedge 0 1\nedge 1 0\n", EXIT_CONFIG,
+             ["duplicate edge (0, 1)"]),
+            ("node 0\nnode 1\nsource 0\nsource 5\nedge 0 1\n", EXIT_CONFIG,
+             ["source 5 is not a valid agent id"]),
+            (PATH3.replace("source 1", "source 0"), EXIT_CONFIG,
+             ["edge (1, 2) has no endpoint in the source set"]),
+            (DISCONNECTED, EXIT_DISCONNECTED,
+             ["security graph is disconnected: components {0,1}; {2,3}"]),
+        ],
+        ids=["empty-config", "one-agent", "unknown-agent", "self-loop",
+             "duplicate-edge", "source-not-agent", "edge-without-source",
+             "disconnected"],
+    )
+    def test_violation_exits_with_errors_on_stderr(
+        self, tmp_path, capsys, command, graph, status, errors
+    ):
+        cfg = write(tmp_path, "g.cfg", graph)
+        log = write(tmp_path, "t.log", "")
+        extra = [a.format(log=log) for a in self.COMMAND_ARGS[command]]
+        assert main([command, "--config", str(cfg), *extra]) == status
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {e}" for e in errors]
+        assert "error:" not in captured.out
+        assert "Traceback" not in captured.err
 
 
 class TestSweep:
@@ -353,6 +405,7 @@ class TestSweep:
             ]
         )
         assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --flip-steps must be >= 2\n"
 
 
 class TestUsage:

@@ -53,26 +53,26 @@ class TestWeightedEdge:
 
 class TestValidateGraph:
     def test_hub_source_covers_path(self):
-        assert validate_graph(path_graph(sources={1})).ok
+        assert validate_graph(path_graph(sources={1})) == ()
 
     def test_edge_without_source_endpoint(self):
-        report = validate_graph(path_graph(sources={0}))
-        assert not report.ok
-        assert any("(1, 2)" in v for v in report.violations)
+        violations = validate_graph(path_graph(sources={0}))
+        assert violations
+        assert any("(1, 2)" in v for v in violations)
 
     def test_duplicate_edge_reported(self):
         g = SecurityGraph(
             2, [WeightedEdge(0, 1), WeightedEdge(1, 0)], sources={0}
         )
-        report = validate_graph(g)
-        assert not report.ok
-        assert any("duplicate" in v for v in report.violations)
+        violations = validate_graph(g)
+        assert violations
+        assert any("duplicate" in v for v in violations)
 
     def test_self_loop_and_empty_sources(self):
         g = SecurityGraph(2, [WeightedEdge(1, 1)], sources=())
-        report = validate_graph(g)
-        assert any("self-loop" in v for v in report.violations)
-        assert any("empty" in v for v in report.violations)
+        violations = validate_graph(g)
+        assert any("self-loop" in v for v in violations)
+        assert any("empty" in v for v in violations)
 
 
 class TestConnectivity:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tree_edges
-from treekd import protocol, subroutine
+from treekd import cli, graph_core, protocol, subroutine
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge, terminal_agents
@@ -317,6 +317,29 @@ class TestTreeBuiltOnce:
             monkeypatch.setattr(protocol, name, counted)
         results = run_blocks(path_config(n=4, blocks=5))
         assert len(results) == 5
+        assert calls == {"validate_graph": 1, "mst_kruskal": 1}
+
+    def test_cli_run_checks_its_graph_once(self, monkeypatch, tmp_path, capsys):
+        # Count every binding of each function, so a check made from any
+        # module shows up.
+        calls = Counter()
+        for name in ("validate_graph", "mst_kruskal", "connected_components"):
+            original = getattr(graph_core, name)
+
+            def counted(graph, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(graph)
+
+            for module in (graph_core, protocol, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "node 0\nnode 1\nnode 2\nnode 3\nsource 0\nsource 2\n"
+            "edge 0 1\nedge 1 2\nedge 2 3\nedge 0 3 weight=2\nparam blocks=3\n"
+        )
+        status = cli.main(["run", "--config", str(config)])
+        assert status == cli.EXIT_OK, capsys.readouterr().err
         assert calls == {"validate_graph": 1, "mst_kruskal": 1}
 
 
