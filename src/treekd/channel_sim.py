@@ -4,10 +4,10 @@ The quantum pairwise step is modeled abstractly: each tree edge yields two
 endpoint bit strings that agree up to independent symmetric bit flips at
 the edge's flip probability, and an eavesdropper learns nothing from this
 step.  An anti-correlated link is corrected by its endpoints (one of them
-complements its string), so the simulator hands out aligned strings and no
-output depends on the ``anti`` flag.  Everything broadcast afterwards goes
-through an append-only public transcript, which numbers its own messages
-0, 1, 2, ... in the order they are broadcast.
+complements its string), so the config parser accepts the ``anti`` flag
+and drops it, and the simulator hands out aligned strings.  Everything
+broadcast afterwards goes through an append-only public transcript, which
+numbers its own messages 0, 1, 2, ... in the order they are broadcast.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ def simulate_pairwise_kd(
 
     Returns the (a-side, b-side) strings after the endpoints have corrected
     any anti-correlation: the a-side is uniform and the b-side is the a-side
-    XOR independent Bernoulli(flip_prob) noise, whatever the edge's
-    anti_correlated flag.  Applying noise to one side only is equivalent in
-    distribution to symmetric application.
+    XOR independent Bernoulli(flip_prob) noise.  Applying noise to one side
+    only is equivalent in distribution to symmetric application.
     """
     if length < 1:
         raise ValueError("length must be >= 1")

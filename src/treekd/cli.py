@@ -18,7 +18,7 @@ from .config_io import ConfigError, RunSpec
 from .graph_core import DisconnectedGraphError, SecurityGraph, mst_prim, terminal_agents
 from .linear_code import LinearCode, code_by_name
 from .rng import SeededRng
-from .subroutine import NonTerminalChoiceError
+from .subroutine import NonTerminalChoiceError, random_efficiency
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,7 +38,6 @@ def _protocol_config(spec: RunSpec) -> protocol.ProtocolConfig:
         code=code_by_name(spec.code_name),
         blocks=spec.blocks,
         delta=spec.delta,
-        epsilon=spec.epsilon,
         seed=spec.seed,
     )
 
@@ -94,13 +93,13 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
 
     summary = _summary_lines(results, code)
     bound = protocol.failure_bound(spec.delta, spec.epsilon, code.m)
-    eff = protocol.random_efficiency_report(spec.graph.n, code)
+    n = spec.graph.n
     efficiency_lines = [
-        f"n={eff.n} m={eff.m} k={eff.k}",
-        f"pairwise_bits_consumed_per_block={eff.pairwise_bits_consumed}",
-        f"key_bits_per_agent_per_block={eff.key_bits_per_agent}",
-        f"eta_subroutine={eff.eta_subroutine}",
-        f"eta_code={eff.eta_code}",
+        f"n={n} m={code.m} k={code.k}",
+        f"pairwise_bits_consumed_per_block={(n - 1) * 2 * code.m}",
+        f"key_bits_per_agent_per_block={code.k}",
+        f"eta_subroutine={random_efficiency(n)}",
+        f"eta_code={protocol.code_efficiency(n, code.k, code.m)}",
         f"failure_bound(delta={spec.delta},epsilon={spec.epsilon},m={code.m})={bound:.12g}",
     ]
     stats_lines = [
@@ -244,6 +243,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The one command left is sweep.
         if args.flip_steps < 2:
             raise ValueError("--flip-steps must be >= 2")
+        # Every point lies between the ends; NaN fails the comparison.
+        for option, flip in (("--flip-min", args.flip_min), ("--flip-max", args.flip_max)):
+            if not 0.0 <= flip < 0.5:
+                raise ValueError(f"{option} {flip} must lie in [0, 0.5)")
         span = args.flip_max - args.flip_min
         flips = [
             args.flip_min + span * i / (args.flip_steps - 1)

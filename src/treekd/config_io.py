@@ -85,11 +85,10 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
                     if name in attrs:
                         raise ValueError(f"repeated edge attribute {name!r}")
                     attrs[name] = value
+                # The endpoints correct an anti link, so the flag is dropped.
                 weight = Fraction(attrs.get("weight", 1))
-                flip, anti = float(attrs.get("flip", 0.0)), "anti" in attrs
-                edges.append(
-                    WeightedEdge(a, b, weight=weight, flip_prob=flip, anti_correlated=anti)
-                )
+                flip = float(attrs.get("flip", 0.0))
+                edges.append(WeightedEdge(a, b, weight=weight, flip_prob=flip))
             elif kind == "param":
                 if len(fields) < 2 or "=" not in fields[1]:
                     raise ValueError("param needs key=value")
@@ -112,7 +111,12 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
 
 
 def parse_config(text: str) -> RunSpec:
-    """Parse a run config; collects every error before failing."""
+    """Parse a run config; collects every line and param error before failing.
+
+    The graph's own violations (agent count, sources, self-loops, unknown
+    or duplicate edges, connectivity) are not checked here:
+    ProtocolConfig.tree reports them after this parse succeeds.
+    """
     graph, params, errors = _parse_lines(text)
 
     def fail(key: str, message: str) -> None:

@@ -32,16 +32,13 @@ class DisconnectedGraphError(Exception):
 class WeightedEdge:
     """An undirected edge carrying a resource cost and a noise model.
 
-    flip_prob is the per-position probability of a bit mismatch on this
-    link; anti_correlated marks links whose endpoint bits are complements,
-    which the endpoints correct, so no output depends on it.
+    flip_prob is the per-position probability of a bit mismatch on this link.
     """
 
     a: int
     b: int
     weight: Fraction = Fraction(1)
     flip_prob: float = 0.0
-    anti_correlated: bool = False
 
     def __post_init__(self):
         if self.a < 0 or self.b < 0:

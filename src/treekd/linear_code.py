@@ -1,17 +1,16 @@
 """Binary [m,k] block codes with nearest-codeword decoding.
 
-Generator convention: systematic, G = [I_k | A], rows over GF(2).  A
-codeword's index is the integer whose k-bit big-endian representation is
-the message, i.e. the first k codeword bits.  The named codes have at most
-16 codewords, so decoding compares the word with every one of them and
-keeps the nearest: exact within the guaranteed radius t and a defined
-miscorrection beyond it.
+Generator convention: systematic, G = [I_k | A], rows over GF(2); a code
+is held as its codeword table, built once from A.  A codeword's index is
+the integer whose k-bit big-endian representation is the message, i.e. the
+first k codeword bits.  The named codes have at most 16 codewords, so
+decoding compares the word with every one of them and keeps the nearest:
+exact within the guaranteed radius t and a defined miscorrection beyond it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Tuple
 
 from .bits import BitString
@@ -24,26 +23,25 @@ class NotACodewordError(Exception):
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A t-error-correcting [m,k] code over GF(2)."""
+    """A t-error-correcting [m,k] code over GF(2), held as its codeword table."""
 
     m: int
     k: int
     t: int
-    generator: Tuple[Tuple[int, ...], ...]  # k rows of length m
-
-    @cached_property
-    def codewords(self) -> Tuple[BitString, ...]:
-        """All 2^k codewords in index order, built on first use."""
-        return tuple(encode(self, BitString(i, self.k)) for i in range(1 << self.k))
+    codewords: Tuple[BitString, ...]  # all 2^k codewords in index order
 
 
 def _systematic_code(m: int, k: int, t: int, a_rows) -> LinearCode:
-    """Build G = [I_k | A] from the k x (m-k) block A."""
-    generator = tuple(
-        tuple(1 if j == i else 0 for j in range(k)) + tuple(a_rows[i])
-        for i in range(k)
-    )
-    return LinearCode(m=m, k=k, t=t, generator=generator)
+    """The code G = [I_k | A] from the k x (m-k) block A, tabulated once."""
+    rows = [BitString.from_bits(row).value for row in a_rows]
+    table = []
+    for index in range(1 << k):
+        parity = 0
+        for i, row in enumerate(rows):
+            if index >> (k - 1 - i) & 1:
+                parity ^= row
+        table.append(BitString(index << (m - k) | parity, m))
+    return LinearCode(m=m, k=k, t=t, codewords=tuple(table))
 
 
 def hamming_7_4() -> LinearCode:
@@ -62,12 +60,7 @@ def repetition_code(m: int) -> LinearCode:
 def encode(code: LinearCode, message: BitString) -> BitString:
     if len(message) != code.k:
         raise ValueError(f"message length {len(message)} != k={code.k}")
-    out = [0] * code.m
-    for i, bit in enumerate(message):
-        if bit:
-            for j in range(code.m):
-                out[j] ^= code.generator[i][j]
-    return BitString.from_bits(out)
+    return code.codewords[message.value]
 
 
 def decode_to_codeword(
@@ -94,11 +87,12 @@ def encode_index(code: LinearCode, index: int) -> BitString:
 
 
 def index_of(code: LinearCode, codeword: BitString) -> int:
-    """The unique index i with encode_index(i) == codeword."""
-    try:
-        return code.codewords.index(codeword)
-    except ValueError:
-        raise NotACodewordError(f"{codeword} is not a codeword") from None
+    """The unique index i with encode_index(i) == codeword: its first k bits."""
+    if len(codeword) == code.m:
+        index = codeword.value >> (code.m - code.k)
+        if code.codewords[index] == codeword:
+            return index
+    raise NotACodewordError(f"{codeword} is not a codeword")
 
 
 def random_codeword(code: LinearCode, rng: SeededRng) -> Tuple[int, BitString]:

@@ -21,7 +21,7 @@ from .config_io import ConfigError
 from .graph_core import SecurityGraph, SpanningTree, mst_kruskal, validate_graph
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
-from .subroutine import random_efficiency, subroutine_round
+from .subroutine import subroutine_round
 
 
 class InvalidGraphError(ConfigError):
@@ -36,14 +36,11 @@ class ProtocolConfig:
     code: LinearCode
     blocks: int
     delta: float
-    epsilon: float
     seed: int
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
         # An agentless graph is left to the graph check in tree.
         if self.graph.n and not (0 <= self.leader < self.graph.n):
             raise ValueError("leader out of range")
@@ -64,24 +61,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class EfficiencyReport:
-    """Exact resource accounting for one completed block.
-
-    eta_code counts, as the paper's formula does, only the m code-bit
-    rounds that are turned into key material; the m check rounds are
-    consumed but excluded from the yield ratio.
-    """
-
-    n: int
-    m: int
-    k: int
-    pairwise_bits_consumed: int
-    key_bits_per_agent: int
-    eta_subroutine: Fraction
-    eta_code: Fraction
-
-
-@dataclass(frozen=True)
 class AbortDecision:
     abort: bool
     mismatch: Mapping[int, Fraction]
@@ -95,20 +74,12 @@ class KeyResult:
     transcript: Transcript
 
 
-def random_efficiency_report(n: int, code: LinearCode) -> EfficiencyReport:
-    return EfficiencyReport(
-        n=n,
-        m=code.m,
-        k=code.k,
-        pairwise_bits_consumed=(n - 1) * 2 * code.m,
-        key_bits_per_agent=code.k,
-        eta_subroutine=random_efficiency(n),
-        eta_code=code_efficiency(n, code.k, code.m),
-    )
-
-
 def code_efficiency(n: int, k: int, m: int) -> Fraction:
-    """Key yield of the full protocol: kn/(2m(n-1)), limit (1/2)k/m."""
+    """Key yield of the full protocol: kn/(2m(n-1)), limit (1/2)k/m.
+
+    As in the paper's formula, only the m code-bit rounds that become key
+    material count; the m check rounds are consumed but excluded.
+    """
     if n < 2:
         raise ValueError("need at least two agents")
     return Fraction(k * n, 2 * m * (n - 1))
@@ -150,19 +121,18 @@ def decide_abort(
 
 
 def reconcile(
-    leader_codebits: BitString,
+    codebits: Mapping[int, BitString],
     code: LinearCode,
     rng: SeededRng,
-    agent_codebits: Mapping[int, BitString],
     transcript: Transcript,
     leader: int,
 ) -> Dict[int, int]:
     """Code-based reconciliation: broadcast c XOR v, decode, output index."""
     index, codeword = random_codeword(code, rng)
-    masked = codeword ^ leader_codebits
+    masked = codeword ^ codebits[leader]
     broadcast(transcript, leader, "code_broadcast", masked)
     indices: Dict[int, int] = {leader: index}
-    for agent, bits in agent_codebits.items():
+    for agent, bits in codebits.items():
         if agent == leader:
             continue
         received = masked ^ bits  # = codeword XOR error vector
@@ -244,9 +214,7 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
 
     code_positions = sorted(set(range(2 * m)).difference(check_positions))
     codebits = {agent: bits.take(code_positions) for agent, bits in strings.items()}
-    indices = reconcile(
-        codebits[leader], config.code, rng.substream("code"), codebits, transcript, leader
-    )
+    indices = reconcile(codebits, config.code, rng.substream("code"), transcript, leader)
     return KeyResult("completed", indices, decision.mismatch, transcript)
 
 

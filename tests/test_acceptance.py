@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import io
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,7 +19,8 @@ from conftest import (
     random_tree_edges,
 )
 from treekd.channel_sim import Transcript, simulate_pairwise_kd
-from treekd.cli import EXIT_DISCONNECTED, EXIT_OK, main
+from treekd.cli import EXIT_DISCONNECTED, EXIT_OK, cmd_run, main
+from treekd.config_io import parse_config
 from treekd.bits import BitString
 from treekd.eve_analysis import consistent_configurations, secret_entropy
 from treekd.graph_core import (
@@ -30,6 +32,7 @@ from treekd.graph_core import (
     mst_prim,
 )
 from treekd.linear_code import (
+    code_by_name,
     decode_to_codeword,
     encode_index,
     hamming_7_4,
@@ -40,15 +43,15 @@ from treekd.protocol import (
     ProtocolConfig,
     code_efficiency,
     failure_bound,
-    random_efficiency_report,
     run_block,
     select_check_positions,
 )
 from treekd.rng import SeededRng
 from treekd.subroutine import random_efficiency, subroutine_round
+from treekd.transcript_io import parse_transcript
 
 
-def path_config(n, code, seed=1, flip=0.0, delta=0.05, epsilon=0.05, blocks=1):
+def path_config(n, code, seed=1, flip=0.0, delta=0.05, blocks=1):
     edges = [WeightedEdge(i, i + 1, flip_prob=flip) for i in range(n - 1)]
     return ProtocolConfig(
         graph=SecurityGraph(n, edges, sources=range(n)),
@@ -56,31 +59,49 @@ def path_config(n, code, seed=1, flip=0.0, delta=0.05, epsilon=0.05, blocks=1):
         code=code,
         blocks=blocks,
         delta=delta,
-        epsilon=epsilon,
         seed=seed,
     )
 
 
-def test_criterion_1_efficiency_formulas():
-    code = hamming_7_4()
+def test_criterion_1_efficiency_formulas(tmp_path):
+    # The printed report against counts taken from each run: rounds are
+    # terminal_choice messages, the code rounds are the code_broadcast's
+    # length, and the heavier extra edges stay out of the tree.
     for n in (2, 3, 5, 10):
-        result = run_block(path_config(n, code, seed=n))
-        assert result.status == "completed"
-        eff = random_efficiency_report(n, code)
-        # counted resources: 2m positions per tree edge, one n-party bit
-        # per round, k key bits from the m code rounds
-        edges = n - 1
-        positions = 2 * code.m
-        assert eff.pairwise_bits_consumed == edges * positions
-        assert eff.key_bits_per_agent == code.k
-        measured_subroutine = Fraction(1 * n, edges * 2)  # per round
-        measured_code = Fraction(code.k * n, code.m * edges * 2)
-        assert measured_subroutine == random_efficiency(n) == eff.eta_subroutine
-        assert measured_code == code_efficiency(n, code.k, code.m) == eff.eta_code
+        heavier = "".join(f"edge 0 {j} weight=5\n" for j in range(2, n))
+        spec = parse_config(
+            "".join(f"node {i}\nsource {i}\n" for i in range(n))
+            + "".join(f"edge {i} {i + 1}\n" for i in range(n - 1)) + heavier
+            + f"param blocks=1\nparam seed={n}\n"
+        )
+        out_dir = tmp_path / f"n{n}"
+        assert cmd_run(spec, out_dir, out=io.StringIO()) == EXIT_OK
+        (block,) = parse_transcript((out_dir / "transcript.log").read_text().splitlines())
+        kinds = [msg.kind for msg in block.messages]
+        (masked,) = [msg.payload for msg in block.messages if msg.kind == "code_broadcast"]
+        rounds, code_rounds = kinds.count("terminal_choice"), len(masked)
+        edges = len(mst_kruskal(spec.graph).edges)
+        code = code_by_name(spec.code_name)
+        assert (edges, rounds, code_rounds) == (n - 1, 2 * code.m, code.m)
+        # one pairwise bit per tree edge per round; each agent ends a round
+        # holding one shared bit, each edge's bit is held by two agents
+        consumed = edges * rounds
+        measured_subroutine = Fraction(n * rounds, 2 * consumed)
+        measured_code = Fraction(code.k * n, 2 * edges * code_rounds)
+        lines = (out_dir / "efficiency.txt").read_text().splitlines()
+        assert lines[:5] == [
+            f"n={n} m={code_rounds} k={code.k}",
+            f"pairwise_bits_consumed_per_block={consumed}",
+            f"key_bits_per_agent_per_block={code.k}",
+            f"eta_subroutine={measured_subroutine}",
+            f"eta_code={measured_code}",
+        ]
+        assert measured_subroutine == random_efficiency(n)
+        assert measured_code == code_efficiency(n, code.k, code.m)
     big = 10**6
     assert abs(float(random_efficiency(big)) - 0.5) < 1e-5
     assert abs(float(code_efficiency(big, 4, 7)) - (0.5 * 4 / 7)) < 1e-5
-    print("ACCEPTANCE 1 PASS: efficiency formulas exact; limits 1/2 and (1/2)k/m")
+    print("ACCEPTANCE 1 PASS: efficiency report matches run counts; limits 1/2 and (1/2)k/m")
 
 
 def test_criterion_2_two_configuration_security():
@@ -131,7 +152,7 @@ def test_criterion_3_spanning_tree_necessity_sufficiency(tmp_path):
             result = run_block(
                 ProtocolConfig(
                     graph=graph, leader=0, code=hamming_7_4(), blocks=1,
-                    delta=0.05, epsilon=0.05, seed=subset_bits,
+                    delta=0.05, seed=subset_bits,
                 )
             )
             assert result.status == "completed"
@@ -195,7 +216,7 @@ def test_criterion_6_noiseless_end_to_end():
         for code in codes:
             config = ProtocolConfig(
                 graph=g, leader=rng.randrange(n), code=code, blocks=blocks,
-                delta=0.05, epsilon=0.05, seed=rng.randrange(2**32),
+                delta=0.05, seed=rng.randrange(2**32),
             )
             agreed = 0
             for b in range(blocks):

@@ -33,15 +33,6 @@ class TestSimulatePairwiseKd:
         bits_a, bits_b = simulate_pairwise_kd(edge, 8, SeededRng(1))
         assert bits_a == bits_b
 
-    def test_noiseless_anti_correlated_complement(self):
-        # The endpoints correct anti-correlation, so the returned pair is
-        # aligned, and drawn from the same stream as a correlated edge.
-        edge = WeightedEdge(0, 1, flip_prob=0.0, anti_correlated=True)
-        bits_a, bits_b = simulate_pairwise_kd(edge, 8, SeededRng(1))
-        assert bits_a == bits_b
-        plain = simulate_pairwise_kd(WeightedEdge(0, 1), 8, SeededRng(1))
-        assert (bits_a, bits_b) == plain
-
     def test_mismatch_rate_concentrates_at_flip_prob(self):
         edge = WeightedEdge(0, 1, flip_prob=0.05)
         bits_a, bits_b = simulate_pairwise_kd(edge, 10**5, SeededRng(20))

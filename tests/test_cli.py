@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import treekd
+from treekd import protocol
 from treekd.cli import (
     EXIT_ALL_ABORTED,
     EXIT_CONFIG,
@@ -75,6 +76,7 @@ class TestParseConfig:
             ("edge 0 1 weight=1/0\n", "line 4: weight has a zero denominator"),
             ("param epsilon=nan\n", "line 4: param epsilon=nan must be finite and positive"),
             ("param epsilon=inf\n", "line 4: param epsilon=inf must be finite and positive"),
+            ("param epsilon=0\n", "line 4: param epsilon=0.0 must be finite and positive"),
             ("node 2 3\n", "line 4: unexpected field '3'"),
             ("source 1 0\n", "line 4: unexpected field '0'"),
             ("param blocks=2 seed=5\n", "line 4: unexpected field 'seed=5'"),
@@ -94,7 +96,7 @@ class TestParseConfig:
             ("param leader=5\n", "line 4: param leader=5 is not an agent id"),
             ("param code=golay\n", "line 4: unknown code name 'golay'"),
         ],
-        ids=["zero-denominator", "epsilon-nan", "epsilon-inf",
+        ids=["zero-denominator", "epsilon-nan", "epsilon-inf", "epsilon-zero",
              "node-extra-field", "source-extra-field", "param-extra-field",
              "edge-repeated-flip", "edge-repeated-anti", "edge-repeated-weight",
              "param-repeated", "node-missing-id", "source-missing-id",
@@ -115,6 +117,12 @@ class TestParseConfig:
             err = capsys.readouterr().err
             assert f"error: {message}" in err
             assert "Traceback" not in err
+
+    def test_anti_flag_is_dropped(self):
+        # The endpoints correct an anti link, so the parser keeps nothing of it.
+        anti = parse_config("node 0\nnode 1\nsource 0\nedge 0 1 anti flip=0.01\n")
+        plain = parse_config("node 0\nnode 1\nsource 0\nedge 0 1 flip=0.01\n")
+        assert anti.graph.edges == plain.graph.edges
 
     def test_missing_file_names_path(self, tmp_path, capsys):
         rc = main(["plan", "--config", str(tmp_path / "nope.cfg")])
@@ -407,6 +415,36 @@ class TestSweep:
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == "error: --flip-steps must be >= 2\n"
 
+    @pytest.mark.parametrize(
+        "flip_min, flip_max, option",
+        [("0", "0.7", "--flip-max 0.7"), ("0.6", "0.1", "--flip-min 0.6"),
+         ("nan", "0.1", "--flip-min nan"), ("-0.1", "0.1", "--flip-min -0.1")],
+        ids=["max-above", "min-above", "min-nan", "min-negative"],
+    )
+    def test_out_of_range_flip_rejected_before_any_block(
+        self, tmp_path, capsys, monkeypatch, flip_min, flip_max, option
+    ):
+        calls = []
+        run_blocks = protocol.run_blocks
+
+        def counted(config):
+            calls.append(config)
+            return run_blocks(config)
+
+        monkeypatch.setattr(protocol, "run_blocks", counted)
+        cfg = write(tmp_path, "s.cfg", PATH3)
+        rc = main(
+            [
+                "sweep", "--config", str(cfg),
+                "--flip-min", flip_min, "--flip-max", flip_max, "--flip-steps", "2",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.err == f"error: {option} must lie in [0, 0.5)\n"
+        assert captured.out == ""
+        assert calls == []
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -431,7 +469,7 @@ class TestTranscriptRoundTrip:
         )
         config = ProtocolConfig(
             graph=graph, leader=0, code=hamming_7_4(), blocks=1,
-            delta=0.05, epsilon=0.05, seed=12,
+            delta=0.05, seed=12,
         )
         result = run_block(config)
         lines = transcript_io.transcript_lines(result.transcript)

@@ -30,6 +30,43 @@ def all_codewords(code):
 TIED_6_3 = _systematic_code(6, 3, 0, ((1, 1, 0), (0, 1, 1), (1, 0, 0)))
 
 
+# (code, A rows) with G = [I_k | A], the rows written out independently.
+TABULATED = [
+    pytest.param(hamming_7_4(), ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)), id="hamming7_4"),
+    *[
+        pytest.param(repetition_code(m), ((1,) * (m - 1),), id=f"repetition{m}")
+        for m in (1, 3, 5, 15)
+    ],
+    pytest.param(TIED_6_3, ((1, 1, 0), (0, 1, 1), (1, 0, 0)), id="tied6_3"),
+]
+
+
+class TestCodewordTable:
+    @pytest.mark.parametrize("code, a_rows", TABULATED)
+    def test_every_codeword_is_message_times_generator(self, code, a_rows):
+        g = [[int(j == i) for j in range(code.k)] + list(a_rows[i]) for i in range(code.k)]
+        assert len(code.codewords) == 1 << code.k
+        for index, codeword in enumerate(code.codewords):
+            message = [index >> (code.k - 1 - i) & 1 for i in range(code.k)]
+            product_bits = [
+                sum(message[i] * g[i][j] for i in range(code.k)) % 2 for j in range(code.m)
+            ]
+            assert str(codeword) == "".join(map(str, product_bits))
+
+    @pytest.mark.parametrize("code, a_rows", TABULATED)
+    def test_index_of_rejects_wrong_lengths_and_non_codewords(self, code, a_rows):
+        # The last codeword has all k message bits set, so a first-k-bits
+        # read of the longer word would index past the table.
+        last = code.codewords[-1]
+        with pytest.raises(NotACodewordError):
+            index_of(code, BitString(last.value >> 1, code.m - 1))
+        with pytest.raises(NotACodewordError):
+            index_of(code, BitString(last.value << 1 | 1, code.m + 1))
+        if code.m > code.k:  # flipping a parity bit leaves the code
+            with pytest.raises(NotACodewordError):
+                index_of(code, last ^ BitString(1, code.m))
+
+
 class TestHamming74:
     def test_parameters(self):
         code = hamming_7_4()

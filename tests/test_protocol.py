@@ -14,6 +14,7 @@ from conftest import random_tree_edges
 from treekd import cli, graph_core, protocol, subroutine
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript
+from treekd.config_io import parse_config
 from treekd.graph_core import SecurityGraph, WeightedEdge, terminal_agents
 from treekd.linear_code import encode_index, hamming_7_4, repetition_code
 from treekd.protocol import (
@@ -21,7 +22,6 @@ from treekd.protocol import (
     code_efficiency,
     decide_abort,
     failure_bound,
-    random_efficiency_report,
     reconcile,
     run_block,
     run_blocks,
@@ -32,7 +32,7 @@ from treekd.rng import SeededRng
 from treekd.transcript_io import transcript_lines
 
 
-def path_config(n=3, flip=0.0, code=None, delta=0.05, epsilon=0.05, seed=1, blocks=1):
+def path_config(n=3, flip=0.0, code=None, delta=0.05, seed=1, blocks=1):
     edges = [WeightedEdge(i, i + 1, flip_prob=flip) for i in range(n - 1)]
     graph = SecurityGraph(n, edges, sources=range(n))
     return ProtocolConfig(
@@ -41,7 +41,6 @@ def path_config(n=3, flip=0.0, code=None, delta=0.05, epsilon=0.05, seed=1, bloc
         code=code or hamming_7_4(),
         blocks=blocks,
         delta=delta,
-        epsilon=epsilon,
         seed=seed,
     )
 
@@ -96,7 +95,7 @@ class TestReconcile:
         code = hamming_7_4()
         v = BitString.from_text("1011001")
         indices = reconcile(
-            v, code, SeededRng(3), {j: v for j in range(4)}, Transcript(), leader=0
+            {j: v for j in range(4)}, code, SeededRng(3), Transcript(), leader=0
         )
         assert len(set(indices.values())) == 1
 
@@ -118,7 +117,7 @@ class TestReconcile:
                     3: v ^ singles[p3],
                 }
                 indices = reconcile(
-                    v, code, SeededRng(index), agent_bits, Transcript(), leader=0
+                    agent_bits, code, SeededRng(index), Transcript(), leader=0
                 )
                 assert len(set(indices.values())) == 1
 
@@ -127,7 +126,7 @@ class TestReconcile:
         v = BitString.from_text("0000000")
         bad = v ^ BitString.from_text("1100000")
         indices = reconcile(
-            v, code, SeededRng(0), {0: v, 1: bad}, Transcript(), leader=0
+            {0: v, 1: bad}, code, SeededRng(0), Transcript(), leader=0
         )
         assert indices[1] != indices[0]  # outside radius t=1
 
@@ -167,20 +166,21 @@ class TestEfficiency:
         assert abs(float(code_efficiency(10**6, 4, 7)) - 2 / 7) < 1e-6
         assert abs(float(code_efficiency(10**6, 7, 7)) - 0.5) < 1e-6
 
-    def test_report_matches_counts(self):
-        code = hamming_7_4()
-        result = run_block(path_config(n=3, code=code))
-        assert result.status == "completed"
-        eff = random_efficiency_report(3, code)
-        assert eff.pairwise_bits_consumed == (3 - 1) * 2 * 7
-        assert eff.key_bits_per_agent == 4
-        # measured: key bits x n over twice the pairwise bits behind the
-        # m code rounds (the check rounds are consumed but not yielded)
-        code_round_pairwise = (3 - 1) * 7
-        assert eff.eta_code == Fraction(
-            eff.key_bits_per_agent * 3, 2 * code_round_pairwise
+    def test_report_matches_counts(self, capsys):
+        # The printed report of a 3-agent path: 2m = 14 positions on each of
+        # its 2 tree edges, k = 4 key bits, eta_subroutine = 3/(2*2) and
+        # eta_code = 4*3 / (2 * 2 * 7), the check rounds not yielded.
+        spec = parse_config(
+            "node 0\nnode 1\nnode 2\nsource 1\nedge 0 1\nedge 1 2\nparam blocks=1\n"
         )
-        assert eff.eta_subroutine == Fraction(3, 2 * 2)
+        assert cli.cmd_run(spec, None) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1:6] == [
+            "n=3 m=7 k=4",
+            "pairwise_bits_consumed_per_block=28",
+            "key_bits_per_agent_per_block=4",
+            "eta_subroutine=3/4",
+            "eta_code=3/7",
+        ]
 
 
 class TestRunBlock:
@@ -240,8 +240,7 @@ class TestRunBlock:
         def keys_with(strings):
             codebits = {a: s.take(code_positions) for a, s in strings.items()}
             return reconcile(
-                codebits[0], config.code, rng.substream("code"),
-                codebits, Transcript(), leader=0,
+                codebits, config.code, rng.substream("code"), Transcript(), leader=0
             )
 
         perturbed = {
@@ -282,7 +281,7 @@ class TestRunBlock:
         graph = SecurityGraph(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)], sources={0})
         config = ProtocolConfig(
             graph=graph, leader=0, code=hamming_7_4(), blocks=1,
-            delta=0.05, epsilon=0.05, seed=0,
+            delta=0.05, seed=0,
         )
         with pytest.raises(InvalidGraphError):
             run_block(config)
@@ -296,7 +295,7 @@ class TestRunBlock:
         edges = random_tree_edges(n, random.Random(seed))
         config = ProtocolConfig(
             graph=SecurityGraph(n, edges, range(n)), leader=0, code=hamming_7_4(),
-            blocks=1, delta=0.5, epsilon=0.05, seed=seed,
+            blocks=1, delta=0.5, seed=seed,
         )
         lines = transcript_lines(run_block(config).transcript)
         payloads = [line.split(" ", 3)[3] for line in lines if " announcement " in line]
@@ -363,19 +362,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             path_config(delta=0.0)
 
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            path_config(epsilon=0.0)
-
-    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
-    def test_non_finite_epsilon(self, epsilon):
-        with pytest.raises(ValueError, match="finite"):
-            path_config(epsilon=epsilon)
-
     def test_bad_leader(self):
         with pytest.raises(ValueError):
             config = path_config()
             ProtocolConfig(
                 graph=config.graph, leader=7, code=config.code, blocks=1,
-                delta=0.05, epsilon=0.05, seed=0,
+                delta=0.05, seed=0,
             )
