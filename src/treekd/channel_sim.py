@@ -12,16 +12,14 @@ numbers its own messages 0, 1, 2, ... in the order they are broadcast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from .bits import BitString
 from .graph_core import WeightedEdge
 from .rng import SeededRng
 
 
-@dataclass(frozen=True)
-class BroadcastMessage:
+class BroadcastMessage(NamedTuple):
     seq: int
     sender: int
     kind: str

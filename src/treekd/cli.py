@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import config_io, eve_analysis, protocol, transcript_io
 from .config_io import ConfigError, RunSpec
-from .graph_core import DisconnectedGraphError, SecurityGraph, mst_prim, terminal_agents
+from .graph_core import DisconnectedGraphError, SecurityGraph, WeightedEdge
+from .graph_core import mst_prim, terminal_agents
 from .linear_code import LinearCode, code_by_name
 from .rng import SeededRng
 from .subroutine import NonTerminalChoiceError, random_efficiency
@@ -80,11 +80,9 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
     config = _protocol_config(spec)
     results = protocol.run_blocks(config)
     code = config.code
-    stats = protocol.summarize(results)
-    completion_rate = Fraction(stats.completed, stats.blocks)
-    agreement_rate = (
-        Fraction(stats.agreed, stats.completed) if stats.completed else Fraction(0)
-    )
+    completed, agreed, _ = protocol.summarize(results)
+    completion_rate = Fraction(completed, len(results))
+    agreement_rate = Fraction(agreed, completed) if completed else Fraction(0)
 
     transcript_lines: List[str] = []
     for i, res in enumerate(results):
@@ -103,9 +101,9 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
         f"failure_bound(delta={spec.delta},epsilon={spec.epsilon},m={code.m})={bound:.12g}",
     ]
     stats_lines = [
-        f"blocks={stats.blocks}",
-        f"completed={stats.completed}",
-        f"aborted={stats.blocks - stats.completed}",
+        f"blocks={len(results)}",
+        f"completed={completed}",
+        f"aborted={len(results) - completed}",
         f"completion_rate={completion_rate}",
         f"agreement_rate={agreement_rate}",
     ]
@@ -120,7 +118,7 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
     for line in summary + efficiency_lines + stats_lines:
         print(line, file=out)
 
-    if not stats.completed:
+    if not completed:
         return EXIT_ALL_ABORTED
     return EXIT_OK
 
@@ -133,14 +131,15 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
     ok = True
     round_total = 0
     for b, transcript in enumerate(blocks):
-        for rnd in eve_analysis.rounds_from_transcript(transcript):
+        rounds = eve_analysis.rounds_from_transcript(transcript)
+        for r, (announcements, chosen) in enumerate(rounds):
             try:
-                count = eve_analysis.consistent_configurations(rnd.announcements, tree)
-                entropy = eve_analysis.secret_entropy(count, rnd.chosen_terminal, tree)
+                count = eve_analysis.consistent_configurations(announcements, tree)
+                entropy = eve_analysis.secret_entropy(count, chosen, tree)
             except NonTerminalChoiceError as exc:
-                raise ValueError(f"block {b} round {rnd.index}: {exc}") from exc
+                raise ValueError(f"block {b} round {r}: {exc}") from exc
             print(
-                f"block {b} round {rnd.index}: configurations={count} "
+                f"block {b} round {r}: configurations={count} "
                 f"entropy={entropy:.6f}",
                 file=out,
             )
@@ -168,16 +167,19 @@ def cmd_sweep(
     bound = protocol.failure_bound(spec.delta, spec.epsilon, base.code.m)
     rows = ["flip_prob\tabort_rate\tagreement_rate\tmean_check_mismatch\tfailure_bound"]
     for i, flip in enumerate(flips):
-        edges = [replace(e, flip_prob=flip) for e in spec.graph.edges]
-        config = replace(
-            base,
+        edges = [WeightedEdge(e.a, e.b, e.weight, flip) for e in spec.graph.edges]
+        config = protocol.ProtocolConfig(
             graph=SecurityGraph(spec.graph.n, edges, spec.graph.sources),
+            leader=spec.leader,
+            code=base.code,
+            blocks=spec.blocks,
+            delta=spec.delta,
             seed=SeededRng(spec.seed).substream("sweep", i).seed,
         )
-        stats = protocol.summarize(protocol.run_blocks(config))
-        abort_rate = 1.0 - stats.completed / stats.blocks
-        agreement_rate = stats.agreed / stats.completed if stats.completed else 0.0
-        mismatches = [float(frac) for frac in stats.mismatches]
+        completed, agreed, fracs = protocol.summarize(protocol.run_blocks(config))
+        abort_rate = 1.0 - completed / config.blocks
+        agreement_rate = agreed / completed if completed else 0.0
+        mismatches = [float(frac) for frac in fracs]
         mean_mismatch = sum(mismatches) / len(mismatches) if mismatches else 0.0
         rows.append(
             f"{flip:.6f}\t{abort_rate:.6f}\t{agreement_rate:.6f}"
@@ -236,7 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_plan(spec)
 
         if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
+            spec = spec._replace(seed=args.seed)
         if args.command == "run":
             return cmd_run(spec, args.out)
 

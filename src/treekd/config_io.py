@@ -14,10 +14,9 @@ graph file with no ``param`` lines is a valid run config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .graph_core import SecurityGraph, WeightedEdge
 
@@ -39,8 +38,7 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.errors))
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     graph: SecurityGraph
     leader: int
     code_name: str

@@ -9,21 +9,11 @@ Honest rounds must always leave exactly two complementary candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 from .channel_sim import Transcript
 from .graph_core import EdgeKey, SpanningTree
 from .subroutine import terminal_edge_key
-
-
-@dataclass(frozen=True)
-class RoundView:
-    """One round as visible on the wire: masked records plus the choice."""
-
-    index: int
-    announcements: Mapping[int, Mapping[EdgeKey, int]]
-    chosen_terminal: int
 
 
 def consistent_configurations(
@@ -64,25 +54,19 @@ def secret_entropy(count: int, chosen: int, tree: SpanningTree) -> float:
     return 1.0 if count else 0.0
 
 
-def rounds_from_transcript(transcript: Transcript) -> List[RoundView]:
-    """Split a block transcript into rounds.
+def rounds_from_transcript(transcript: Transcript) -> List[Tuple[dict, int]]:
+    """Split a block transcript into (announcements, chosen terminal) rounds.
 
     A round is the run of announcements up to and including one
-    terminal_choice; check/code/abort messages after the rounds are not
-    part of the eavesdropper's round analysis.
+    terminal_choice, as visible on the wire; check/code/abort messages after
+    the rounds are not part of the eavesdropper's round analysis.
     """
-    rounds: List[RoundView] = []
+    rounds: List[Tuple[dict, int]] = []
     pending: Dict[int, Mapping[EdgeKey, int]] = {}
     for msg in transcript.messages:
         if msg.kind == "announcement":
             pending[msg.sender] = msg.payload
         elif msg.kind == "terminal_choice":
-            rounds.append(
-                RoundView(
-                    index=len(rounds),
-                    announcements=pending,
-                    chosen_terminal=msg.payload,
-                )
-            )
+            rounds.append((pending, msg.payload))
             pending = {}
     return rounds

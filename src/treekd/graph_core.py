@@ -8,10 +8,9 @@ rationals so tie-breaking and brute-force comparisons are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 EdgeKey = Tuple[int, int]
 Adjacency = Mapping[int, Tuple[int, ...]]
@@ -28,48 +27,43 @@ class DisconnectedGraphError(Exception):
         super().__init__(f"security graph is disconnected: components {parts}")
 
 
-@dataclass(frozen=True)
-class WeightedEdge:
+class _EdgeFields(NamedTuple):
+    a: int
+    b: int
+    weight: Fraction
+    flip_prob: float
+
+
+class WeightedEdge(_EdgeFields):
     """An undirected edge carrying a resource cost and a noise model.
 
     flip_prob is the per-position probability of a bit mismatch on this link.
     """
 
-    a: int
-    b: int
-    weight: Fraction = Fraction(1)
-    flip_prob: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+    def __new__(cls, a: int, b: int, weight=Fraction(1), flip_prob: float = 0.0):
+        if a < 0 or b < 0:
             raise ValueError("agent ids must be non-negative")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.weight < 0:
+        weight = Fraction(weight)
+        if weight < 0:
             raise ValueError("edge weight must be non-negative")
-        if not (0.0 <= self.flip_prob < 0.5):
+        if not (0.0 <= flip_prob < 0.5):
             raise ValueError("flip_prob must lie in [0, 0.5)")
+        return super().__new__(cls, min(a, b), max(a, b), weight, flip_prob)
 
     @property
     def key(self) -> EdgeKey:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
 class SecurityGraph:
     """Agents, secure pairwise links, and the set of source-capable agents."""
 
-    n: int
-    edges: Tuple[WeightedEdge, ...]
-    sources: FrozenSet[int]
-
     def __init__(self, n: int, edges: Sequence[WeightedEdge], sources):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "sources", frozenset(sources))
+        self.n = n
+        self.edges = tuple(edges)
+        self.sources = frozenset(sources)
 
 
 def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ...]]:
@@ -81,7 +75,6 @@ def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ..
     return {v: tuple(sorted(us)) for v, us in adj.items()}
 
 
-@dataclass(frozen=True)
 class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
@@ -90,49 +83,40 @@ class SpanningTree:
     in ascending neighbour id, which is also ascending edge-key order.
     """
 
-    n: int
-    edges: Tuple[WeightedEdge, ...]
-    total_weight: Fraction = field(init=False)
-
     def __init__(self, n: int, edges: Sequence[WeightedEdge]):
         edges = tuple(edges)
         if n >= 2 and len(edges) != n - 1:
             raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} edges")
         if not _forms_tree(n, edges):
             raise ValueError("edges do not form a spanning tree")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(
-            self, "total_weight", sum((e.weight for e in edges), Fraction(0))
-        )
-        adjacency = _adjacency(n, edges)
-        by_key = {e.key: e for e in edges}
-        incident = {
-            v: tuple(by_key[min(u, v), max(u, v)] for u in us)
-            for v, us in adjacency.items()
+        self.n = n
+        self.edges = edges
+        self.total_weight = sum((e.weight for e in edges), Fraction(0))
+        self._adjacency = _adjacency(n, edges)
+        self._by_key = {e.key: e for e in edges}
+        self._incident = {
+            v: tuple(self._by_key[min(u, v), max(u, v)] for u in us)
+            for v, us in self._adjacency.items()
         }
-        terminals = frozenset(v for v, us in adjacency.items() if len(us) == 1)
-        announcers = tuple(
-            (v, tuple((e.key, int(v == e.b)) for e in incident[v]))
+        self._terminals = frozenset(
+            v for v, us in self._adjacency.items() if len(us) == 1
+        )
+        self._announcers = tuple(
+            (v, tuple((e.key, int(v == e.b)) for e in self._incident[v]))
             for v in range(n)
-            if v not in terminals
+            if v not in self._terminals
         )
         parents: List[Tuple[int, int, EdgeKey]] = []
         seen = {0}
         queue = deque([0] if n else [])
         while queue:
             u = queue.popleft()
-            for v in adjacency[u]:
+            for v in self._adjacency[u]:
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
                     parents.append((v, u, (min(u, v), max(u, v))))
-        object.__setattr__(self, "_adjacency", adjacency)
-        object.__setattr__(self, "_by_key", by_key)
-        object.__setattr__(self, "_incident", incident)
-        object.__setattr__(self, "_terminals", terminals)
-        object.__setattr__(self, "_announcers", announcers)
-        object.__setattr__(self, "_parents", tuple(parents))
+        self._parents = tuple(parents)
 
     def adjacency(self) -> Adjacency:
         return MappingProxyType(self._adjacency)

@@ -10,8 +10,7 @@ exact within the guaranteed radius t and a defined miscorrection beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .bits import BitString
 from .rng import SeededRng
@@ -21,8 +20,7 @@ class NotACodewordError(Exception):
     """index_of was handed a word outside the code."""
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(NamedTuple):
     """A t-error-correcting [m,k] code over GF(2), held as its codeword table."""
 
     m: int
@@ -55,12 +53,6 @@ def repetition_code(m: int) -> LinearCode:
     if m < 1 or m % 2 == 0:
         raise ValueError("repetition length must be odd and positive")
     return _systematic_code(m, 1, (m - 1) // 2, ((1,) * (m - 1),))
-
-
-def encode(code: LinearCode, message: BitString) -> BitString:
-    if len(message) != code.k:
-        raise ValueError(f"message length {len(message)} != k={code.k}")
-    return code.codewords[message.value]
 
 
 def decode_to_codeword(

@@ -10,10 +10,9 @@ own copy and decodes, and the shared key is the codeword's index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitString
 from .channel_sim import Transcript, broadcast, simulate_pairwise_kd
@@ -29,23 +28,29 @@ class InvalidGraphError(ConfigError):
     per violated invariant."""
 
 
-@dataclass(frozen=True)
 class ProtocolConfig:
-    graph: SecurityGraph
-    leader: int
-    code: LinearCode
-    blocks: int
-    delta: float
-    seed: int
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
+    def __init__(
+        self,
+        graph: SecurityGraph,
+        leader: int,
+        code: LinearCode,
+        blocks: int,
+        delta: float,
+        seed: int,
+    ):
+        if not (0.0 < delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         # An agentless graph is left to the graph check in tree.
-        if self.graph.n and not (0 <= self.leader < self.graph.n):
+        if graph.n and not (0 <= leader < graph.n):
             raise ValueError("leader out of range")
-        if self.blocks < 1:
+        if blocks < 1:
             raise ValueError("blocks must be >= 1")
+        self.graph = graph
+        self.leader = leader
+        self.code = code
+        self.blocks = blocks
+        self.delta = delta
+        self.seed = seed
 
     @cached_property
     def tree(self) -> SpanningTree:
@@ -60,14 +65,7 @@ class ProtocolConfig:
         return mst_kruskal(self.graph)
 
 
-@dataclass(frozen=True)
-class AbortDecision:
-    abort: bool
-    mismatch: Mapping[int, Fraction]
-
-
-@dataclass(frozen=True)
-class KeyResult:
+class KeyResult(NamedTuple):
     status: str  # "completed" | "aborted"
     key_indices: Optional[Dict[int, int]]
     mismatch: Mapping[int, Fraction]
@@ -106,9 +104,9 @@ def select_check_positions(rng: SeededRng, total: int) -> Tuple[int, ...]:
 
 def decide_abort(
     check_values: Mapping[int, BitString], leader: int, delta: float
-) -> AbortDecision:
-    """Abort iff any agent's mismatch fraction vs the leader strictly
-    exceeds delta; exactly delta proceeds."""
+) -> Tuple[bool, Dict[int, Fraction]]:
+    """(abort, mismatch): abort iff any agent's mismatch fraction vs the
+    leader strictly exceeds delta; exactly delta proceeds."""
     reference = check_values[leader]
     m = len(reference)
     mismatch: Dict[int, Fraction] = {}
@@ -116,8 +114,7 @@ def decide_abort(
         if agent == leader:
             continue
         mismatch[agent] = Fraction(reference.hamming(bits), m)
-    abort = any(frac > delta for frac in mismatch.values())
-    return AbortDecision(abort=abort, mismatch=mismatch)
+    return any(frac > delta for frac in mismatch.values()), mismatch
 
 
 def reconcile(
@@ -141,18 +138,13 @@ def reconcile(
     return indices
 
 
-@dataclass(frozen=True)
-class BlockState:
-    """Intermediate state after the 2m rounds, before the check phase."""
-
-    secret_strings: Dict[int, BitString]  # per agent, length 2m
-    transcript: Transcript
-
-
 def run_rounds(
     config: ProtocolConfig, block_index: int, positions: int
-) -> BlockState:
+) -> Tuple[Dict[int, BitString], Transcript]:
     """Steps 1-3: pairwise KD on the tree and `positions` subroutine rounds.
+
+    Returns each agent's secret string (length `positions`) and the rounds'
+    transcript.
 
     Each edge's a-side and b-side strings are held as int words, position
     0 in the most significant bit.  The leader reconstructs once per round;
@@ -188,7 +180,7 @@ def run_rounds(
     strings = {
         agent: BitString(base ^ parity[agent], positions) for agent in range(tree.n)
     }
-    return BlockState(secret_strings=strings, transcript=transcript)
+    return strings, transcript
 
 
 def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
@@ -198,8 +190,7 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
     these systematic codes the key bits are the index's k bits.
     """
     m, leader = config.code.m, config.leader
-    state = run_rounds(config, block_index, 2 * m)
-    strings, transcript = state.secret_strings, state.transcript
+    strings, transcript = run_rounds(config, block_index, 2 * m)
     rng = SeededRng(config.seed).substream("block", block_index)
 
     check_positions = select_check_positions(rng.substream("check"), 2 * m)
@@ -207,36 +198,30 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
     check_values = {agent: bits.take(check_positions) for agent, bits in strings.items()}
     for agent, bits in check_values.items():
         broadcast(transcript, agent, "check_values", bits)
-    decision = decide_abort(check_values, leader, config.delta)
-    if decision.abort:
-        broadcast(transcript, leader, "abort", dict(decision.mismatch))
-        return KeyResult("aborted", None, decision.mismatch, transcript)
+    abort, mismatch = decide_abort(check_values, leader, config.delta)
+    if abort:
+        broadcast(transcript, leader, "abort", dict(mismatch))
+        return KeyResult("aborted", None, mismatch, transcript)
 
     code_positions = sorted(set(range(2 * m)).difference(check_positions))
     codebits = {agent: bits.take(code_positions) for agent, bits in strings.items()}
     indices = reconcile(codebits, config.code, rng.substream("code"), transcript, leader)
-    return KeyResult("completed", indices, decision.mismatch, transcript)
+    return KeyResult("completed", indices, mismatch, transcript)
 
 
 def run_blocks(config: ProtocolConfig) -> List[KeyResult]:
     return [run_block(config, i) for i in range(config.blocks)]
 
 
-@dataclass(frozen=True)
-class BlockSummary:
-    """Counts over a run's blocks; mismatches in block, then agent, order."""
+def summarize(results: Sequence[KeyResult]) -> Tuple[int, int, Tuple[Fraction, ...]]:
+    """(completed, agreed, mismatches) over a run's blocks.
 
-    blocks: int
-    completed: int
-    agreed: int  # completed blocks whose agents all hold the same key
-    mismatches: Tuple[Fraction, ...]
-
-
-def summarize(results: Sequence[KeyResult]) -> BlockSummary:
+    agreed counts the completed blocks whose agents all hold the same key;
+    the mismatches come in block, then agent, order.
+    """
     completed = [r for r in results if r.status == "completed"]
-    return BlockSummary(
-        blocks=len(results),
-        completed=len(completed),
-        agreed=sum(1 for r in completed if len(set(r.key_indices.values())) == 1),
-        mismatches=tuple(frac for r in results for frac in r.mismatch.values()),
+    return (
+        len(completed),
+        sum(1 for r in completed if len(set(r.key_indices.values())) == 1),
+        tuple(frac for r in results for frac in r.mismatch.values()),
     )

@@ -16,7 +16,6 @@ that path parity, for a whole block at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Set, Tuple
 
@@ -35,22 +34,16 @@ class NonTerminalChoiceError(Exception):
     """The secret-bit holder must be a terminal agent."""
 
 
-@dataclass(frozen=True)
-class AgentView:
-    """One agent's own copies of its incident tree-edge bits for a round."""
-
-    agent: int
-    incident_bits: Mapping[EdgeKey, int]
-
-
 def reconstruct_assignment(
-    own: AgentView,
+    agent: int,
+    own_bits: Mapping[EdgeKey, int],
     announcements: Mapping[int, Mapping[EdgeKey, int]],
     tree: SpanningTree,
 ) -> Dict[EdgeKey, int]:
     """Recover every tree edge's bit from one agent's vantage point.
 
-    Breadth-first from the reconstructing agent, neighbors in ascending id:
+    own_bits holds the agent's own copies of its incident tree-edge bits.
+    Breadth-first from the agent, neighbors in ascending id:
     at each announcing neighbor the mask is deduced from the already-known
     bit of the connecting edge and applied to unmask the rest.  The first
     deduction per edge is final; inconsistent (noisy) inputs are never
@@ -64,9 +57,9 @@ def reconstruct_assignment(
             )
 
     adj = tree.adjacency()
-    assignment: Dict[EdgeKey, int] = dict(own.incident_bits)
-    visited = {own.agent}
-    queue = deque([own.agent])
+    assignment: Dict[EdgeKey, int] = dict(own_bits)
+    visited = {agent}
+    queue = deque([agent])
     while queue:
         u = queue.popleft()
         for v in adj[u]:
@@ -135,7 +128,7 @@ def subroutine_round(
         e.key: edge_words[e.key][int(leader == e.b)] >> bit & 1
         for e in tree.incident_edges(leader)
     }
-    assignment = reconstruct_assignment(AgentView(leader, own), announcements, tree)
+    assignment = reconstruct_assignment(leader, own, announcements, tree)
     return assignment[terminal_edge_key(tree, chosen)]
 
 

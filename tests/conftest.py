@@ -18,7 +18,7 @@ from treekd.graph_core import (
     WeightedEdge,
     _forms_tree,
 )
-from treekd.linear_code import LinearCode, encode
+from treekd.linear_code import LinearCode, encode_index
 from treekd.subroutine import NonTerminalChoiceError
 
 
@@ -134,8 +134,7 @@ def coset_leader_decode(
     ``combinations`` order, that turns word into a codeword: the coset-leader
     rule of a syndrome table, and the reference for decode_to_codeword."""
     codewords = {
-        int(str(encode(code, BitString.from_bits(msg))), 2)
-        for msg in product((0, 1), repeat=code.k)
+        int(str(encode_index(code, index)), 2) for index in range(1 << code.k)
     }
     value = int(str(word), 2)
     for weight in range(code.m + 1):

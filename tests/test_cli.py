@@ -520,3 +520,22 @@ class TestRuntimeDependencies:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0]", done.stderr
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # The records are NamedTuples or plain classes, so importing the CLI
+        # costs no dataclasses (and the inspect module it pulls in).  site may
+        # preload modules, so only what the import adds counts.
+        src = str(Path(treekd.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "before = set(sys.modules)\n"
+            "import treekd.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", script, src],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -22,12 +22,13 @@ from treekd.subroutine import NonTerminalChoiceError, subroutine_round
 
 
 def honest_round(tree, rng, seed):
-    """Run one honest round and return the eavesdropper's view of it."""
+    """Run one honest round; return what the eavesdropper sees of it, the
+    (announcements, chosen terminal) pair, and the edge bits."""
     bits = {e.key: (b := rng.randrange(2), b) for e in tree.edges}
     transcript = Transcript()
     subroutine_round(tree, bits, SeededRng(seed), transcript)
-    (view,) = rounds_from_transcript(transcript)
-    return view, bits
+    (seen,) = rounds_from_transcript(transcript)
+    return seen, bits
 
 
 def configurations(announcements, tree):
@@ -49,8 +50,8 @@ class TestConsistentConfigurations:
         tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
         rng = random.Random(0)
         for seed in range(16):
-            view, bits = honest_round(tree, rng, seed)
-            configs = configurations(view.announcements, tree)
+            (announcements, _), bits = honest_round(tree, rng, seed)
+            configs = configurations(announcements, tree)
             assert complementary(configs)
             truth = {e: ab[0] for e, ab in bits.items()}
             assert truth in configs
@@ -64,8 +65,8 @@ class TestConsistentConfigurations:
         for trial in range(60):
             n = rng.randrange(2, 13)
             tree = SpanningTree(n, random_tree_edges(n, rng))
-            view, _ = honest_round(tree, rng, trial)
-            assert complementary(configurations(view.announcements, tree))
+            (announcements, _), _ = honest_round(tree, rng, trial)
+            assert complementary(configurations(announcements, tree))
 
     def test_flipped_value_bit_is_invisible(self):
         # Flipping an announced *value* cannot be detected: any record over
@@ -74,10 +75,10 @@ class TestConsistentConfigurations:
         # guarantee itself, seen from the other side.
         tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
         rng = random.Random(3)
-        view, _ = honest_round(tree, rng, 0)
+        (announcements, _), _ = honest_round(tree, rng, 0)
         tampered = {
             agent: {**masked, min(masked): masked[min(masked)] ^ 1}
-            for agent, masked in view.announcements.items()
+            for agent, masked in announcements.items()
         }
         assert complementary(configurations(tampered, tree))
 
@@ -86,9 +87,9 @@ class TestConsistentConfigurations:
         # sender's incident tree edges is detected: nothing explains it.
         tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
         rng = random.Random(3)
-        view, _ = honest_round(tree, rng, 0)
-        (agent,) = view.announcements
-        masked = dict(view.announcements[agent])
+        (announcements, _), _ = honest_round(tree, rng, 0)
+        (agent,) = announcements
+        masked = dict(announcements[agent])
         masked[(0, 2)] = masked.pop((1, 2))  # not an edge at agent 1
         assert len(configurations({agent: masked}, tree)) == 0
 
@@ -137,8 +138,8 @@ class TestSecretEntropy:
         tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
         rng = random.Random(8)
         for seed in range(10):
-            view, _ = honest_round(tree, rng, seed)
-            count = consistent_configurations(view.announcements, tree)
+            (announcements, _), _ = honest_round(tree, rng, seed)
+            count = consistent_configurations(announcements, tree)
             for chosen in terminal_agents(tree):
                 assert secret_entropy(count, chosen, tree) == 1.0
 
@@ -152,9 +153,9 @@ class TestSecretEntropy:
         for trial in range(40):
             n = rng.randrange(2, 13)
             tree = SpanningTree(n, random_tree_edges(n, rng))
-            view, _ = honest_round(tree, rng, trial)
-            count = consistent_configurations(view.announcements, tree)
-            assert secret_entropy(count, view.chosen_terminal, tree) == 1.0
+            (announcements, chosen), _ = honest_round(tree, rng, trial)
+            count = consistent_configurations(announcements, tree)
+            assert secret_entropy(count, chosen, tree) == 1.0
 
 
 class TestKeyUniformity:

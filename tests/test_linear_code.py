@@ -11,7 +11,6 @@ from treekd.linear_code import (
     _systematic_code,
     code_by_name,
     decode_to_codeword,
-    encode,
     encode_index,
     hamming_7_4,
     index_of,
@@ -74,7 +73,7 @@ class TestHamming74:
         assert len(all_codewords(code)) == 16
 
     def test_zero_maps_to_zero(self):
-        zero = encode(hamming_7_4(), BitString.from_text("0000"))
+        zero = encode_index(hamming_7_4(), 0)
         assert zero == BitString.from_text("0000000")
 
     def test_minimum_nonzero_weight_is_3(self):
@@ -117,9 +116,10 @@ class TestEncode:
             words = all_codewords(code)
             assert len(set(words)) == len(words)
 
-    def test_length_error(self):
-        with pytest.raises(ValueError):
-            encode(hamming_7_4(), BitString.from_text("000"))
+    def test_index_out_of_range(self):
+        for index in (-1, 16):
+            with pytest.raises(ValueError):
+                encode_index(hamming_7_4(), index)
 
 
 class TestDecode:

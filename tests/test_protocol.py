@@ -2,7 +2,6 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +17,7 @@ from treekd.config_io import parse_config
 from treekd.graph_core import SecurityGraph, WeightedEdge, terminal_agents
 from treekd.linear_code import encode_index, hamming_7_4, repetition_code
 from treekd.protocol import (
+    KeyResult,
     ProtocolConfig,
     code_efficiency,
     decide_abort,
@@ -27,17 +27,18 @@ from treekd.protocol import (
     run_blocks,
     run_rounds,
     select_check_positions,
+    summarize,
 )
 from treekd.rng import SeededRng
 from treekd.transcript_io import transcript_lines
 
 
-def path_config(n=3, flip=0.0, code=None, delta=0.05, seed=1, blocks=1):
+def path_config(n=3, flip=0.0, code=None, delta=0.05, seed=1, blocks=1, leader=0):
     edges = [WeightedEdge(i, i + 1, flip_prob=flip) for i in range(n - 1)]
     graph = SecurityGraph(n, edges, sources=range(n))
     return ProtocolConfig(
         graph=graph,
-        leader=0,
+        leader=leader,
         code=code or hamming_7_4(),
         blocks=blocks,
         delta=delta,
@@ -72,22 +73,23 @@ class TestSelectCheckPositions:
 class TestDecideAbort:
     def test_identical_strings_proceed(self):
         values = {a: BitString.from_text("1010") for a in range(3)}
-        decision = decide_abort(values, leader=0, delta=0.05)
-        assert not decision.abort
-        assert all(f == 0 for f in decision.mismatch.values())
+        abort, mismatch = decide_abort(values, leader=0, delta=0.05)
+        assert not abort
+        assert all(f == 0 for f in mismatch.values())
 
     def test_excess_mismatch_aborts(self):
         m = 10
         delta = 0.2
         bad = BitString.from_bits([1, 1, 1] + [0] * 7)  # 3 > ceil(0.2*10)
         values = {0: BitString.from_text("0" * m), 1: bad}
-        assert decide_abort(values, leader=0, delta=delta).abort
+        abort, _ = decide_abort(values, leader=0, delta=delta)
+        assert abort
 
     def test_exactly_delta_proceeds(self):
         values = {0: BitString.from_text("0000"), 1: BitString.from_text("1000")}
-        decision = decide_abort(values, leader=0, delta=0.25)
-        assert decision.mismatch[1] == Fraction(1, 4)
-        assert not decision.abort
+        abort, mismatch = decide_abort(values, leader=0, delta=0.25)
+        assert mismatch[1] == Fraction(1, 4)
+        assert not abort
 
 
 class TestReconcile:
@@ -232,7 +234,7 @@ class TestRunBlock:
         # check-position values replaced by garbage: identical keys.
         config = path_config(n=3, seed=23)
         m = config.code.m
-        state = run_rounds(config, 0, 2 * m)
+        strings, _ = run_rounds(config, 0, 2 * m)
         rng = SeededRng(config.seed).substream("block", 0)
         check = set(select_check_positions(rng.substream("check"), 2 * m))
         code_positions = [i for i in range(2 * m) if i not in check]
@@ -247,9 +249,9 @@ class TestRunBlock:
             a: BitString.from_bits(
                 b ^ 1 if i in check else b for i, b in enumerate(s)
             )
-            for a, s in state.secret_strings.items()
+            for a, s in strings.items()
         }
-        assert keys_with(state.secret_strings) == keys_with(perturbed)
+        assert keys_with(strings) == keys_with(perturbed)
 
     def test_conditional_agreement_given_small_errors(self):
         # Whenever every agent's realized code-bit error weight is <= t,
@@ -261,13 +263,13 @@ class TestRunBlock:
             if result.status != "completed":
                 continue
             m = config.code.m
-            state = run_rounds(config, i, 2 * m)
+            strings, _ = run_rounds(config, i, 2 * m)
             rng = SeededRng(config.seed).substream("block", i)
             check = set(select_check_positions(rng.substream("check"), 2 * m))
             code_positions = [p for p in range(2 * m) if p not in check]
-            leader_bits = state.secret_strings[0].take(code_positions)
+            leader_bits = strings[0].take(code_positions)
             weights = [
-                state.secret_strings[a].take(code_positions).hamming(leader_bits)
+                strings[a].take(code_positions).hamming(leader_bits)
                 for a in range(1, 4)
             ]
             if max(weights) <= config.code.t:
@@ -304,6 +306,22 @@ class TestRunBlock:
         for payload in payloads:
             keys = [tuple(map(int, k)) for k in re.findall(r"\((\d+),(\d+)\)", payload)]
             assert len(keys) >= 2 and keys == sorted(keys), payload
+
+
+class TestSummarize:
+    def test_counts_and_mismatch_order(self):
+        results = [
+            KeyResult("completed", {0: 5, 1: 5, 2: 5},
+                      {1: Fraction(0), 2: Fraction(1, 7)}, Transcript()),
+            KeyResult("completed", {0: 3, 1: 3, 2: 4},
+                      {1: Fraction(2, 7), 2: Fraction(3, 7)}, Transcript()),
+            KeyResult("aborted", None,
+                      {1: Fraction(4, 7), 2: Fraction(5, 7)}, Transcript()),
+        ]
+        completed, agreed, mismatches = summarize(results)
+        assert (completed, agreed) == (2, 1)
+        # Block order, then agent order within a block.
+        assert mismatches == tuple(Fraction(i, 7) for i in range(6))
 
 
 class TestTreeBuiltOnce:
@@ -347,12 +365,12 @@ class TestOneReconstructionPerRound:
         original = subroutine.reconstruct_assignment
         agents = []
 
-        def counted(own, announcements, tree):
-            agents.append(own.agent)
-            return original(own, announcements, tree)
+        def counted(agent, own_bits, announcements, tree):
+            agents.append(agent)
+            return original(agent, own_bits, announcements, tree)
 
         monkeypatch.setattr(subroutine, "reconstruct_assignment", counted)
-        config = replace(path_config(n=6, flip=0.05, delta=0.5), leader=3)
+        config = path_config(n=6, flip=0.05, delta=0.5, leader=3)
         run_block(config)
         assert agents == [3] * (2 * config.code.m)
 

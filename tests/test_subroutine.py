@@ -16,7 +16,6 @@ from treekd.linear_code import hamming_7_4
 from treekd.protocol import ProtocolConfig
 from treekd.rng import SeededRng
 from treekd.subroutine import (
-    AgentView,
     MissingAnnouncementError,
     NonTerminalChoiceError,
     choose_secret_terminal,
@@ -66,8 +65,8 @@ class TestReconstruction:
         for b1, b2, mask in product((0, 1), repeat=3):
             truth = {(0, 1): b1, (1, 2): b2}
             announcements = announce_all(tree, truth, {1: mask})
-            own = AgentView(0, {(0, 1): b1})
-            assert reconstruct_assignment(own, announcements, tree) == truth
+            own = {(0, 1): b1}
+            assert reconstruct_assignment(0, own, announcements, tree) == truth
 
     def test_noiseless_random_trees_every_agent_recovers(self):
         rng = random.Random(11)
@@ -78,11 +77,8 @@ class TestReconstruction:
             masks = {a: rng.randrange(2) for a in range(n)}
             announcements = announce_all(tree, truth, masks)
             for agent in range(n):
-                own = AgentView(
-                    agent,
-                    {e.key: truth[e.key] for e in tree.incident_edges(agent)},
-                )
-                assert reconstruct_assignment(own, announcements, tree) == truth
+                own = {e.key: truth[e.key] for e in tree.incident_edges(agent)}
+                assert reconstruct_assignment(agent, own, announcements, tree) == truth
 
     def test_flipped_own_copy_complements_deduced_component(self):
         # Hand-propagation oracle on the path 0-1-2, reconstructing at
@@ -92,14 +88,13 @@ class TestReconstruction:
         for b1, b2, mask in product((0, 1), repeat=3):
             truth = {(0, 1): b1, (1, 2): b2}
             announcements = announce_all(tree, truth, {1: mask})
-            own = AgentView(2, {(1, 2): b2 ^ 1})
-            got = reconstruct_assignment(own, announcements, tree)
+            got = reconstruct_assignment(2, {(1, 2): b2 ^ 1}, announcements, tree)
             assert got == {(0, 1): b1 ^ 1, (1, 2): b2 ^ 1}
 
     def test_missing_announcement_raises(self):
         tree = path_tree()
         with pytest.raises(MissingAnnouncementError):
-            reconstruct_assignment(AgentView(0, {(0, 1): 0}), {}, tree)
+            reconstruct_assignment(0, {(0, 1): 0}, {}, tree)
 
 
 class TestTerminalChoice:
@@ -235,26 +230,25 @@ class TestSubroutineRound:
             return pairs[edge.key]
 
         with mock.patch.object(protocol, "simulate_pairwise_kd", recording):
-            state = protocol.run_rounds(config, 0, positions)
+            strings, engine_transcript = protocol.run_rounds(config, 0, positions)
         tree = config.tree
-        (transcript,) = parse_transcript(transcript_lines(state.transcript))
-        views = rounds_from_transcript(transcript)
-        assert len(views) == positions
-        for r, view in enumerate(views):
-            assert set(view.announcements) == set(range(n)) - terminal_agents(tree)
-            key = terminal_edge_key(tree, view.chosen_terminal)
+        (transcript,) = parse_transcript(transcript_lines(engine_transcript))
+        rounds = rounds_from_transcript(transcript)
+        assert len(rounds) == positions
+        for r, (announcements, chosen) in enumerate(rounds):
+            assert set(announcements) == set(range(n)) - terminal_agents(tree)
+            key = terminal_edge_key(tree, chosen)
             for agent in range(n):
                 copies = {
                     e.key: pairs[e.key][0 if agent == e.a else 1][r]
                     for e in tree.incident_edges(agent)
                 }
-                if agent in view.announcements:
-                    masked = view.announcements[agent]
+                if agent in announcements:
+                    masked = announcements[agent]
                     assert set(masked) == set(copies)
                     assert len({masked[e] ^ copies[e] for e in copies}) == 1
-                own = AgentView(agent, copies)
-                expected = reconstruct_assignment(own, view.announcements, tree)[key]
-                assert state.secret_strings[agent][r] == expected
+                expected = reconstruct_assignment(agent, copies, announcements, tree)
+                assert strings[agent][r] == expected[key]
 
 
 class TestRandomEfficiency:
