@@ -6,43 +6,31 @@ the edge's flip probability, and an eavesdropper learns nothing from this
 step.  An anti-correlated link is corrected by its endpoints (one of them
 complements its string), so the config parser accepts the ``anti`` flag
 and drops it, and the simulator hands out aligned strings.  Everything
-broadcast afterwards goes through an append-only public transcript, which
-numbers its own messages 0, 1, 2, ... in the order they are broadcast.
+broadcast afterwards goes through an append-only public transcript: one
+text line per message, numbered 0, 1, 2, ... in the order they are
+broadcast, exactly as ``treekd run`` writes it.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .bits import BitString
 from .graph_core import WeightedEdge
 from .rng import SeededRng
 
 
-class BroadcastMessage(NamedTuple):
-    seq: int
-    sender: int
-    kind: str
-    payload: Any
-
-
 class Transcript:
-    """The ordered public record of every authenticated broadcast."""
+    """The ordered public record of every authenticated broadcast, as text."""
 
     def __init__(self):
-        self._messages: List[BroadcastMessage] = []
-
-    @property
-    def messages(self) -> Tuple[BroadcastMessage, ...]:
-        return tuple(self._messages)
-
-    def __len__(self) -> int:
-        return len(self._messages)
+        self.lines: List[str] = []
 
 
-def broadcast(t: Transcript, sender: int, kind: str, payload: Any) -> None:
-    """Append one message, numbered by its position: seq runs 0, 1, 2, ..."""
-    t._messages.append(BroadcastMessage(len(t), sender, kind, payload))
+def broadcast(t: Transcript, sender: int, kind: str, text: str) -> None:
+    """Append one message line, numbered 0, 1, 2, ... by its position; text
+    is the payload as transcript_io.format_payload renders it."""
+    t.lines.append(f"{len(t.lines)} {sender} {kind} {text}")
 
 
 def simulate_pairwise_kd(

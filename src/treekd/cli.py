@@ -14,8 +14,7 @@ from typing import List, Optional, Sequence
 
 from . import config_io, eve_analysis, protocol, transcript_io
 from .config_io import ConfigError, RunSpec
-from .graph_core import DisconnectedGraphError, SecurityGraph, WeightedEdge
-from .graph_core import mst_prim, terminal_agents
+from .graph_core import DisconnectedGraphError, SecurityGraph, WeightedEdge, mst_prim
 from .linear_code import LinearCode, code_by_name
 from .rng import SeededRng
 from .subroutine import NonTerminalChoiceError, random_efficiency
@@ -50,7 +49,7 @@ def cmd_plan(spec: RunSpec, out=None) -> int:
     for e in tree.edges:
         print(f"  edge {e.a} {e.b} weight={e.weight}", file=out)
     print(f"total weight: {tree.total_weight}", file=out)
-    terminals = ",".join(map(str, sorted(terminal_agents(tree))))
+    terminals = ",".join(map(str, tree.terminals))
     print(f"terminal agents: {terminals}", file=out)
     agree = "yes" if prim.total_weight == tree.total_weight else "no"
     print(f"kruskal/prim weight agreement: {agree}", file=out)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
-from .channel_sim import Transcript
 from .graph_core import EdgeKey, SpanningTree
 from .subroutine import terminal_edge_key
+from .transcript_io import ParsedTranscript
 
 
 def consistent_configurations(
@@ -54,7 +54,7 @@ def secret_entropy(count: int, chosen: int, tree: SpanningTree) -> float:
     return 1.0 if count else 0.0
 
 
-def rounds_from_transcript(transcript: Transcript) -> List[Tuple[dict, int]]:
+def rounds_from_transcript(transcript: ParsedTranscript) -> List[Tuple[dict, int]]:
     """Split a block transcript into (announcements, chosen terminal) rounds.
 
     A round is the run of announcements up to and including one

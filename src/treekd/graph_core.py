@@ -78,9 +78,9 @@ def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ..
 class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
-    Its adjacency, incident edges, terminals, announcers, key index and
-    parent table are built once.  Neighbours and incident edges are listed
-    in ascending neighbour id, which is also ascending edge-key order.
+    Its adjacency, incident edges, terminals (also as an ascending tuple),
+    key index and parent table are built once.  Neighbours and incident
+    edges are listed in ascending neighbour id, i.e. ascending edge-key order.
     """
 
     def __init__(self, n: int, edges: Sequence[WeightedEdge]):
@@ -98,14 +98,8 @@ class SpanningTree:
             v: tuple(self._by_key[min(u, v), max(u, v)] for u in us)
             for v, us in self._adjacency.items()
         }
-        self._terminals = frozenset(
-            v for v, us in self._adjacency.items() if len(us) == 1
-        )
-        self._announcers = tuple(
-            (v, tuple((e.key, int(v == e.b)) for e in self._incident[v]))
-            for v in range(n)
-            if v not in self._terminals
-        )
+        self.terminals = tuple(v for v, us in self._adjacency.items() if len(us) == 1)
+        self._terminals = frozenset(self.terminals)
         parents: List[Tuple[int, int, EdgeKey]] = []
         seen = {0}
         queue = deque([0] if n else [])
@@ -126,12 +120,6 @@ class SpanningTree:
 
     def incident_edges(self, agent: int) -> Tuple[WeightedEdge, ...]:
         return self._incident.get(agent, ())
-
-    def announcers(self) -> Tuple[Tuple[int, Tuple[Tuple[EdgeKey, int], ...]], ...]:
-        """(agent, ((edge key, side), ...)) for every non-terminal agent in
-        ascending id, its edges in ascending key order; side is 0 at an
-        edge's a end and 1 at its b end."""
-        return self._announcers
 
     def parent_edges(self) -> Tuple[Tuple[int, int, EdgeKey], ...]:
         """(vertex, parent, edge key) for every vertex but 0, in BFS order

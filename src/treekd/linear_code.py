@@ -66,6 +66,9 @@ def decode_to_codeword(
     if len(word) != code.m:
         raise ValueError(f"word length {len(word)} != m={code.m}")
     value = word.value
+    nearest = code.codewords[value >> (code.m - code.k)]
+    if nearest.value == value:  # error 0 is the unique minimum
+        return nearest, BitString(0, code.m)
     error = max(
         (value ^ c.value for c in code.codewords), key=lambda e: (-e.bit_count(), e)
     )

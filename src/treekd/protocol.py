@@ -20,7 +20,9 @@ from .config_io import ConfigError
 from .graph_core import SecurityGraph, SpanningTree, mst_kruskal, validate_graph
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
-from .subroutine import subroutine_round
+from .subroutine import block_announcers, reconstruct_assignment
+from .subroutine import subroutine_round, terminal_edge_key
+from .transcript_io import format_payload
 
 
 class InvalidGraphError(ConfigError):
@@ -106,7 +108,9 @@ def decide_abort(
     check_values: Mapping[int, BitString], leader: int, delta: float
 ) -> Tuple[bool, Dict[int, Fraction]]:
     """(abort, mismatch): abort iff any agent's mismatch fraction vs the
-    leader strictly exceeds delta; exactly delta proceeds."""
+    leader strictly exceeds delta, read as the decimal it prints as (the
+    float 0.3 is below 3/10); exactly delta proceeds."""
+    limit = Fraction(str(delta))
     reference = check_values[leader]
     m = len(reference)
     mismatch: Dict[int, Fraction] = {}
@@ -114,7 +118,7 @@ def decide_abort(
         if agent == leader:
             continue
         mismatch[agent] = Fraction(reference.hamming(bits), m)
-    return any(frac > delta for frac in mismatch.values()), mismatch
+    return any(frac > limit for frac in mismatch.values()), mismatch
 
 
 def reconcile(
@@ -127,7 +131,8 @@ def reconcile(
     """Code-based reconciliation: broadcast c XOR v, decode, output index."""
     index, codeword = random_codeword(code, rng)
     masked = codeword ^ codebits[leader]
-    broadcast(transcript, leader, "code_broadcast", masked)
+    text = format_payload("code_broadcast", masked)
+    broadcast(transcript, leader, "code_broadcast", text)
     indices: Dict[int, int] = {leader: index}
     for agent, bits in codebits.items():
         if agent == leader:
@@ -144,15 +149,14 @@ def run_rounds(
     """Steps 1-3: pairwise KD on the tree and `positions` subroutine rounds.
 
     Returns each agent's secret string (length `positions`) and the rounds'
-    transcript.
-
-    Each edge's a-side and b-side strings are held as int words, position
-    0 in the most significant bit.  The leader reconstructs once per round;
-    every agent j's string is the leader's XOR P[leader] XOR P[j], where
-    P[v] is the XOR of the disagreement words A ^ B on the tree path from
-    agent 0 to v, built once per block.
+    transcript.  Edge copies and each announcer's masks are int words,
+    position 0 in the most significant bit.  The leader reconstructs once,
+    from its own words and the masked words; its bit r is bit r of round
+    r's chosen terminal edge.  Agent j's string is the leader's XOR
+    P[leader] XOR P[j], where P[v] is the XOR of the disagreement words
+    A ^ B on the tree path from agent 0 to v.
     """
-    tree = config.tree
+    tree, leader = config.tree, config.leader
     rng = SeededRng(config.seed).substream("block", block_index)
 
     words: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -166,17 +170,24 @@ def run_rounds(
         parity[v] = parity[parent] ^ a ^ b
 
     transcript = Transcript()
-    leader_word = 0
-    for r in range(positions):
-        leader_word = leader_word << 1 | subroutine_round(
-            tree,
-            words,
-            rng.substream("round", r),
-            transcript,
-            config.leader,
+    announcing = block_announcers(tree, words)
+    rounds = [
+        subroutine_round(
+            tree, announcing, rng.substream("round", r), transcript, leader,
             positions - 1 - r,
         )
-    base = leader_word ^ parity[config.leader]
+        for r in range(positions)
+    ]
+    masked = {}
+    for i, (agent, _, record) in enumerate(announcing):
+        mask = sum(masks[i] << positions - 1 - r for r, (_, masks) in enumerate(rounds))
+        masked[agent] = {key: word ^ mask for key, word in record.items()}
+    own = {e.key: words[e.key][int(leader == e.b)] for e in tree.incident_edges(leader)}
+    assignment = reconstruct_assignment(leader, own, masked, tree)
+    base = parity[leader] ^ sum(
+        assignment[terminal_edge_key(tree, chosen)] & (1 << positions - 1 - r)
+        for r, (chosen, _) in enumerate(rounds)
+    )
     strings = {
         agent: BitString(base ^ parity[agent], positions) for agent in range(tree.n)
     }
@@ -194,13 +205,14 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
     rng = SeededRng(config.seed).substream("block", block_index)
 
     check_positions = select_check_positions(rng.substream("check"), 2 * m)
-    broadcast(transcript, leader, "check_positions", check_positions)
+    text = format_payload("check_positions", check_positions)
+    broadcast(transcript, leader, "check_positions", text)
     check_values = {agent: bits.take(check_positions) for agent, bits in strings.items()}
     for agent, bits in check_values.items():
-        broadcast(transcript, agent, "check_values", bits)
+        broadcast(transcript, agent, "check_values", format_payload("check_values", bits))
     abort, mismatch = decide_abort(check_values, leader, config.delta)
     if abort:
-        broadcast(transcript, leader, "abort", dict(mismatch))
+        broadcast(transcript, leader, "abort", format_payload("abort", mismatch))
         return KeyResult("aborted", None, mismatch, transcript)
 
     code_positions = sorted(set(range(2 * m)).difference(check_positions))

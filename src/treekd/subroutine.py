@@ -6,24 +6,25 @@ reconstruct the full edge assignment from its own copies plus the masked
 records, and the round's secret bit is the edge bit at a randomly chosen
 terminal agent.
 
-The masks cancel along tree paths, so two agents' reconstructions of any
-edge differ exactly by the XOR of the pairwise disagreements (a-side copy
-XOR b-side copy) on the tree path between them.  The simulator therefore
-runs the reconstruction once per round, for the leader, and
-protocol.run_rounds derives every other agent's bits from the leader's by
-that path parity, for a whole block at once.
+The reconstruction only XORs and never branches on a bit, so on int words
+it does every round at once: protocol.run_rounds reconstructs once per
+block, for the leader.  The masks cancel along tree paths, so two agents'
+reconstructions of an edge differ exactly by the XOR of the pairwise
+disagreements (a-side XOR b-side copy) on the tree path between them, and
+run_rounds derives every other agent's bits from the leader's that way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from collections import deque
 
 from .channel_sim import Transcript, broadcast
 from .graph_core import EdgeKey, SpanningTree, terminal_agents
 from .rng import SeededRng
+from .transcript_io import format_payload
 
 
 class MissingAnnouncementError(Exception):
@@ -47,7 +48,7 @@ def reconstruct_assignment(
     at each announcing neighbor the mask is deduced from the already-known
     bit of the connecting edge and applied to unmask the rest.  The first
     deduction per edge is final; inconsistent (noisy) inputs are never
-    revisited.
+    revisited.  Int words work too: each bit position reconstructs alone.
     """
     terminals = terminal_agents(tree)
     for v in range(tree.n):
@@ -77,10 +78,10 @@ def reconstruct_assignment(
     return assignment
 
 
-def choose_secret_terminal(terminals: Set[int], rng: SeededRng) -> int:
+def choose_secret_terminal(terminals: Sequence[int], rng: SeededRng) -> int:
     if not terminals:
         raise ValueError("terminal set is empty")
-    return rng.choice(sorted(terminals))
+    return rng.choice(terminals)
 
 
 def terminal_edge_key(tree: SpanningTree, agent: int) -> EdgeKey:
@@ -91,45 +92,46 @@ def terminal_edge_key(tree: SpanningTree, agent: int) -> EdgeKey:
     return incident[0].key
 
 
+def block_announcers(
+    tree: SpanningTree, edge_words: Mapping[EdgeKey, Tuple[int, int]]
+) -> List[Tuple[int, str, Dict[EdgeKey, int]]]:
+    """Each non-terminal agent in ascending id, with its announcement as
+    format_payload renders it, a %d in place of each bit, and its own words
+    of its edges from the (a-side, b-side) edge words: once per block."""
+    if set(edge_words) != {e.key for e in tree.edges}:
+        raise ValueError("edge_words must cover exactly the tree edges")
+    announcing = []
+    for agent in range(tree.n):
+        edges = tree.incident_edges(agent)
+        if len(edges) > 1:
+            record = {e.key: edge_words[e.key][int(agent == e.b)] for e in edges}
+            template = format_payload("announcement", dict.fromkeys(record, "%d"))
+            announcing.append((agent, template, record))
+    return announcing
+
+
 def subroutine_round(
     tree: SpanningTree,
-    edge_words: Mapping[EdgeKey, Tuple[int, int]],
+    announcing: Sequence[Tuple[int, str, Dict[EdgeKey, int]]],
     rng: SeededRng,
     transcript: Transcript,
     leader: int = 0,
     bit: int = 0,
-) -> int:
-    """One full round: announcements, terminal choice, the leader's secret bit.
-
-    edge_words maps each tree edge to its (a-side, b-side) copies as int
-    words; the round reads bit `bit` of each (0 = least significant), so a
-    mapping to single 0/1 copies is the bit = 0 case.  Round randomness
-    draws in a fixed order: one fresh mask per non-terminal agent in
-    ascending id, then the leader's terminal choice.  Returns the leader's
-    bit from its own reconstruction; every other agent's bit differs from
-    it by the tree-path parity of the pairwise disagreements.
-    """
-    if set(edge_words) != {e.key for e in tree.edges}:
-        raise ValueError("edge_words must cover exactly the tree edges")
-
-    announcements: Dict[int, Dict[EdgeKey, int]] = {}
-    for agent, sides in tree.announcers():
+) -> Tuple[int, List[int]]:
+    """One round's broadcasts on bit `bit` (0 = least significant) of each
+    announced word.  Round randomness draws in a fixed order: one fresh mask
+    per announcer in ascending id, then the leader's terminal choice, from
+    the tree's terminals in ascending id.  Returns the choice and the masks."""
+    masks = []
+    for agent, template, record in announcing:
         mask = rng.bit()
-        payload = {
-            key: (edge_words[key][side] >> bit & 1) ^ mask for key, side in sides
-        }
-        announcements[agent] = payload
-        broadcast(transcript, agent, "announcement", payload)
-
-    chosen = choose_secret_terminal(terminal_agents(tree), rng)
-    broadcast(transcript, leader, "terminal_choice", chosen)
-
-    own = {
-        e.key: edge_words[e.key][int(leader == e.b)] >> bit & 1
-        for e in tree.incident_edges(leader)
-    }
-    assignment = reconstruct_assignment(leader, own, announcements, tree)
-    return assignment[terminal_edge_key(tree, chosen)]
+        masks.append(mask)
+        text = template % tuple([word >> bit & 1 ^ mask for word in record.values()])
+        broadcast(transcript, agent, "announcement", text)
+    chosen = choose_secret_terminal(tree.terminals, rng)
+    text = format_payload("terminal_choice", chosen)
+    broadcast(transcript, leader, "terminal_choice", text)
+    return chosen, masks
 
 
 def random_efficiency(n: int) -> Fraction:

@@ -17,36 +17,43 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Set
 
 from .bits import BitString
-from .channel_sim import BroadcastMessage, Transcript, broadcast
+from .channel_sim import Transcript
 from .graph_core import EdgeKey
 
 
-def format_payload(msg: BroadcastMessage) -> str:
-    kind, payload = msg.kind, msg.payload
+class BroadcastMessage(NamedTuple):
+    seq: int
+    sender: int
+    kind: str
+    payload: Any
+
+
+class ParsedTranscript(Transcript):
+    """A block read back from text: its lines, and the message each carries."""
+
+    def __init__(self):
+        super().__init__()
+        self.messages: List[BroadcastMessage] = []
+
+
+def format_payload(kind: str, payload) -> str:
+    """The one renderer of a message payload as transcript text."""
     if kind == "announcement":
-        return ",".join(
-            f"({a},{b}):{bit}" for (a, b), bit in payload.items()
-        )
-    if kind == "terminal_choice":
+        return ",".join(f"({a},{b}):{bit}" for (a, b), bit in payload.items())
+    if kind in ("terminal_choice", "check_values", "code_broadcast"):
         return str(payload)
     if kind == "check_positions":
         return ",".join(str(i) for i in payload)
-    if kind in ("check_values", "code_broadcast"):
-        return str(payload)
     if kind == "abort":
         return ",".join(f"{agent}:{frac}" for agent, frac in sorted(payload.items()))
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def format_message(msg: BroadcastMessage) -> str:
-    return f"{msg.seq} {msg.sender} {msg.kind} {format_payload(msg)}"
-
-
 def transcript_lines(t: Transcript) -> List[str]:
-    return [format_message(m) for m in t.messages]
+    return t.lines
 
 
 _EDGE_BIT = re.compile(r"\((\d+),(\d+)\):([01])")
@@ -85,7 +92,7 @@ def _parse_payload(kind: str, text: str):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
+def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     """Parse one or more concatenated block transcripts.
 
     This is where sequence numbers and kinds enter the program from
@@ -94,8 +101,8 @@ def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
     terminal_choice must close every run of announcements, and each agent
     announces at most once per round.
     """
-    transcripts: List[Transcript] = []
-    current: Transcript | None = None
+    transcripts: List[ParsedTranscript] = []
+    current: ParsedTranscript | None = None
     open_round = 0  # first line of a round; only a terminal_choice may follow it
     announced: Set[int] = set()  # senders in the open round
     for lineno, raw in enumerate(lines, start=1):
@@ -114,13 +121,14 @@ def parse_transcript(lines: Iterable[str]) -> List[Transcript]:
                     f"from agent {sender}"
                 )
             if seq == 0:
-                current = Transcript()
+                current = ParsedTranscript()
                 transcripts.append(current)
             if current is None:
                 raise ValueError(f"stream starts at seq {seq}")
-            if seq != len(current):
-                raise ValueError(f"expected seq {len(current)}, got {seq}")
-            broadcast(current, sender, kind, payload)
+            if seq != len(current.lines):
+                raise ValueError(f"expected seq {len(current.lines)}, got {seq}")
+            current.messages.append(BroadcastMessage(seq, sender, kind, payload))
+            current.lines.append(line)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
         if kind == "announcement":

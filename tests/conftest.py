@@ -11,15 +11,30 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from scipy import stats
 
 from treekd.bits import BitString
+from treekd.channel_sim import Transcript, simulate_pairwise_kd
 from treekd.graph_core import (
     EdgeKey,
     SecurityGraph,
     SpanningTree,
     WeightedEdge,
     _forms_tree,
+    terminal_agents,
 )
 from treekd.linear_code import LinearCode, encode_index
-from treekd.subroutine import NonTerminalChoiceError
+from treekd.rng import SeededRng
+from treekd.subroutine import (
+    NonTerminalChoiceError,
+    block_announcers,
+    reconstruct_assignment,
+    subroutine_round,
+    terminal_edge_key,
+)
+from treekd.transcript_io import (
+    ParsedTranscript,
+    format_payload,
+    parse_transcript,
+    transcript_lines,
+)
 
 
 def random_tree_edges(n: int, rng: random.Random) -> List[WeightedEdge]:
@@ -145,3 +160,67 @@ def coset_leader_decode(
                     BitString.from_text(f"{value ^ error:0{code.m}b}"),
                     BitString.from_text(f"{error:0{code.m}b}"),
                 )
+
+
+def parsed_round(
+    tree: SpanningTree,
+    edge_bits: Mapping[EdgeKey, Tuple[int, int]],
+    seed: int,
+    leader: int = 0,
+) -> ParsedTranscript:
+    """One subroutine round on the given (a-side, b-side) edge copies, read
+    back from the text it broadcasts, as the eavesdropper and analyze see it."""
+    transcript = Transcript()
+    announcing = block_announcers(tree, edge_bits)
+    subroutine_round(tree, announcing, SeededRng(seed), transcript, leader)
+    (parsed,) = parse_transcript(transcript_lines(transcript))
+    return parsed
+
+
+def reference_rounds(
+    config, block_index: int, positions: int
+) -> Tuple[Dict[int, BitString], List[str]]:
+    """The rounds of a block one at a time, as the paper runs them: the
+    reference for protocol.run_rounds.
+
+    Each round draws its masks, one per non-terminal agent in ascending id,
+    and renders each announcement from a dict payload with format_payload;
+    then the leader draws the terminal from the sorted terminals.  Every
+    agent reconstructs every round from its own bits at that position, so
+    no word layout, mask word or path parity is involved.  Returns each
+    agent's secret string and the transcript lines.
+    """
+    tree, leader = config.tree, config.leader
+    rng = SeededRng(config.seed).substream("block", block_index)
+    copies = {
+        e.key: simulate_pairwise_kd(e, positions, rng.substream("edge", e.a, e.b))
+        for e in tree.edges
+    }
+    terminals = terminal_agents(tree)
+
+    def own(agent: int, r: int) -> Dict[EdgeKey, int]:
+        return {
+            e.key: copies[e.key][int(agent == e.b)][r]
+            for e in tree.incident_edges(agent)
+        }
+
+    lines: List[str] = []
+    bits: Dict[int, List[int]] = {agent: [] for agent in range(tree.n)}
+    for r in range(positions):
+        round_rng = rng.substream("round", r)
+        announcements = {}
+        for agent in range(tree.n):
+            if agent in terminals:
+                continue
+            mask = round_rng.bit()
+            announcements[agent] = {key: b ^ mask for key, b in own(agent, r).items()}
+            text = format_payload("announcement", announcements[agent])
+            lines.append(f"{len(lines)} {agent} announcement {text}")
+        chosen = round_rng.choice(sorted(terminals))
+        text = format_payload("terminal_choice", chosen)
+        lines.append(f"{len(lines)} {leader} terminal_choice {text}")
+        key = terminal_edge_key(tree, chosen)
+        for agent in range(tree.n):
+            assignment = reconstruct_assignment(agent, own(agent, r), announcements, tree)
+            bits[agent].append(assignment[key])
+    return {agent: BitString.from_bits(b) for agent, b in bits.items()}, lines

@@ -15,10 +15,11 @@ from conftest import (
     brute_force_configurations,
     brute_force_mst_weight,
     chi_square_uniformity,
+    parsed_round,
     random_connected_graph,
     random_tree_edges,
 )
-from treekd.channel_sim import Transcript, simulate_pairwise_kd
+from treekd.channel_sim import simulate_pairwise_kd
 from treekd.cli import EXIT_DISCONNECTED, EXIT_OK, cmd_run, main
 from treekd.config_io import parse_config
 from treekd.bits import BitString
@@ -47,7 +48,7 @@ from treekd.protocol import (
     select_check_positions,
 )
 from treekd.rng import SeededRng
-from treekd.subroutine import random_efficiency, subroutine_round
+from treekd.subroutine import random_efficiency
 from treekd.transcript_io import parse_transcript
 
 
@@ -111,8 +112,7 @@ def test_criterion_2_two_configuration_security():
         n = rng.randrange(2, 13)
         tree = SpanningTree(n, random_tree_edges(n, rng))
         bits = {e.key: (b := rng.randrange(2), b) for e in tree.edges}
-        transcript = Transcript()
-        subroutine_round(tree, bits, SeededRng(trial), transcript)
+        transcript = parsed_round(tree, bits, trial)
         announcements = {
             m.sender: m.payload
             for m in transcript.messages

@@ -53,18 +53,14 @@ class TestSimulatePairwiseKd:
 class TestTranscript:
     def test_append_from_empty(self):
         t = Transcript()
-        broadcast(t, 0, "terminal_choice", 1)
-        assert [(m.seq, m.sender, m.kind, m.payload) for m in t.messages] == [
-            (0, 0, "terminal_choice", 1)
-        ]
+        broadcast(t, 0, "terminal_choice", "1")
+        assert t.lines == ["0 0 terminal_choice 1"]
 
     def test_append_order_preserved(self):
         t = Transcript()
         for i in range(3):
-            broadcast(t, i, "terminal_choice", i)
-        assert [m.seq for m in t.messages] == [0, 1, 2]
-        assert [m.sender for m in t.messages] == [0, 1, 2]
-        assert len(t) == 3
+            broadcast(t, i, "terminal_choice", str(i))
+        assert t.lines == [f"{i} {i} terminal_choice {i}" for i in range(3)]
 
 
 class TestCombinedFlipProbability:

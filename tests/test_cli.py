@@ -475,9 +475,11 @@ class TestTranscriptRoundTrip:
         lines = transcript_io.transcript_lines(result.transcript)
         (parsed,) = transcript_io.parse_transcript(lines)
         assert transcript_io.transcript_lines(parsed) == lines
-        assert [m.kind for m in parsed.messages] == [
-            m.kind for m in result.transcript.messages
-        ]
+        assert [
+            f"{m.seq} {m.sender} {m.kind} "
+            + transcript_io.format_payload(m.kind, m.payload)
+            for m in parsed.messages
+        ] == lines
 
     def test_bad_line_reports_number(self):
         from treekd import transcript_io

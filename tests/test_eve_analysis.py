@@ -8,9 +8,9 @@ from conftest import (
     brute_force_configurations,
     brute_force_entropy,
     chi_square_uniformity,
+    parsed_round,
     random_tree_edges,
 )
-from treekd.channel_sim import Transcript
 from treekd.eve_analysis import (
     consistent_configurations,
     rounds_from_transcript,
@@ -18,16 +18,14 @@ from treekd.eve_analysis import (
 )
 from treekd.graph_core import SpanningTree, WeightedEdge, terminal_agents
 from treekd.rng import SeededRng
-from treekd.subroutine import NonTerminalChoiceError, subroutine_round
+from treekd.subroutine import NonTerminalChoiceError
 
 
 def honest_round(tree, rng, seed):
     """Run one honest round; return what the eavesdropper sees of it, the
     (announcements, chosen terminal) pair, and the edge bits."""
     bits = {e.key: (b := rng.randrange(2), b) for e in tree.edges}
-    transcript = Transcript()
-    subroutine_round(tree, bits, SeededRng(seed), transcript)
-    (seen,) = rounds_from_transcript(transcript)
+    (seen,) = rounds_from_transcript(parsed_round(tree, bits, seed))
     return seen, bits
 
 

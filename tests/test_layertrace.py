@@ -48,5 +48,5 @@ def test_every_target_resolves_and_one_block_is_traced():
     assert counts["protocol.run_block.completed"] == 1
     rounds = 2 * config.code.m
     assert counts["subroutine.subroutine_round.calls"] == rounds
-    assert counts["subroutine.reconstruct_assignment.calls"] == rounds
-    assert counts["channel_sim.broadcast.calls"] == len(result.transcript)
+    assert counts["subroutine.reconstruct_assignment.calls"] == 1
+    assert counts["channel_sim.broadcast.calls"] == len(result.transcript.lines)

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree_edges
+from conftest import random_tree_edges, reference_rounds
 from treekd import cli, graph_core, protocol, subroutine
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript
 from treekd.config_io import parse_config
+from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge, terminal_agents
 from treekd.linear_code import encode_index, hamming_7_4, repetition_code
 from treekd.protocol import (
@@ -30,7 +31,7 @@ from treekd.protocol import (
     summarize,
 )
 from treekd.rng import SeededRng
-from treekd.transcript_io import transcript_lines
+from treekd.transcript_io import parse_transcript, transcript_lines
 
 
 def path_config(n=3, flip=0.0, code=None, delta=0.05, seed=1, blocks=1, leader=0):
@@ -90,6 +91,20 @@ class TestDecideAbort:
         abort, mismatch = decide_abort(values, leader=0, delta=0.25)
         assert mismatch[1] == Fraction(1, 4)
         assert not abort
+
+    @pytest.mark.parametrize(
+        "wrong, m, delta, aborts",
+        [(3, 10, 0.3, False), (3, 20, 0.15, False), (7, 20, 0.35, False), (4, 10, 0.3, True)],
+    )
+    def test_decimal_delta_is_exact(self, wrong, m, delta, aborts):
+        # Each float delta here is just below the fraction it is written as.
+        values = {
+            0: BitString.from_text("0" * m),
+            1: BitString.from_text("1" * wrong + "0" * (m - wrong)),
+        }
+        abort, mismatch = decide_abort(values, leader=0, delta=delta)
+        assert mismatch[1] == Fraction(wrong, m)
+        assert abort == aborts
 
 
 class TestReconcile:
@@ -219,15 +234,14 @@ class TestRunBlock:
         r1 = run_block(path_config(seed=5))
         r2 = run_block(path_config(seed=5))
         assert r1.key_indices == r2.key_indices
-        assert [
-            (m.seq, m.sender, m.kind) for m in r1.transcript.messages
-        ] == [(m.seq, m.sender, m.kind) for m in r2.transcript.messages]
+        assert transcript_lines(r1.transcript) == transcript_lines(r2.transcript)
 
     def test_aborted_block_emits_no_key(self):
         result = run_block(path_config(n=3, flip=0.30, delta=0.01, seed=2))
         assert result.status == "aborted"
         assert result.key_indices is None
-        assert result.transcript.messages[-1].kind == "abort"
+        (parsed,) = parse_transcript(transcript_lines(result.transcript))
+        assert parsed.messages[-1].kind == "abort"
 
     def test_check_bits_never_reach_the_key(self):
         # Recompute reconciliation from the block's code bits with the
@@ -360,19 +374,66 @@ class TestTreeBuiltOnce:
         assert calls == {"validate_graph": 1, "mst_kruskal": 1}
 
 
-class TestOneReconstructionPerRound:
-    def test_run_block_reconstructs_once_per_round(self, monkeypatch):
+class TestOneReconstructionPerBlock:
+    def test_run_block_reconstructs_once_per_block(self, monkeypatch):
+        # The leader's one reconstruction reads the announcements as words:
+        # bit r (position 0 most significant) of each is what round r
+        # broadcast.  The masks cancel in the reconstruction, so only this
+        # check sees a mask bit in the wrong place.
         original = subroutine.reconstruct_assignment
-        agents = []
+        calls = []
 
         def counted(agent, own_bits, announcements, tree):
-            agents.append(agent)
+            calls.append((agent, announcements))
             return original(agent, own_bits, announcements, tree)
 
-        monkeypatch.setattr(subroutine, "reconstruct_assignment", counted)
+        for module in (subroutine, protocol):
+            monkeypatch.setattr(module, "reconstruct_assignment", counted)
         config = path_config(n=6, flip=0.05, delta=0.5, leader=3)
-        run_block(config)
-        assert agents == [3] * (2 * config.code.m)
+        result = run_block(config)
+        ((agent, words),) = calls
+        assert agent == 3
+        (parsed,) = parse_transcript(transcript_lines(result.transcript))
+        rounds = rounds_from_transcript(parsed)
+        positions = 2 * config.code.m
+        assert len(rounds) == positions
+        for r, (announcements, _) in enumerate(rounds):
+            shift = positions - 1 - r
+            assert announcements == {
+                sender: {key: word >> shift & 1 for key, word in record.items()}
+                for sender, record in words.items()
+            }
+
+
+class TestReferenceRounds:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        flip=st.floats(0.0, 0.49),
+        leader=st.integers(0, 11),
+        positions=st.integers(1, 30),
+        block_index=st.integers(0, 3),
+    )
+    def test_run_rounds_matches_reference(
+        self, n, seed, flip, leader, positions, block_index
+    ):
+        rng = random.Random(seed)
+        edges = [
+            WeightedEdge(e.a, e.b, flip_prob=flip) for e in random_tree_edges(n, rng)
+        ]
+        config = ProtocolConfig(
+            graph=SecurityGraph(n, edges, range(n)),
+            leader=leader % n,
+            code=hamming_7_4(),
+            blocks=1,
+            delta=0.5,
+            seed=seed,
+        )
+        strings, transcript = run_rounds(config, block_index, positions)
+        want_strings, want_lines = reference_rounds(config, block_index, positions)
+        assert transcript_lines(transcript) == want_lines
+        assert strings == want_strings
 
 
 class TestConfigValidation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree_edges
+from conftest import parsed_round, random_tree_edges
 from treekd import protocol
 from treekd.channel_sim import Transcript, simulate_pairwise_kd
 from treekd.eve_analysis import rounds_from_transcript
@@ -18,6 +18,7 @@ from treekd.rng import SeededRng
 from treekd.subroutine import (
     MissingAnnouncementError,
     NonTerminalChoiceError,
+    block_announcers,
     choose_secret_terminal,
     random_efficiency,
     reconstruct_assignment,
@@ -44,19 +45,20 @@ def announce_all(tree, assignment, masks):
 
 
 def agent_bits(tree, position_bits, seed):
-    """Every agent's secret bit for one round, and the round's transcript.
-
-    subroutine_round returns its leader's own reconstruction, and the
-    leader only signs the terminal choice, so running the same seeded round
-    with each agent as leader gives each agent's bit."""
-    transcripts = [Transcript() for _ in range(tree.n)]
-    bits = {
-        agent: subroutine_round(
-            tree, position_bits, SeededRng(seed), transcripts[agent], agent
-        )
-        for agent in range(tree.n)
-    }
-    return bits, transcripts[0]
+    """Every agent's secret bit for one round, each from its own
+    reconstruction of the round's transcript as parsed back from its text,
+    and that parsed transcript."""
+    transcript = parsed_round(tree, position_bits, seed)
+    ((announcements, chosen),) = rounds_from_transcript(transcript)
+    key = terminal_edge_key(tree, chosen)
+    bits = {}
+    for agent in range(tree.n):
+        own = {
+            e.key: position_bits[e.key][int(agent == e.b)]
+            for e in tree.incident_edges(agent)
+        }
+        bits[agent] = reconstruct_assignment(agent, own, announcements, tree)[key]
+    return bits, transcript
 
 
 class TestReconstruction:
@@ -96,21 +98,60 @@ class TestReconstruction:
         with pytest.raises(MissingAnnouncementError):
             reconstruct_assignment(0, {(0, 1): 0}, {}, tree)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        positions=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        flip=st.floats(0.0, 0.49),
+        agent=st.integers(0, 11),
+    )
+    def test_words_reconstruct_every_position_at_once(
+        self, n, positions, seed, flip, agent
+    ):
+        # The reconstruction only XORs and never branches on a bit, so on
+        # int words (b-side copies noisy, one mask word per announcer) it
+        # gives at every position what the single-bit call gives there.
+        rng = random.Random(seed)
+        tree = SpanningTree(n, random_tree_edges(n, rng))
+        agent %= n
+        words = {}
+        for e in tree.edges:
+            a = rng.getrandbits(positions)
+            noise = sum((rng.random() < flip) << i for i in range(positions))
+            words[e.key] = (a, a ^ noise)
+        announcements = {}
+        for v in set(range(n)) - terminal_agents(tree):
+            mask = rng.getrandbits(positions)
+            announcements[v] = {
+                e.key: words[e.key][int(v == e.b)] ^ mask for e in tree.incident_edges(v)
+            }
+        own = {e.key: words[e.key][int(agent == e.b)] for e in tree.incident_edges(agent)}
+        whole = reconstruct_assignment(agent, own, announcements, tree)
+        for i in range(positions):
+            def at(record):
+                return {key: word >> i & 1 for key, word in record.items()}
+
+            single = reconstruct_assignment(
+                agent, at(own), {v: at(r) for v, r in announcements.items()}, tree
+            )
+            assert at(whole) == single
+
 
 class TestTerminalChoice:
     def test_singleton(self):
-        assert choose_secret_terminal({4}, SeededRng(0)) == 4
+        assert choose_secret_terminal((4,), SeededRng(0)) == 4
 
     def test_uniform_over_two(self):
         rng = SeededRng(123)
         counts = {0: 0, 2: 0}
         for _ in range(10**4):
-            counts[choose_secret_terminal({0, 2}, rng)] += 1
+            counts[choose_secret_terminal((0, 2), rng)] += 1
         assert abs(counts[0] - 5000) <= 300
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            choose_secret_terminal(set(), SeededRng(0))
+            choose_secret_terminal((), SeededRng(0))
 
 
 class TestSecretBit:
@@ -174,9 +215,7 @@ class TestSubroutineRound:
         tree = path_tree(4)
         truth = {e.key: rng.randrange(2) for e in tree.edges}
         bits = {k: (v, v) for k, v in truth.items()}
-        transcript = Transcript()
-        subroutine_round(tree, bits, SeededRng(5), transcript)
-        for m in transcript.messages:
+        for m in parsed_round(tree, bits, 5).messages:
             if m.kind != "announcement":
                 continue
             diffs = {truth[e] ^ b for e, b in m.payload.items()}
@@ -193,9 +232,13 @@ class TestSubroutineRound:
         }
         for leader in range(6):
             plain, wide = Transcript(), Transcript()
-            bit = subroutine_round(tree, single, SeededRng(9), plain, leader)
-            assert subroutine_round(tree, words, SeededRng(9), wide, leader, 2) == bit
-            assert plain.messages == wide.messages
+            drawn = subroutine_round(
+                tree, block_announcers(tree, single), SeededRng(9), plain, leader
+            )
+            assert subroutine_round(
+                tree, block_announcers(tree, words), SeededRng(9), wide, leader, 2
+            ) == drawn
+            assert plain.lines == wide.lines
 
     @settings(max_examples=200, deadline=None)
     @given(
