@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .rng import SeededRng
-
 
 class BitString:
     """An immutable sequence of bits, index 0 first, held as one int.
@@ -38,21 +36,6 @@ class BitString:
         if text.strip("01"):
             raise ValueError("bits must be 0 or 1")
         return cls(int(text, 2) if text else 0, len(text))
-
-    @classmethod
-    def random(cls, length: int, rng: SeededRng) -> "BitString":
-        value = 0
-        for _ in range(length):
-            value = value << 1 | rng.bit()
-        return cls(value, length)
-
-    @classmethod
-    def bernoulli(cls, length: int, p: float, rng: SeededRng) -> "BitString":
-        """Independent bits, each 1 with probability p."""
-        value = 0
-        for _ in range(length):
-            value = value << 1 | (rng.random() < p)
-        return cls(value, length)
 
     def __len__(self) -> int:
         return self._length

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .bits import BitString
 from .graph_core import WeightedEdge
 from .rng import SeededRng
 
@@ -35,19 +34,24 @@ def broadcast(t: Transcript, sender: int, kind: str, text: str) -> None:
 
 def simulate_pairwise_kd(
     edge: WeightedEdge, length: int, rng: SeededRng
-) -> Tuple[BitString, BitString]:
+) -> Tuple[int, int]:
     """One pairwise-KD session of `length` positions on an edge.
 
-    Returns the (a-side, b-side) strings after the endpoints have corrected
-    any anti-correlation: the a-side is uniform and the b-side is the a-side
-    XOR independent Bernoulli(flip_prob) noise.  Applying noise to one side
-    only is equivalent in distribution to symmetric application.
+    Returns the (a-side, b-side) words, position 0 in the most significant
+    bit, after the endpoints have corrected any anti-correlation: the a-side
+    is `length` uniform bits and the b-side is the a-side XOR `length`
+    independent Bernoulli(flip_prob) draws, drawn in that order.  Applying
+    noise to one side only is equivalent in distribution to symmetric
+    application.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    bits_a = BitString.random(length, rng)
-    noise = BitString.bernoulli(length, edge.flip_prob, rng)
-    return bits_a, bits_a ^ noise
+    a = noise = 0
+    for _ in range(length):
+        a = a << 1 | rng.bit()
+    for _ in range(length):
+        noise = noise << 1 | (rng.random() < edge.flip_prob)
+    return a, a ^ noise
 
 
 def combined_flip_probability(ps: Sequence[float]) -> float:

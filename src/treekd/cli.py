@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from . import config_io, eve_analysis, protocol, transcript_io
 from .config_io import ConfigError, RunSpec
 from .graph_core import DisconnectedGraphError, SecurityGraph, WeightedEdge, mst_prim
-from .linear_code import LinearCode, code_by_name
+from .linear_code import LinearCode
 from .rng import SeededRng
 from .subroutine import NonTerminalChoiceError, random_efficiency
 
@@ -34,7 +34,7 @@ def _protocol_config(spec: RunSpec) -> protocol.ProtocolConfig:
     return protocol.ProtocolConfig(
         graph=spec.graph,
         leader=spec.leader,
-        code=code_by_name(spec.code_name),
+        code=spec.code,
         blocks=spec.blocks,
         delta=spec.delta,
         seed=spec.seed,
@@ -59,19 +59,14 @@ def cmd_plan(spec: RunSpec, out=None) -> int:
 def _summary_lines(results, code: LinearCode) -> List[str]:
     lines = []
     for i, res in enumerate(results):
-        mismatch = ",".join(
-            f"{agent}:{frac}" for agent, frac in sorted(res.mismatch.items())
-        )
-        if res.status == "completed":
-            keys = ",".join(
+        status = res.status
+        if status == "completed":
+            status += " keys=" + ",".join(
                 f"{agent}:{_key_hex(idx, code.k)}"
                 for agent, idx in sorted(res.key_indices.items())
             )
-            lines.append(
-                f"block={i} status=completed keys={keys} mismatch={mismatch or '-'}"
-            )
-        else:
-            lines.append(f"block={i} status=aborted mismatch={mismatch or '-'}")
+        mismatch = transcript_io.format_payload("abort", res.mismatch)
+        lines.append(f"block={i} status={status} mismatch={mismatch or '-'}")
     return lines
 
 
@@ -162,19 +157,14 @@ def cmd_sweep(
     out_dir: Optional[Path],
     out=None,
 ) -> int:
-    base = _protocol_config(spec)
-    bound = protocol.failure_bound(spec.delta, spec.epsilon, base.code.m)
+    bound = protocol.failure_bound(spec.delta, spec.epsilon, spec.code.m)
     rows = ["flip_prob\tabort_rate\tagreement_rate\tmean_check_mismatch\tfailure_bound"]
     for i, flip in enumerate(flips):
         edges = [WeightedEdge(e.a, e.b, e.weight, flip) for e in spec.graph.edges]
-        config = protocol.ProtocolConfig(
+        config = _protocol_config(spec._replace(
             graph=SecurityGraph(spec.graph.n, edges, spec.graph.sources),
-            leader=spec.leader,
-            code=base.code,
-            blocks=spec.blocks,
-            delta=spec.delta,
             seed=SeededRng(spec.seed).substream("sweep", i).seed,
-        )
+        ))
         completed, agreed, fracs = protocol.summarize(protocol.run_blocks(config))
         abort_rate = 1.0 - completed / config.blocks
         agreement_rate = agreed / completed if completed else 0.0

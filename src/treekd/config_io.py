@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Tuple
 
 from .graph_core import SecurityGraph, WeightedEdge
+from .linear_code import LinearCode, code_by_name
 
 DEFAULTS = {
     "code": "hamming7_4",
@@ -41,7 +42,7 @@ class ConfigError(Exception):
 class RunSpec(NamedTuple):
     graph: SecurityGraph
     leader: int
-    code_name: str
+    code: LinearCode
     blocks: int
     delta: float
     epsilon: float
@@ -49,7 +50,7 @@ class RunSpec(NamedTuple):
 
 
 def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], List[str]]:
-    nodes: List[int] = []
+    nodes: Dict[int, int] = {}  # agent id -> its line
     sources: List[int] = []
     edges: List[WeightedEdge] = []
     params: Dict[str, Tuple[int, str]] = {}
@@ -67,7 +68,10 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
             if kind in ("node", "source") and len(fields) < 2:
                 raise ValueError(f"{kind} needs an agent id")
             if kind == "node":
-                nodes.append(int(fields[1]))
+                node = int(fields[1])
+                if node in nodes:
+                    raise ValueError(f"node {node} already declared on line {nodes[node]}")
+                nodes[node] = lineno
             elif kind == "source":
                 sources.append(int(fields[1]))
             elif kind == "edge":
@@ -141,12 +145,9 @@ def parse_config(text: str) -> RunSpec:
     seed = convert("seed", int, "an integer")
     delta = convert("delta", float, "a number")
     epsilon = convert("epsilon", float, "a number")
-    code_name = str(merged["code"])
-
-    from .linear_code import code_by_name
-
+    code = None
     try:
-        code_by_name(code_name)
+        code = code_by_name(str(merged["code"]))
     except ValueError as exc:
         fail("code", str(exc))
     if delta is not None and (
@@ -165,7 +166,7 @@ def parse_config(text: str) -> RunSpec:
     return RunSpec(
         graph=graph,
         leader=leader,
-        code_name=code_name,
+        code=code,
         blocks=blocks,
         delta=delta,
         epsilon=epsilon,

@@ -21,7 +21,7 @@ from .graph_core import SecurityGraph, SpanningTree, mst_kruskal, validate_graph
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
 from .subroutine import block_announcers, reconstruct_assignment
-from .subroutine import subroutine_round, terminal_edge_key
+from .subroutine import random_efficiency, subroutine_round, terminal_edge_key
 from .transcript_io import format_payload
 
 
@@ -80,9 +80,7 @@ def code_efficiency(n: int, k: int, m: int) -> Fraction:
     As in the paper's formula, only the m code-bit rounds that become key
     material count; the m check rounds are consumed but excluded.
     """
-    if n < 2:
-        raise ValueError("need at least two agents")
-    return Fraction(k * n, 2 * m * (n - 1))
+    return random_efficiency(n) * Fraction(k, m)
 
 
 def failure_bound(delta: float, epsilon: float, nbits: int) -> float:
@@ -162,8 +160,7 @@ def run_rounds(
     words: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for edge in tree.edges:
         edge_rng = rng.substream("edge", edge.a, edge.b)
-        a, b = simulate_pairwise_kd(edge, positions, edge_rng)
-        words[edge.key] = (a.value, b.value)
+        words[edge.key] = simulate_pairwise_kd(edge, positions, edge_rng)
     parity = [0] * tree.n
     for v, parent, key in tree.parent_edges():
         a, b = words[key]

@@ -192,10 +192,10 @@ def reference_rounds(
     """
     tree, leader = config.tree, config.leader
     rng = SeededRng(config.seed).substream("block", block_index)
-    copies = {
-        e.key: simulate_pairwise_kd(e, positions, rng.substream("edge", e.a, e.b))
-        for e in tree.edges
-    }
+    copies = {}
+    for e in tree.edges:
+        words = simulate_pairwise_kd(e, positions, rng.substream("edge", e.a, e.b))
+        copies[e.key] = tuple(BitString(word, positions) for word in words)
     terminals = terminal_agents(tree)
 
     def own(agent: int, r: int) -> Dict[EdgeKey, int]:

@@ -33,7 +33,6 @@ from treekd.graph_core import (
     mst_prim,
 )
 from treekd.linear_code import (
-    code_by_name,
     decode_to_codeword,
     encode_index,
     hamming_7_4,
@@ -82,7 +81,7 @@ def test_criterion_1_efficiency_formulas(tmp_path):
         (masked,) = [msg.payload for msg in block.messages if msg.kind == "code_broadcast"]
         rounds, code_rounds = kinds.count("terminal_choice"), len(masked)
         edges = len(mst_kruskal(spec.graph).edges)
-        code = code_by_name(spec.code_name)
+        code = spec.code
         assert (edges, rounds, code_rounds) == (n - 1, 2 * code.m, code.m)
         # one pairwise bit per tree edge per round; each agent ends a round
         # holding one shared bit, each edge's bit is held by two agents
@@ -252,8 +251,8 @@ def test_criterion_7_failure_bound():
     hits = 0
     for b in range(blocks):
         rng = root.substream("mcblock", b)
-        bits_a, bits_b = simulate_pairwise_kd(edge, 2 * m, rng)
-        mismatches = bits_a ^ bits_b
+        word_a, word_b = simulate_pairwise_kd(edge, 2 * m, rng)
+        mismatches = BitString(word_a ^ word_b, 2 * m)
         check = set(select_check_positions(rng.substream("check"), 2 * m))
         check_errors = sum(mismatches[i] for i in check)
         code_errors = mismatches.weight() - check_errors

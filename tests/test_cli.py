@@ -15,6 +15,7 @@ from treekd.cli import (
     main,
 )
 from treekd.config_io import ConfigError, parse_config
+from treekd.linear_code import hamming_7_4
 
 PATH3 = """\
 node 0
@@ -46,7 +47,7 @@ def write(tmp_path, name, text):
 class TestParseConfig:
     def test_defaults(self):
         spec = parse_config(PATH3)
-        assert spec.code_name == "hamming7_4"
+        assert spec.code == hamming_7_4()
         assert spec.delta == 0.05
         assert spec.epsilon == 0.05
         assert spec.leader == 0
@@ -95,6 +96,14 @@ class TestParseConfig:
             ("param blocks=0\n", "line 4: param blocks=0 must be >= 1"),
             ("param leader=5\n", "line 4: param leader=5 is not an agent id"),
             ("param code=golay\n", "line 4: unknown code name 'golay'"),
+            ("param code=repetition4\n",
+             "line 4: bad repetition code name 'repetition4': "
+             "repetition length must be odd and positive"),
+            ("edge 0 1 colour=red\n", "line 4: unknown edge attribute 'colour=red'"),
+            ("edge -1 0\n", "line 4: agent ids must be non-negative"),
+            ("vertex 3\n", "line 4: unknown record kind 'vertex'"),
+            ("node 1\n", "line 4: node 1 already declared on line 2"),
+            ("node 3\n", "node ids must be dense 0..n-1, each declared once"),
         ],
         ids=["zero-denominator", "epsilon-nan", "epsilon-inf", "epsilon-zero",
              "node-extra-field", "source-extra-field", "param-extra-field",
@@ -102,7 +111,9 @@ class TestParseConfig:
              "param-repeated", "node-missing-id", "source-missing-id",
              "edge-missing-id", "param-missing-value", "param-missing-key-value",
              "param-unknown-key", "param-blocks-not-integer", "param-delta-not-number",
-             "param-blocks-zero", "param-leader-not-agent", "param-code-unknown"],
+             "param-blocks-zero", "param-leader-not-agent", "param-code-unknown",
+             "param-code-even-repetition", "edge-unknown-attribute",
+             "edge-negative-id", "unknown-record-kind", "node-repeated", "node-gap"],
     )
     def test_bad_number_exits_1_with_error(self, tmp_path, capsys, extra, message):
         # Each case is exactly one error: a value that fails to convert
@@ -281,6 +292,8 @@ class TestAnalyze:
              "'(0,1):0 junk (1,2):1 more'"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:1/0\n",
              "transcript line 3: abort mismatch '1/0' has a zero denominator"),
+            (PATH3, "1 0 terminal_choice 1\n",
+             "transcript line 1: stream starts at seq 1"),
             (PATH3, "", "transcript has no rounds"),
             (PATH3, "# block 0\n", "transcript has no rounds"),
             (PATH3, "0 0 gossip x\n", "transcript line 1: unknown kind 'gossip'"),
@@ -292,7 +305,7 @@ class TestAnalyze:
              "unclosed-round-at-end", "unclosed-round-before-check",
              "duplicate-announcement", "repeated-edge-key",
              "text-between-announcement-items", "abort-zero-denominator",
-             "empty-transcript",
+             "stream-starts-past-0", "empty-transcript",
              "comment-only-transcript", "unknown-kind", "config-param-error"],
     )
     def test_malformed_transcript_exits_1_with_error(
@@ -457,7 +470,6 @@ class TestUsage:
 class TestTranscriptRoundTrip:
     def test_parse_inverts_format(self, tmp_path, capsys):
         from treekd import transcript_io
-        from treekd.linear_code import hamming_7_4
         from treekd.protocol import run_block
         from treekd.graph_core import SecurityGraph, WeightedEdge
         from treekd.protocol import ProtocolConfig

@@ -125,7 +125,7 @@ class TestReconcile:
         ]
         for index in range(16):
             rng = SeededRng(1000 + index)
-            v = BitString.random(7, rng)
+            v = BitString.from_bits(rng.bit() for _ in range(7))
             for p1, p2, p3 in product(range(7), repeat=3):
                 agent_bits = {
                     0: v,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import parsed_round, random_tree_edges
 from treekd import protocol
+from treekd.bits import BitString
 from treekd.channel_sim import Transcript, simulate_pairwise_kd
 from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, SpanningTree, WeightedEdge, terminal_agents
@@ -269,8 +270,9 @@ class TestSubroutineRound:
         pairs = {}
 
         def recording(edge, length, edge_rng):
-            pairs[edge.key] = simulate_pairwise_kd(edge, length, edge_rng)
-            return pairs[edge.key]
+            words = simulate_pairwise_kd(edge, length, edge_rng)
+            pairs[edge.key] = tuple(BitString(word, length) for word in words)
+            return words
 
         with mock.patch.object(protocol, "simulate_pairwise_kd", recording):
             strings, engine_transcript = protocol.run_rounds(config, 0, positions)
