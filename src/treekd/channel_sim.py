@@ -13,7 +13,7 @@ broadcast, exactly as ``treekd run`` writes it.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .graph_core import WeightedEdge
 from .rng import SeededRng
@@ -53,12 +53,3 @@ def simulate_pairwise_kd(
         noise = noise << 1 | (rng.random() < edge.flip_prob)
     return a, a ^ noise
 
-
-def combined_flip_probability(ps: Sequence[float]) -> float:
-    """Probability of an odd number of independent flips along a path."""
-    acc = 0.0
-    for p in ps:
-        if not (0.0 <= p < 0.5):
-            raise ValueError("each flip probability must lie in [0, 0.5)")
-        acc = acc + p - 2.0 * acc * p
-    return acc

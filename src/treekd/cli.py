@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from . import config_io, eve_analysis, protocol, transcript_io
 from .config_io import ConfigError, RunSpec
-from .graph_core import DisconnectedGraphError, SecurityGraph, WeightedEdge, mst_prim
+from .graph_core import DisconnectedGraphError, SecurityGraph, WeightedEdge
 from .linear_code import LinearCode
 from .rng import SeededRng
 from .subroutine import NonTerminalChoiceError, random_efficiency
@@ -43,7 +43,6 @@ def _protocol_config(spec: RunSpec) -> protocol.ProtocolConfig:
 
 def cmd_plan(spec: RunSpec, out=None) -> int:
     tree = _protocol_config(spec).tree
-    prim = mst_prim(spec.graph, root=0)
     print(f"agents: {spec.graph.n}", file=out)
     print("minimum spanning security tree:", file=out)
     for e in tree.edges:
@@ -51,8 +50,6 @@ def cmd_plan(spec: RunSpec, out=None) -> int:
     print(f"total weight: {tree.total_weight}", file=out)
     terminals = ",".join(map(str, tree.terminals))
     print(f"terminal agents: {terminals}", file=out)
-    agree = "yes" if prim.total_weight == tree.total_weight else "no"
-    print(f"kruskal/prim weight agreement: {agree}", file=out)
     return EXIT_OK
 
 

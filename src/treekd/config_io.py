@@ -23,11 +23,11 @@ from .linear_code import LinearCode, code_by_name
 
 DEFAULTS = {
     "code": "hamming7_4",
-    "delta": 0.05,
-    "epsilon": 0.05,
-    "leader": 0,
-    "blocks": 10,
-    "seed": 0,
+    "delta": "0.05",
+    "epsilon": "0.05",
+    "leader": "0",
+    "blocks": "10",
+    "seed": "0",
 }
 
 
@@ -49,6 +49,15 @@ class RunSpec(NamedTuple):
     seed: int
 
 
+def _number(kind, text: str):
+    """kind(text) for ASCII text with no '_', an int only as -?[0-9]+: int(),
+    float() and Fraction() alone also read '1_0' as 10 and '١' as 1."""
+    plain = text.removeprefix("-").isdigit() if kind is int else "_" not in text
+    if not (plain and text.isascii()):
+        raise ValueError(f"{text!r} is not a plain ASCII number")
+    return kind(text)
+
+
 def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], List[str]]:
     nodes: Dict[int, int] = {}  # agent id -> its line
     sources: List[int] = []
@@ -68,16 +77,18 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
             if kind in ("node", "source") and len(fields) < 2:
                 raise ValueError(f"{kind} needs an agent id")
             if kind == "node":
-                node = int(fields[1])
+                node = _number(int, fields[1])
+                if node < 0:
+                    raise ValueError("agent ids must be non-negative")
                 if node in nodes:
                     raise ValueError(f"node {node} already declared on line {nodes[node]}")
                 nodes[node] = lineno
             elif kind == "source":
-                sources.append(int(fields[1]))
+                sources.append(_number(int, fields[1]))
             elif kind == "edge":
                 if len(fields) < 3:
                     raise ValueError("edge needs two agent ids")
-                a, b = int(fields[1]), int(fields[2])
+                a, b = _number(int, fields[1]), _number(int, fields[2])
                 attrs: Dict[str, str] = {}
                 for extra in fields[3:]:
                     name, _, value = extra.partition("=")
@@ -88,8 +99,8 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
                         raise ValueError(f"repeated edge attribute {name!r}")
                     attrs[name] = value
                 # The endpoints correct an anti link, so the flag is dropped.
-                weight = Fraction(attrs.get("weight", 1))
-                flip = float(attrs.get("flip", 0.0))
+                weight = _number(Fraction, attrs.get("weight", "1"))
+                flip = _number(float, attrs.get("flip", "0"))
                 edges.append(WeightedEdge(a, b, weight=weight, flip_prob=flip))
             elif kind == "param":
                 if len(fields) < 2 or "=" not in fields[1]:
@@ -135,7 +146,7 @@ def parse_config(text: str) -> RunSpec:
     def convert(key: str, kind, noun: str):
         """The param as kind, or None (with an error) when it does not convert."""
         try:
-            return kind(merged[key])
+            return _number(kind, merged[key])
         except ValueError:
             fail(key, f"param {key} must be {noun}, got {merged[key]!r}")
             return None
@@ -147,7 +158,7 @@ def parse_config(text: str) -> RunSpec:
     epsilon = convert("epsilon", float, "a number")
     code = None
     try:
-        code = code_by_name(str(merged["code"]))
+        code = code_by_name(merged["code"])
     except ValueError as exc:
         fail("code", str(exc))
     if delta is not None and (

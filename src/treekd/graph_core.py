@@ -78,8 +78,8 @@ def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ..
 class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
-    Its adjacency, incident edges, terminals (also as an ascending tuple),
-    key index and parent table are built once.  Neighbours and incident
+    Its adjacency, incident edges, terminals (also as an ascending tuple)
+    and parent table are built once.  Neighbours and incident
     edges are listed in ascending neighbour id, i.e. ascending edge-key order.
     """
 
@@ -91,9 +91,9 @@ class SpanningTree:
         self.edges = edges
         self.total_weight = sum((e.weight for e in edges), Fraction(0))
         self._adjacency = _adjacency(n, edges)
-        self._by_key = {e.key: e for e in edges}
+        by_key = {e.key: e for e in edges}
         self._incident = {
-            v: tuple(self._by_key[min(u, v), max(u, v)] for u in us)
+            v: tuple(by_key[min(u, v), max(u, v)] for u in us)
             for v, us in self._adjacency.items()
         }
         self.terminals = tuple(v for v, us in self._adjacency.items() if len(us) == 1)
@@ -112,9 +112,6 @@ class SpanningTree:
 
     def adjacency(self) -> Adjacency:
         return MappingProxyType(self._adjacency)
-
-    def edge_by_key(self, key: EdgeKey) -> WeightedEdge:
-        return self._by_key[key]
 
     def incident_edges(self, agent: int) -> Tuple[WeightedEdge, ...]:
         return self._incident.get(agent, ())
@@ -203,50 +200,6 @@ def mst_kruskal(g: SecurityGraph) -> SpanningTree:
     return SpanningTree(g.n, chosen)
 
 
-def mst_prim(g: SecurityGraph, root: int = 0) -> SpanningTree:
-    """Prim's algorithm grown from root, same tie-break as Kruskal."""
-    if not (0 <= root < g.n):
-        raise ValueError(f"root {root} out of range")
-    index = {e: i for i, e in enumerate(g.edges)}
-    in_tree = {root}
-    chosen: List[WeightedEdge] = []
-    while len(in_tree) < g.n:
-        best = None
-        for e in g.edges:
-            if (e.a in in_tree) != (e.b in in_tree):
-                cand = (e.weight, index[e])
-                if best is None or cand < best[0]:
-                    best = (cand, e)
-        if best is None:
-            raise DisconnectedGraphError(connected_components(g))
-        _, e = best
-        chosen.append(e)
-        in_tree.add(e.a)
-        in_tree.add(e.b)
-    return SpanningTree(g.n, chosen)
-
-
 def terminal_agents(t: SpanningTree) -> FrozenSet[int]:
     """Tree vertices of degree exactly one; at least two for n >= 2."""
     return t._terminals
-
-
-def tree_path(t: SpanningTree, a: int, b: int) -> List[WeightedEdge]:
-    """The unique simple path from a to b; empty when a == b."""
-    if not (0 <= a < t.n and 0 <= b < t.n):
-        raise ValueError("endpoints out of range")
-    up = {v: (parent, key) for v, parent, key in t.parent_edges()}
-
-    def to_root(v: int) -> List[int]:
-        chain = [v]
-        while chain[-1] != 0:
-            chain.append(up[chain[-1]][0])
-        return chain
-
-    from_a, from_b = to_root(a), to_root(b)
-    # Drop the shared part above the meeting vertex, which then ends both.
-    while len(from_a) > 1 and len(from_b) > 1 and from_a[-2] == from_b[-2]:
-        from_a.pop()
-        from_b.pop()
-    below = from_a[:-1] + from_b[-2::-1]
-    return [t.edge_by_key(up[v][1]) for v in below]

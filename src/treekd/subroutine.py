@@ -78,12 +78,6 @@ def reconstruct_assignment(
     return assignment
 
 
-def choose_secret_terminal(terminals: Sequence[int], rng: SeededRng) -> int:
-    if not terminals:
-        raise ValueError("terminal set is empty")
-    return rng.choice(terminals)
-
-
 def terminal_edge_key(tree: SpanningTree, agent: int) -> EdgeKey:
     """The key of a terminal agent's single tree edge, which holds its secret bit."""
     incident = tree.incident_edges(agent)
@@ -98,8 +92,6 @@ def block_announcers(
     """Each non-terminal agent in ascending id, with its announcement as
     format_payload renders it, a %d in place of each bit, and its own words
     of its edges from the (a-side, b-side) edge words: once per block."""
-    if set(edge_words) != {e.key for e in tree.edges}:
-        raise ValueError("edge_words must cover exactly the tree edges")
     announcing = []
     for agent in range(tree.n):
         edges = tree.incident_edges(agent)
@@ -128,7 +120,7 @@ def subroutine_round(
         masks.append(mask)
         text = template % tuple([word >> bit & 1 ^ mask for word in record.values()])
         broadcast(transcript, agent, "announcement", text)
-    chosen = choose_secret_terminal(tree.terminals, rng)
+    chosen = rng.choice(tree.terminals)
     text = format_payload("terminal_choice", chosen)
     broadcast(transcript, leader, "terminal_choice", text)
     return chosen, masks

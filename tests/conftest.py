@@ -13,11 +13,13 @@ from scipy import stats
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript, simulate_pairwise_kd
 from treekd.graph_core import (
+    DisconnectedGraphError,
     EdgeKey,
     SecurityGraph,
     SpanningTree,
     WeightedEdge,
     _forms_tree,
+    connected_components,
     terminal_agents,
 )
 from treekd.linear_code import LinearCode, encode_index
@@ -87,6 +89,22 @@ def brute_force_mst_weight(g: SecurityGraph) -> Optional[Fraction]:
             if best is None or total < best:
                 best = total
     return best
+
+
+def mst_prim(g: SecurityGraph, root: int = 0) -> SpanningTree:
+    """Prim's algorithm grown from root, equal weights broken by input edge
+    index as in Kruskal: the oracle for graph_core.mst_kruskal."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    in_tree = {root}
+    chosen: List[WeightedEdge] = []
+    while len(in_tree) < g.n:
+        crossing = [e for e in g.edges if (e.a in in_tree) != (e.b in in_tree)]
+        if not crossing:
+            raise DisconnectedGraphError(connected_components(g))
+        e = min(crossing, key=lambda c: (c.weight, index[c]))
+        chosen.append(e)
+        in_tree.update((e.a, e.b))
+    return SpanningTree(g.n, chosen)
 
 
 def chi_square_uniformity(indices: Sequence[int], cells: int) -> Tuple[float, float]:

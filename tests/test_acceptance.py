@@ -15,6 +15,7 @@ from conftest import (
     brute_force_configurations,
     brute_force_mst_weight,
     chi_square_uniformity,
+    mst_prim,
     parsed_round,
     random_connected_graph,
     random_tree_edges,
@@ -30,7 +31,6 @@ from treekd.graph_core import (
     WeightedEdge,
     connected_components,
     mst_kruskal,
-    mst_prim,
 )
 from treekd.linear_code import (
     decode_to_codeword,

@@ -1,30 +1,11 @@
-import itertools
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from treekd.bits import BitString
-from treekd.channel_sim import (
-    Transcript,
-    broadcast,
-    combined_flip_probability,
-    simulate_pairwise_kd,
-)
+from treekd.channel_sim import Transcript, broadcast, simulate_pairwise_kd
 from treekd.graph_core import WeightedEdge
 from treekd.rng import SeededRng
-
-
-def exhaustive_odd_flip_probability(ps):
-    """Oracle: enumerate all 2^len(ps) flip patterns and sum odd-parity mass."""
-    total = 0.0
-    for pattern in itertools.product((0, 1), repeat=len(ps)):
-        if sum(pattern) % 2 == 1:
-            prob = 1.0
-            for p, flipped in zip(ps, pattern):
-                prob *= p if flipped else 1.0 - p
-            total += prob
-    return total
 
 
 class TestSimulatePairwiseKd:
@@ -61,33 +42,6 @@ class TestTranscript:
         for i in range(3):
             broadcast(t, i, "terminal_choice", str(i))
         assert t.lines == [f"{i} {i} terminal_choice {i}" for i in range(3)]
-
-
-class TestCombinedFlipProbability:
-    def test_empty_path(self):
-        assert combined_flip_probability([]) == 0.0
-
-    def test_single_link_identity(self):
-        assert combined_flip_probability([0.3]) == pytest.approx(0.3)
-
-    def test_two_links(self):
-        # Oracle: of the 4 outcomes of two Bernoulli(0.05) flips, the
-        # odd-parity ones carry 2 * 0.05 * 0.95 = 0.095.
-        assert exhaustive_odd_flip_probability([0.05, 0.05]) == pytest.approx(0.095)
-        assert combined_flip_probability([0.05, 0.05]) == pytest.approx(0.095)
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=0.499), min_size=0, max_size=10)
-    )
-    @settings(max_examples=200)
-    def test_matches_exhaustive_enumeration(self, ps):
-        assert combined_flip_probability(ps) == pytest.approx(
-            exhaustive_odd_flip_probability(ps), abs=1e-12
-        )
-
-    def test_rejects_half(self):
-        with pytest.raises(ValueError):
-            combined_flip_probability([0.5])
 
 
 class TestBitString:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,15 @@ class TestParseConfig:
             ("vertex 3\n", "line 4: unknown record kind 'vertex'"),
             ("node 1\n", "line 4: node 1 already declared on line 2"),
             ("node 3\n", "node ids must be dense 0..n-1, each declared once"),
+            ("node -1\n", "line 4: agent ids must be non-negative"),
+            ("node \u0662\n", "line 4: '\u0662' is not a plain ASCII number"),
+            ("param blocks=1_0\n", "line 4: param blocks must be an integer, got '1_0'"),
+            ("param seed=\u0661\n", "line 4: param seed must be an integer, got '\u0661'"),
+            ("param leader=+1\n", "line 4: param leader must be an integer, got '+1'"),
+            ("edge 0 1 weight=\u0661\u0660\n",
+             "line 4: '\u0661\u0660' is not a plain ASCII number"),
+            ("edge 0 1 flip=0_0.1\n", "line 4: '0_0.1' is not a plain ASCII number"),
+            ("param delta=0_0.2\n", "line 4: param delta must be a number, got '0_0.2'"),
         ],
         ids=["zero-denominator", "epsilon-nan", "epsilon-inf", "epsilon-zero",
              "node-extra-field", "source-extra-field", "param-extra-field",
@@ -113,13 +123,17 @@ class TestParseConfig:
              "param-unknown-key", "param-blocks-not-integer", "param-delta-not-number",
              "param-blocks-zero", "param-leader-not-agent", "param-code-unknown",
              "param-code-even-repetition", "edge-unknown-attribute",
-             "edge-negative-id", "unknown-record-kind", "node-repeated", "node-gap"],
+             "edge-negative-id", "unknown-record-kind", "node-repeated", "node-gap",
+             "node-negative-id", "node-arabic-indic-digit", "param-blocks-underscore",
+             "param-seed-arabic-indic-digit", "param-leader-plus-sign",
+             "edge-weight-arabic-indic-digits", "edge-flip-underscore",
+             "param-delta-underscore"],
     )
     def test_bad_number_exits_1_with_error(self, tmp_path, capsys, extra, message):
         # Each case is exactly one error: a value that fails to convert
         # gets no follow-on range error.
         text = "node 0\nnode 1\nsource 0\n" + extra
-        with pytest.raises(ConfigError, match=message) as err:
+        with pytest.raises(ConfigError, match=re.escape(message)) as err:
             parse_config(text)
         assert len(err.value.errors) == 1, err.value.errors
         cfg = write(tmp_path, "bad.cfg", text)
@@ -149,9 +163,14 @@ class TestPlan:
             "edge 0 1 weight=1\nedge 1 2 weight=2\nedge 0 2 weight=3\n",
         )
         assert main(["plan", "--config", str(cfg)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "total weight: 3" in out
-        assert "kruskal/prim weight agreement: yes" in out
+        assert capsys.readouterr().out == (
+            "agents: 3\n"
+            "minimum spanning security tree:\n"
+            "  edge 0 1 weight=1\n"
+            "  edge 1 2 weight=2\n"
+            "total weight: 3\n"
+            "terminal agents: 0,2\n"
+        )
 
     def test_star_hub_sole_non_terminal(self, tmp_path, capsys):
         cfg = write(

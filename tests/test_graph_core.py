@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_force_mst_weight, random_connected_graph
+from conftest import brute_force_mst_weight, mst_prim, random_connected_graph
 from treekd.graph_core import (
     DisconnectedGraphError,
     SecurityGraph,
@@ -13,9 +13,7 @@ from treekd.graph_core import (
     WeightedEdge,
     connected_components,
     mst_kruskal,
-    mst_prim,
     terminal_agents,
-    tree_path,
     validate_graph,
 )
 
@@ -174,15 +172,6 @@ class TestTreeQueries:
             tree = mst_kruskal(random_connected_graph(n, rng))
             assert len(terminal_agents(tree)) >= 2
 
-    def test_tree_path_on_path_graph(self):
-        tree = mst_kruskal(path_graph())
-        assert [e.key for e in tree_path(tree, 0, 2)] == [(0, 1), (1, 2)]
-        assert tree_path(tree, 1, 1) == []
-
-    def test_tree_path_through_star_hub(self):
-        tree = mst_kruskal(star_graph(4))
-        assert [e.key for e in tree_path(tree, 1, 2)] == [(0, 1), (0, 2)]
-
 
 @st.composite
 def random_trees(draw):
@@ -211,27 +200,14 @@ class TestPrecomputedStructure:
             )
             assert list(tree.incident_edges(v)) == incident
             assert list(tree.adjacency()[v]) == [other_end(e, v) for e in incident]
-        for e in tree.edges:
-            assert tree.edge_by_key(e.key) is e
         assert tree.incident_edges(tree.n) == ()
-        with pytest.raises(KeyError):
-            tree.edge_by_key((tree.n, tree.n + 1))
+        keys = {e.key for e in tree.edges}
         reached = [0]  # BFS order: each parent is reached before its child
         for v, parent, key in tree.parent_edges():
             assert parent in reached and v not in reached
-            assert tree.edge_by_key(key).key == (min(v, parent), max(v, parent))
+            assert key == (min(v, parent), max(v, parent)) and key in keys
             reached.append(v)
         assert sorted(reached) == list(range(tree.n))
-
-    @given(random_trees(), st.data())
-    def test_tree_path_is_the_simple_path(self, tree, data):
-        a = data.draw(st.integers(0, tree.n - 1))
-        b = data.draw(st.integers(0, tree.n - 1))
-        walked = [a]
-        for e in tree_path(tree, a, b):
-            walked.append(other_end(e, walked[-1]))
-        assert walked[-1] == b
-        assert len(set(walked)) == len(walked)
 
     def test_returned_structures_are_read_only(self):
         tree = mst_kruskal(star_graph(4))

@@ -20,7 +20,6 @@ from treekd.subroutine import (
     MissingAnnouncementError,
     NonTerminalChoiceError,
     block_announcers,
-    choose_secret_terminal,
     random_efficiency,
     reconstruct_assignment,
     subroutine_round,
@@ -139,22 +138,6 @@ class TestReconstruction:
             assert at(whole) == single
 
 
-class TestTerminalChoice:
-    def test_singleton(self):
-        assert choose_secret_terminal((4,), SeededRng(0)) == 4
-
-    def test_uniform_over_two(self):
-        rng = SeededRng(123)
-        counts = {0: 0, 2: 0}
-        for _ in range(10**4):
-            counts[choose_secret_terminal((0, 2), rng)] += 1
-        assert abs(counts[0] - 5000) <= 300
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            choose_secret_terminal((), SeededRng(0))
-
-
 class TestSecretBit:
     def test_path_terminals(self):
         tree = path_tree()
@@ -206,6 +189,18 @@ class TestSubroutineRound:
                 assert secrets[2] == secrets[0] ^ 1
                 seen_disagreement = True
         assert seen_disagreement
+
+    def test_chosen_terminal_uniform_on_path(self):
+        # The path 0-1-2 has terminals 0 and 2; each round returns one of
+        # them, about half the time each.
+        tree = path_tree()
+        announcing = block_announcers(tree, {(0, 1): (0, 0), (1, 2): (0, 0)})
+        rng, transcript = SeededRng(123), Transcript()
+        counts = {0: 0, 2: 0}
+        for _ in range(10**4):
+            chosen, _ = subroutine_round(tree, announcing, rng, transcript)
+            counts[chosen] += 1
+        assert abs(counts[0] - 5000) <= 300
 
     def test_transcript_reveals_no_unmasked_bit(self):
         # For every announcement either the masked record equals the true
