@@ -31,14 +31,7 @@ def _key_hex(index: int, k: int) -> str:
 
 def _protocol_config(spec: RunSpec) -> protocol.ProtocolConfig:
     """The run's config; its tree is the one graph check every command uses."""
-    return protocol.ProtocolConfig(
-        graph=spec.graph,
-        leader=spec.leader,
-        code=spec.code,
-        blocks=spec.blocks,
-        delta=spec.delta,
-        seed=spec.seed,
-    )
+    return protocol.ProtocolConfig._make(spec)
 
 
 def cmd_plan(spec: RunSpec, out=None) -> int:
@@ -81,15 +74,15 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
         transcript_lines.extend(transcript_io.transcript_lines(res.transcript))
 
     summary = _summary_lines(results, code)
-    bound = protocol.failure_bound(spec.delta, spec.epsilon, code.m)
-    n = spec.graph.n
+    bound = protocol.failure_bound(config.delta, config.epsilon, code.m)
+    n = config.graph.n
     efficiency_lines = [
         f"n={n} m={code.m} k={code.k}",
         f"pairwise_bits_consumed_per_block={(n - 1) * 2 * code.m}",
         f"key_bits_per_agent_per_block={code.k}",
         f"eta_subroutine={random_efficiency(n)}",
         f"eta_code={protocol.code_efficiency(n, code.k, code.m)}",
-        f"failure_bound(delta={spec.delta},epsilon={spec.epsilon},m={code.m})={bound:.12g}",
+        f"failure_bound(delta={config.delta},epsilon={config.epsilon},m={code.m})={bound:.12g}",
     ]
     stats_lines = [
         f"blocks={len(results)}",

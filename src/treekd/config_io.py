@@ -6,9 +6,12 @@ One record per line; ``#`` starts a comment.  Graph records:
     source <id>
     edge <a> <b> weight=<w> flip=<p> [anti]
 
+A negative agent id is a line-numbered error in any record.
 A run config is the same graph format plus ``param key=value`` lines
 (keys: leader, code, blocks, delta, epsilon, seed), each optional, so a
-graph file with no ``param`` lines is a valid run config.
+graph file with no ``param`` lines is a valid run config.  parse_config
+is the one check of the run parameters; ProtocolConfig.tree checks the
+graph itself.
 """
 
 from __future__ import annotations
@@ -74,17 +77,18 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
         try:
             if kind in ("node", "source", "param") and len(fields) > 2:
                 raise ValueError(f"unexpected field {fields[2]!r}")
-            if kind in ("node", "source") and len(fields) < 2:
-                raise ValueError(f"{kind} needs an agent id")
-            if kind == "node":
-                node = _number(int, fields[1])
-                if node < 0:
+            if kind in ("node", "source"):
+                if len(fields) < 2:
+                    raise ValueError(f"{kind} needs an agent id")
+                agent = _number(int, fields[1])
+                if agent < 0:
                     raise ValueError("agent ids must be non-negative")
-                if node in nodes:
-                    raise ValueError(f"node {node} already declared on line {nodes[node]}")
-                nodes[node] = lineno
+            if kind == "node":
+                if agent in nodes:
+                    raise ValueError(f"node {agent} already declared on line {nodes[agent]}")
+                nodes[agent] = lineno
             elif kind == "source":
-                sources.append(_number(int, fields[1]))
+                sources.append(agent)
             elif kind == "edge":
                 if len(fields) < 3:
                     raise ValueError("edge needs two agent ids")
@@ -161,9 +165,7 @@ def parse_config(text: str) -> RunSpec:
         code = code_by_name(merged["code"])
     except ValueError as exc:
         fail("code", str(exc))
-    if delta is not None and (
-        not (0.0 < delta < 1.0) or delta - delta * delta <= 0.0
-    ):
+    if delta is not None and not 0.0 < delta < 1.0:
         fail("delta", f"param delta={delta} out of range: delta - delta^2 must be positive")
     if epsilon is not None and not 0.0 < epsilon < math.inf:
         fail("epsilon", f"param epsilon={epsilon} must be finite and positive")

@@ -16,8 +16,8 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitString
 from .channel_sim import Transcript, broadcast, simulate_pairwise_kd
-from .config_io import ConfigError
-from .graph_core import SecurityGraph, SpanningTree, mst_kruskal, validate_graph
+from .config_io import ConfigError, RunSpec
+from .graph_core import SpanningTree, mst_kruskal, validate_graph
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
 from .subroutine import block_announcers, reconstruct_assignment
@@ -30,29 +30,11 @@ class InvalidGraphError(ConfigError):
     per violated invariant."""
 
 
-class ProtocolConfig:
-    def __init__(
-        self,
-        graph: SecurityGraph,
-        leader: int,
-        code: LinearCode,
-        blocks: int,
-        delta: float,
-        seed: int,
-    ):
-        if not (0.0 < delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        # An agentless graph is left to the graph check in tree.
-        if graph.n and not (0 <= leader < graph.n):
-            raise ValueError("leader out of range")
-        if blocks < 1:
-            raise ValueError("blocks must be >= 1")
-        self.graph = graph
-        self.leader = leader
-        self.code = code
-        self.blocks = blocks
-        self.delta = delta
-        self.seed = seed
+class ProtocolConfig(RunSpec):
+    """A run's parameters, as parse_config checked them, and their tree.
+
+    A subclass, since a NamedTuple has no instance dict to cache the tree in.
+    """
 
     @cached_property
     def tree(self) -> SpanningTree:

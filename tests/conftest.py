@@ -22,7 +22,8 @@ from treekd.graph_core import (
     connected_components,
     terminal_agents,
 )
-from treekd.linear_code import LinearCode, encode_index
+from treekd.linear_code import LinearCode, _systematic_code, encode_index, hamming_7_4
+from treekd.protocol import ProtocolConfig
 from treekd.rng import SeededRng
 from treekd.subroutine import (
     NonTerminalChoiceError,
@@ -38,6 +39,11 @@ from treekd.transcript_io import (
     transcript_lines,
 )
 
+# A [6,3] code with a weight-2 codeword (001100), so some words have two
+# nearest codewords and the decoder's tie rule decides: no named code has
+# such words.
+TIED_6_3 = _systematic_code(6, 3, 0, ((1, 1, 0), (0, 1, 1), (1, 0, 0)))
+
 
 def random_tree_edges(n: int, rng: random.Random) -> List[WeightedEdge]:
     """A uniform-ish random spanning tree via random attachment."""
@@ -48,6 +54,21 @@ def random_tree_edges(n: int, rng: random.Random) -> List[WeightedEdge]:
         parent = order[rng.randrange(i)]
         edges.append(WeightedEdge(order[i], parent, weight=Fraction(1)))
     return edges
+
+
+def path_config(*, n=3, code=None, flip=0.0, delta=0.05, seed=1, blocks=1, leader=0):
+    """A run on the path 0 - 1 - ... - n-1 with every agent a source and the
+    same flip on every edge; the code defaults to hamming7_4."""
+    edges = [WeightedEdge(i, i + 1, flip_prob=flip) for i in range(n - 1)]
+    return ProtocolConfig(
+        graph=SecurityGraph(n, edges, sources=range(n)),
+        leader=leader,
+        code=code or hamming_7_4(),
+        blocks=blocks,
+        delta=delta,
+        epsilon=0.05,
+        seed=seed,
+    )
 
 
 def random_connected_graph(
@@ -242,3 +263,54 @@ def reference_rounds(
             assignment = reconstruct_assignment(agent, own(agent, r), announcements, tree)
             bits[agent].append(assignment[key])
     return {agent: BitString.from_bits(b) for agent, b in bits.items()}, lines
+
+
+def reference_block(
+    config, block_index: int = 0
+) -> Tuple[str, Optional[Dict[int, int]], Dict[int, Fraction], List[str]]:
+    """A block step by step, as the paper runs it: the reference for
+    protocol.run_block.
+
+    The rounds come from reference_rounds.  The leader then draws m of the
+    2m positions from the block's "check" substream and announces them
+    sorted; every agent, in ascending id, announces its bits there.  The
+    block aborts when some agent's mismatch with the leader exceeds delta
+    read as an exact decimal.  Otherwise the leader draws a key index from
+    the "code" substream and broadcasts its codeword XOR the leader's bits
+    at the other positions; every other agent decodes that XOR its own
+    bits by coset leader and looks the codeword up in the code's table.
+    Returns (status, key indices, mismatches, transcript lines).
+    """
+    code, leader, m = config.code, config.leader, config.code.m
+    strings, lines = reference_rounds(config, block_index, 2 * m)
+    rng = SeededRng(config.seed).substream("block", block_index)
+
+    def send(sender: int, kind: str, payload) -> None:
+        lines.append(f"{len(lines)} {sender} {kind} {format_payload(kind, payload)}")
+
+    check = sorted(rng.substream("check").sample(range(2 * m), m))
+    send(leader, "check_positions", check)
+    rest = [i for i in range(2 * m) if i not in check]
+    checks, codebits = {}, {}
+    for agent, bits in strings.items():
+        checks[agent] = BitString.from_bits(bits[i] for i in check)
+        codebits[agent] = BitString.from_bits(bits[i] for i in rest)
+        send(agent, "check_values", checks[agent])
+    mismatch = {
+        agent: Fraction(sum(x != y for x, y in zip(bits, checks[leader])), m)
+        for agent, bits in checks.items()
+        if agent != leader
+    }
+    if any(frac > Fraction(str(config.delta)) for frac in mismatch.values()):
+        send(leader, "abort", mismatch)
+        return "aborted", None, mismatch, lines
+
+    index = rng.substream("code").randrange(1 << code.k)
+    masked = encode_index(code, index) ^ codebits[leader]
+    send(leader, "code_broadcast", masked)
+    keys = {leader: index}
+    for agent, bits in codebits.items():
+        if agent != leader:
+            decoded, _ = coset_leader_decode(code, masked ^ bits)
+            keys[agent] = code.codewords.index(decoded)
+    return "completed", keys, mismatch, lines

@@ -17,6 +17,7 @@ from conftest import (
     chi_square_uniformity,
     mst_prim,
     parsed_round,
+    path_config,
     random_connected_graph,
     random_tree_edges,
 )
@@ -49,18 +50,6 @@ from treekd.protocol import (
 from treekd.rng import SeededRng
 from treekd.subroutine import random_efficiency
 from treekd.transcript_io import parse_transcript
-
-
-def path_config(n, code, seed=1, flip=0.0, delta=0.05, blocks=1):
-    edges = [WeightedEdge(i, i + 1, flip_prob=flip) for i in range(n - 1)]
-    return ProtocolConfig(
-        graph=SecurityGraph(n, edges, sources=range(n)),
-        leader=0,
-        code=code,
-        blocks=blocks,
-        delta=delta,
-        seed=seed,
-    )
 
 
 def test_criterion_1_efficiency_formulas(tmp_path):
@@ -151,7 +140,7 @@ def test_criterion_3_spanning_tree_necessity_sufficiency(tmp_path):
             result = run_block(
                 ProtocolConfig(
                     graph=graph, leader=0, code=hamming_7_4(), blocks=1,
-                    delta=0.05, seed=subset_bits,
+                    delta=0.05, epsilon=0.05, seed=subset_bits,
                 )
             )
             assert result.status == "completed"
@@ -215,7 +204,7 @@ def test_criterion_6_noiseless_end_to_end():
         for code in codes:
             config = ProtocolConfig(
                 graph=g, leader=rng.randrange(n), code=code, blocks=blocks,
-                delta=0.05, seed=rng.randrange(2**32),
+                delta=0.05, epsilon=0.05, seed=rng.randrange(2**32),
             )
             agreed = 0
             for b in range(blocks):
@@ -270,7 +259,7 @@ def test_criterion_7_failure_bound():
 def test_criterion_8_key_uniformity():
     code = hamming_7_4()
     blocks = 16000
-    config = path_config(3, code, seed=808)
+    config = path_config(n=3, code=code, seed=808)
     indices = []
     for b in range(blocks):
         result = run_block(config, b)

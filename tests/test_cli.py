@@ -106,6 +106,7 @@ class TestParseConfig:
             ("node 1\n", "line 4: node 1 already declared on line 2"),
             ("node 3\n", "node ids must be dense 0..n-1, each declared once"),
             ("node -1\n", "line 4: agent ids must be non-negative"),
+            ("source -1\n", "line 4: agent ids must be non-negative"),
             ("node \u0662\n", "line 4: '\u0662' is not a plain ASCII number"),
             ("param blocks=1_0\n", "line 4: param blocks must be an integer, got '1_0'"),
             ("param seed=\u0661\n", "line 4: param seed must be an integer, got '\u0661'"),
@@ -124,7 +125,7 @@ class TestParseConfig:
              "param-blocks-zero", "param-leader-not-agent", "param-code-unknown",
              "param-code-even-repetition", "edge-unknown-attribute",
              "edge-negative-id", "unknown-record-kind", "node-repeated", "node-gap",
-             "node-negative-id", "node-arabic-indic-digit", "param-blocks-underscore",
+             "node-negative-id", "source-negative-id", "node-arabic-indic-digit", "param-blocks-underscore",
              "param-seed-arabic-indic-digit", "param-leader-plus-sign",
              "edge-weight-arabic-indic-digits", "edge-flip-underscore",
              "param-delta-underscore"],
@@ -500,7 +501,7 @@ class TestTranscriptRoundTrip:
         )
         config = ProtocolConfig(
             graph=graph, leader=0, code=hamming_7_4(), blocks=1,
-            delta=0.05, seed=12,
+            delta=0.05, epsilon=0.05, seed=12,
         )
         result = run_block(config)
         lines = transcript_io.transcript_lines(result.transcript)

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coset_leader_decode
+from conftest import TIED_6_3, coset_leader_decode
 from treekd.bits import BitString
 from treekd.linear_code import (
     NotACodewordError,
-    _systematic_code,
     code_by_name,
     decode_to_codeword,
     encode_index,
@@ -22,11 +21,6 @@ from treekd.rng import SeededRng
 
 def all_codewords(code):
     return [encode_index(code, i) for i in range(1 << code.k)]
-
-
-# A [6,3] code with a weight-2 codeword (001100), so some words have two
-# nearest codewords and the decoder's tie rule decides.
-TIED_6_3 = _systematic_code(6, 3, 0, ((1, 1, 0), (0, 1, 1), (1, 0, 0)))
 
 
 # (code, A rows) with G = [I_k | A], the rows written out independently.

@@ -6,10 +6,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree_edges, reference_rounds
+from conftest import (
+    TIED_6_3,
+    path_config,
+    random_tree_edges,
+    reference_block,
+    reference_rounds,
+)
 from treekd import cli, graph_core, protocol, subroutine
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript
@@ -32,19 +38,6 @@ from treekd.protocol import (
 )
 from treekd.rng import SeededRng
 from treekd.transcript_io import parse_transcript, transcript_lines
-
-
-def path_config(n=3, flip=0.0, code=None, delta=0.05, seed=1, blocks=1, leader=0):
-    edges = [WeightedEdge(i, i + 1, flip_prob=flip) for i in range(n - 1)]
-    graph = SecurityGraph(n, edges, sources=range(n))
-    return ProtocolConfig(
-        graph=graph,
-        leader=leader,
-        code=code or hamming_7_4(),
-        blocks=blocks,
-        delta=delta,
-        seed=seed,
-    )
 
 
 class TestSelectCheckPositions:
@@ -297,7 +290,7 @@ class TestRunBlock:
         graph = SecurityGraph(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)], sources={0})
         config = ProtocolConfig(
             graph=graph, leader=0, code=hamming_7_4(), blocks=1,
-            delta=0.05, seed=0,
+            delta=0.05, epsilon=0.05, seed=0,
         )
         with pytest.raises(InvalidGraphError):
             run_block(config)
@@ -311,7 +304,7 @@ class TestRunBlock:
         edges = random_tree_edges(n, random.Random(seed))
         config = ProtocolConfig(
             graph=SecurityGraph(n, edges, range(n)), leader=0, code=hamming_7_4(),
-            blocks=1, delta=0.5, seed=seed,
+            blocks=1, delta=0.5, epsilon=0.05, seed=seed,
         )
         lines = transcript_lines(run_block(config).transcript)
         payloads = [line.split(" ", 3)[3] for line in lines if " announcement " in line]
@@ -428,6 +421,7 @@ class TestReferenceRounds:
             code=hamming_7_4(),
             blocks=1,
             delta=0.5,
+            epsilon=0.05,
             seed=seed,
         )
         strings, transcript = run_rounds(config, block_index, positions)
@@ -436,15 +430,47 @@ class TestReferenceRounds:
         assert strings == want_strings
 
 
-class TestConfigValidation:
-    def test_bad_delta(self):
-        with pytest.raises(ValueError):
-            path_config(delta=0.0)
-
-    def test_bad_leader(self):
-        with pytest.raises(ValueError):
-            config = path_config()
-            ProtocolConfig(
-                graph=config.graph, leader=7, code=config.code, blocks=1,
-                delta=0.05, seed=0,
-            )
+class TestReferenceBlock:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        flip=st.floats(0.0, 0.49),
+        # Every named code up to 9 bits, and one whose decoding can tie.
+        code=st.sampled_from(
+            [hamming_7_4(), *map(repetition_code, (1, 3, 5, 7, 9)), TIED_6_3]
+        ),
+        # 0.2, 0.4, 0.6 and 0.8 are mismatches over 5 check bits, 0.5 over 6.
+        delta=st.one_of(
+            st.sampled_from([0.2, 0.4, 0.5, 0.6, 0.8]), st.floats(0.01, 0.99)
+        ),
+        leader=st.integers(0, 11),
+        block_index=st.integers(0, 3),
+    )
+    # Random draws reach these two boundaries in about half of all runs:
+    # agent 3's mismatch is exactly delta, and agent 1's word ties.
+    @example(n=4, seed=0, flip=0.1, code=repetition_code(5), delta=0.2, leader=0,
+             block_index=0)
+    @example(n=3, seed=0, flip=0.1, code=TIED_6_3, delta=0.5, leader=0, block_index=0)
+    def test_run_block_matches_reference(
+        self, n, seed, flip, code, delta, leader, block_index
+    ):
+        rng = random.Random(seed)
+        edges = [
+            WeightedEdge(e.a, e.b, flip_prob=flip) for e in random_tree_edges(n, rng)
+        ]
+        config = ProtocolConfig(
+            graph=SecurityGraph(n, edges, range(n)),
+            leader=leader % n,
+            code=code,
+            blocks=1,
+            delta=delta,
+            epsilon=0.05,
+            seed=seed,
+        )
+        result = run_block(config, block_index)
+        status, keys, mismatch, lines = reference_block(config, block_index)
+        assert transcript_lines(result.transcript) == lines
+        assert (result.status, result.key_indices, result.mismatch) == (
+            status, keys, mismatch
+        )

@@ -260,6 +260,7 @@ class TestSubroutineRound:
             code=hamming_7_4(),
             blocks=1,
             delta=0.5,
+            epsilon=0.05,
             seed=seed,
         )
         pairs = {}
