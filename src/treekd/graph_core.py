@@ -7,6 +7,7 @@ rationals so tie-breaking and brute-force comparisons are reproducible.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 from types import MappingProxyType
@@ -186,8 +187,12 @@ def connected_components(g: SecurityGraph) -> List[Set[int]]:
 
 def mst_kruskal(g: SecurityGraph) -> SpanningTree:
     """Minimum spanning tree; equal weights break ties by input edge index."""
-    # Stable sort keeps input order within equal weights.
-    ordered = sorted(g.edges, key=lambda e: e.weight)
+    # Sort on exact ints, each weight scaled to the common denominator, not
+    # on Fractions; the stable sort keeps input order within equal weights.
+    scale = math.lcm(*(e.weight.denominator for e in g.edges))
+    ordered = sorted(
+        g.edges, key=lambda e: e.weight.numerator * (scale // e.weight.denominator)
+    )
     uf = _UnionFind(g.n)
     chosen: List[WeightedEdge] = []
     for e in ordered:

@@ -89,16 +89,24 @@ def decide_abort(
 ) -> Tuple[bool, Dict[int, Fraction]]:
     """(abort, mismatch): abort iff any agent's mismatch fraction vs the
     leader strictly exceeds delta, read as the decimal it prints as (the
-    float 0.3 is below 3/10); exactly delta proceeds."""
+    float 0.3 is below 3/10); exactly delta proceeds.
+
+    Agents at the same Hamming distance share one Fraction, and the test
+    runs once per distinct distance.
+    """
     limit = Fraction(str(delta))
     reference = check_values[leader]
     m = len(reference)
+    by_distance: Dict[int, Fraction] = {}
     mismatch: Dict[int, Fraction] = {}
     for agent, bits in check_values.items():
         if agent == leader:
             continue
-        mismatch[agent] = Fraction(reference.hamming(bits), m)
-    return any(frac > limit for frac in mismatch.values()), mismatch
+        distance = reference.hamming(bits)
+        if distance not in by_distance:
+            by_distance[distance] = Fraction(distance, m)
+        mismatch[agent] = by_distance[distance]
+    return any(frac > limit for frac in by_distance.values()), mismatch
 
 
 def reconcile(
@@ -108,33 +116,40 @@ def reconcile(
     transcript: Transcript,
     leader: int,
 ) -> Dict[int, int]:
-    """Code-based reconciliation: broadcast c XOR v, decode, output index."""
+    """Code-based reconciliation: broadcast c XOR v, decode, output index.
+
+    Agents holding the same code bits decode to the same index, so each
+    distinct non-leader string, keyed by its int value, is decoded once.
+    """
     index, codeword = random_codeword(code, rng)
     masked = codeword ^ codebits[leader]
     text = format_payload("code_broadcast", masked)
     broadcast(transcript, leader, "code_broadcast", text)
     indices: Dict[int, int] = {leader: index}
+    by_value: Dict[int, int] = {}
     for agent, bits in codebits.items():
         if agent == leader:
             continue
-        received = masked ^ bits  # = codeword XOR error vector
-        decoded, _ = decode_to_codeword(code, received)
-        indices[agent] = index_of(code, decoded)
+        if bits.value not in by_value:
+            received = masked ^ bits  # = codeword XOR error vector
+            decoded, _ = decode_to_codeword(code, received)
+            by_value[bits.value] = index_of(code, decoded)
+        indices[agent] = by_value[bits.value]
     return indices
 
 
 def run_rounds(
     config: ProtocolConfig, block_index: int, positions: int
-) -> Tuple[Dict[int, BitString], Transcript]:
+) -> Tuple[List[int], Transcript]:
     """Steps 1-3: pairwise KD on the tree and `positions` subroutine rounds.
 
-    Returns each agent's secret string (length `positions`) and the rounds'
-    transcript.  Edge copies and each announcer's masks are int words,
-    position 0 in the most significant bit.  The leader reconstructs once,
-    from its own words and the masked words; its bit r is bit r of round
-    r's chosen terminal edge.  Agent j's string is the leader's XOR
+    Returns each agent's secret string as a `positions`-bit int word, in
+    agent order, and the rounds' transcript.  These words, the edge copies
+    and each announcer's masks hold position 0 in the most significant bit.
+    The leader reconstructs once, from its own words and the masked words;
+    its bit r is bit r of round r's chosen terminal edge.  Agent j's string is the leader's XOR
     P[leader] XOR P[j], where P[v] is the XOR of the disagreement words
-    A ^ B on the tree path from agent 0 to v.
+    A ^ B on the tree path from agent 0 to v; at low noise most P[j] are 0.
     """
     tree, leader = config.tree, config.leader
     rng = SeededRng(config.seed).substream("block", block_index)
@@ -167,10 +182,7 @@ def run_rounds(
         assignment[terminal_edge_key(tree, chosen)] & (1 << positions - 1 - r)
         for r, (chosen, _) in enumerate(rounds)
     )
-    strings = {
-        agent: BitString(base ^ parity[agent], positions) for agent in range(tree.n)
-    }
-    return strings, transcript
+    return [base ^ p for p in parity], transcript
 
 
 def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
@@ -180,22 +192,28 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
     these systematic codes the key bits are the index's k bits.
     """
     m, leader = config.code.m, config.leader
-    strings, transcript = run_rounds(config, block_index, 2 * m)
+    words, transcript = run_rounds(config, block_index, 2 * m)
     rng = SeededRng(config.seed).substream("block", block_index)
+    # Most agents share a word, so each distinct word is split and rendered
+    # once, and every agent gets the shared BitStrings of its word.
+    strings = {word: BitString(word, 2 * m) for word in set(words)}
 
     check_positions = select_check_positions(rng.substream("check"), 2 * m)
     text = format_payload("check_positions", check_positions)
     broadcast(transcript, leader, "check_positions", text)
-    check_values = {agent: bits.take(check_positions) for agent, bits in strings.items()}
-    for agent, bits in check_values.items():
-        broadcast(transcript, agent, "check_values", format_payload("check_values", bits))
+    checks = {word: bits.take(check_positions) for word, bits in strings.items()}
+    texts = {word: format_payload("check_values", bits) for word, bits in checks.items()}
+    for agent, word in enumerate(words):
+        broadcast(transcript, agent, "check_values", texts[word])
+    check_values = {agent: checks[word] for agent, word in enumerate(words)}
     abort, mismatch = decide_abort(check_values, leader, config.delta)
     if abort:
         broadcast(transcript, leader, "abort", format_payload("abort", mismatch))
         return KeyResult("aborted", None, mismatch, transcript)
 
     code_positions = sorted(set(range(2 * m)).difference(check_positions))
-    codebits = {agent: bits.take(code_positions) for agent, bits in strings.items()}
+    codes = {word: bits.take(code_positions) for word, bits in strings.items()}
+    codebits = {agent: codes[word] for agent, word in enumerate(words)}
     indices = reconcile(codebits, config.code, rng.substream("code"), transcript, leader)
     return KeyResult("completed", indices, mismatch, transcript)
 

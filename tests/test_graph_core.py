@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_mst_weight, mst_prim, random_connected_graph
@@ -150,6 +150,37 @@ class TestMst:
             kruskal = {e.key for e in mst_kruskal(g).edges}
             prim = {e.key for e in mst_prim(g, 0).edges}
             assert kruskal == prim
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        extra_edges=st.integers(0, 12),
+    )
+    def test_integer_sort_keys_choose_the_fraction_sorted_edges(
+        self, n, seed, extra_edges
+    ):
+        # Few distinct weights over mixed denominators, so many ties: the
+        # tree is the greedy pick from the edges sorted as Fractions, with
+        # ties left in input order, and its edges come in that order.
+        rng = random.Random(seed)
+        weights = [Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(2),
+                   Fraction(2, 3), Fraction(7, 4), Fraction(1)]
+        edges = [
+            WeightedEdge(e.a, e.b, weight=rng.choice(weights))
+            for e in random_connected_graph(n, rng, extra_edges=extra_edges).edges
+        ]
+        rng.shuffle(edges)
+        g = SecurityGraph(n, edges, sources=range(n))
+        component = list(range(n))
+        expected = []
+        for e in sorted(g.edges, key=lambda e: e.weight):
+            ca, cb = component[e.a], component[e.b]
+            if ca != cb:
+                expected.append(e)
+                component = [ca if c == cb else c for c in component]
+        assert list(mst_kruskal(g).edges) == expected
 
 
 class TestTreeQueries:

@@ -16,7 +16,7 @@ from conftest import (
     reference_block,
     reference_rounds,
 )
-from treekd import cli, graph_core, protocol, subroutine
+from treekd import cli, graph_core, linear_code, protocol, subroutine
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript
 from treekd.config_io import parse_config
@@ -241,7 +241,8 @@ class TestRunBlock:
         # check-position values replaced by garbage: identical keys.
         config = path_config(n=3, seed=23)
         m = config.code.m
-        strings, _ = run_rounds(config, 0, 2 * m)
+        words, _ = run_rounds(config, 0, 2 * m)
+        strings = {a: BitString(w, 2 * m) for a, w in enumerate(words)}
         rng = SeededRng(config.seed).substream("block", 0)
         check = set(select_check_positions(rng.substream("check"), 2 * m))
         code_positions = [i for i in range(2 * m) if i not in check]
@@ -270,7 +271,8 @@ class TestRunBlock:
             if result.status != "completed":
                 continue
             m = config.code.m
-            strings, _ = run_rounds(config, i, 2 * m)
+            words, _ = run_rounds(config, i, 2 * m)
+            strings = {a: BitString(w, 2 * m) for a, w in enumerate(words)}
             rng = SeededRng(config.seed).substream("block", i)
             check = set(select_check_positions(rng.substream("check"), 2 * m))
             code_positions = [p for p in range(2 * m) if p not in check]
@@ -398,6 +400,64 @@ class TestOneReconstructionPerBlock:
             }
 
 
+class TestOncePerDistinctString:
+    """At low noise most agents hold the same string, and run_block splits,
+    decodes and looks up each distinct string once, not once per agent."""
+
+    def counted_block(self, monkeypatch, config):
+        calls = Counter()
+        original_decode = linear_code.decode_to_codeword
+        original_take = BitString.take
+
+        def decode(code, word):
+            calls["decode"] += 1
+            return original_decode(code, word)
+
+        def take(bits, positions):
+            calls["take"] += 1
+            return original_take(bits, positions)
+
+        for module in (linear_code, protocol):
+            monkeypatch.setattr(module, "decode_to_codeword", decode)
+        monkeypatch.setattr(BitString, "take", take)
+        result = run_block(config)
+        monkeypatch.undo()
+        return result, calls
+
+    def tree_config(self, flip, seed):
+        edges = [
+            WeightedEdge(e.a, e.b, flip_prob=flip)
+            for e in random_tree_edges(12, random.Random(seed))
+        ]
+        return ProtocolConfig(
+            graph=SecurityGraph(12, edges, range(12)), leader=0, code=hamming_7_4(),
+            blocks=1, delta=0.5, epsilon=0.05, seed=seed,
+        )
+
+    def test_noiseless_block_splits_and_decodes_once(self, monkeypatch):
+        result, calls = self.counted_block(monkeypatch, self.tree_config(0.0, 4))
+        assert result.status == "completed"
+        assert len(set(result.key_indices.values())) == 1
+        assert calls == {"decode": 1, "take": 2}
+
+    def test_noisy_block_decodes_each_distinct_code_string_once(self, monkeypatch):
+        config = self.tree_config(0.05, 1)
+        result, calls = self.counted_block(monkeypatch, config)
+        assert result.status == "completed"
+        m = config.code.m
+        words, _ = run_rounds(config, 0, 2 * m)
+        rng = SeededRng(config.seed).substream("block", 0)
+        check = set(select_check_positions(rng.substream("check"), 2 * m))
+        code_positions = [p for p in range(2 * m) if p not in check]
+        distinct = {
+            BitString(w, 2 * m).take(code_positions)
+            for agent, w in enumerate(words)
+            if agent != config.leader
+        }
+        assert 1 < len(distinct) < 11  # strings are both shared and distinct
+        assert calls["decode"] == len(distinct)
+
+
 class TestReferenceRounds:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -424,7 +484,8 @@ class TestReferenceRounds:
             epsilon=0.05,
             seed=seed,
         )
-        strings, transcript = run_rounds(config, block_index, positions)
+        words, transcript = run_rounds(config, block_index, positions)
+        strings = {a: BitString(w, positions) for a, w in enumerate(words)}
         want_strings, want_lines = reference_rounds(config, block_index, positions)
         assert transcript_lines(transcript) == want_lines
         assert strings == want_strings
@@ -452,6 +513,13 @@ class TestReferenceBlock:
     @example(n=4, seed=0, flip=0.1, code=repetition_code(5), delta=0.2, leader=0,
              block_index=0)
     @example(n=3, seed=0, flip=0.1, code=TIED_6_3, delta=0.5, leader=0, block_index=0)
+    # Random flips seldom leave agents sharing strings: here all 12 share
+    # one, then shared and distinct strings mix, so run_block's memo hits
+    # and misses in the same block.
+    @example(n=12, seed=0, flip=0.0, code=hamming_7_4(), delta=0.5, leader=0,
+             block_index=0)
+    @example(n=12, seed=0, flip=0.02, code=hamming_7_4(), delta=0.5, leader=0,
+             block_index=0)
     def test_run_block_matches_reference(
         self, n, seed, flip, code, delta, leader, block_index
     ):
