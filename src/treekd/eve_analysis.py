@@ -36,11 +36,12 @@ def consistent_configurations(
     right edges still leaves exactly two complementary candidates, which
     is precisely the masking guarantee.
     """
+    fixed = 0
     for agent, masked in announcements.items():
-        incident = {e.key for e in tree.incident_edges(agent)}
-        if len(incident) <= 1 or set(masked) != incident:
+        incident = tree.incident_keys(agent)
+        if len(incident) <= 1 or masked.keys() != incident:
             return 0
-    fixed = sum(len(masked) - 1 for masked in announcements.values())
+        fixed += len(masked) - 1
     return 2 ** (tree.n - 1 - fixed)
 
 

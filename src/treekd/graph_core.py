@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
@@ -80,7 +81,8 @@ class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
     Its adjacency, incident edges, terminals (also as an ascending tuple)
-    and parent table are built once.  Neighbours and incident
+    and parent table are built once; each agent's incident edge keys and
+    the total weight, once on first read.  Neighbours and incident
     edges are listed in ascending neighbour id, i.e. ascending edge-key order.
     """
 
@@ -90,7 +92,6 @@ class SpanningTree:
             raise ValueError("edges do not form a spanning tree")
         self.n = n
         self.edges = edges
-        self.total_weight = sum((e.weight for e in edges), Fraction(0))
         self._adjacency = _adjacency(n, edges)
         by_key = {e.key: e for e in edges}
         self._incident = {
@@ -111,11 +112,23 @@ class SpanningTree:
                     parents.append((v, u, (min(u, v), max(u, v))))
         self._parents = tuple(parents)
 
+    @cached_property
+    def total_weight(self) -> Fraction:
+        return sum((e.weight for e in self.edges), Fraction(0))
+
     def adjacency(self) -> Adjacency:
         return MappingProxyType(self._adjacency)
 
     def incident_edges(self, agent: int) -> Tuple[WeightedEdge, ...]:
         return self._incident.get(agent, ())
+
+    @cached_property
+    def _incident_keys(self) -> Dict[int, FrozenSet[EdgeKey]]:
+        return {v: frozenset(e.key for e in es) for v, es in self._incident.items()}
+
+    def incident_keys(self, agent: int) -> FrozenSet[EdgeKey]:
+        """The keys of incident_edges(agent), as a set."""
+        return self._incident_keys.get(agent, frozenset())
 
     def parent_edges(self) -> Tuple[Tuple[int, int, EdgeKey], ...]:
         """(vertex, parent, edge key) for every vertex but 0, in BFS order

@@ -139,9 +139,10 @@ def reconcile(
 
 
 def run_rounds(
-    config: ProtocolConfig, block_index: int, positions: int
+    config: ProtocolConfig, rng: SeededRng, positions: int
 ) -> Tuple[List[int], Transcript]:
-    """Steps 1-3: pairwise KD on the tree and `positions` subroutine rounds.
+    """Steps 1-3: pairwise KD on the tree and `positions` subroutine rounds,
+    drawn from the block's stream `rng`.
 
     Returns each agent's secret string as a `positions`-bit int word, in
     agent order, and the rounds' transcript.  These words, the edge copies
@@ -152,8 +153,6 @@ def run_rounds(
     A ^ B on the tree path from agent 0 to v; at low noise most P[j] are 0.
     """
     tree, leader = config.tree, config.leader
-    rng = SeededRng(config.seed).substream("block", block_index)
-
     words: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for edge in tree.edges:
         edge_rng = rng.substream("edge", edge.a, edge.b)
@@ -192,8 +191,8 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
     these systematic codes the key bits are the index's k bits.
     """
     m, leader = config.code.m, config.leader
-    words, transcript = run_rounds(config, block_index, 2 * m)
     rng = SeededRng(config.seed).substream("block", block_index)
+    words, transcript = run_rounds(config, rng, 2 * m)
     # Most agents share a word, so each distinct word is split and rendered
     # once, and every agent gets the shared BitStrings of its word.
     strings = {word: BitString(word, 2 * m) for word in set(words)}

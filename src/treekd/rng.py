@@ -4,13 +4,16 @@ The generator is CPython's Mersenne Twister (``random.Random``), which is
 stable across platforms and Python versions for the operations used here.
 Substreams are derived by hashing the parent seed together with string
 labels (SHA-256, first 8 bytes as the child seed), so every component of a
-run draws from its own independent, reproducible stream.
+run draws from its own independent, reproducible stream.  A stream seeds
+its generator on its first draw, so one that only derives children never
+seeds one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
+from random import Random
+from typing import Optional
 
 
 class SeededRng:
@@ -18,7 +21,14 @@ class SeededRng:
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._rng = random.Random(seed)
+        # None until the first draw.  A plain attribute tested on each draw
+        # costs less per block than a cached_property, which CPython 3.11
+        # reads through a lock and without its fast attribute path.
+        self._rng: Optional[Random] = None
+
+    def _seeded(self) -> Random:
+        self._rng = Random(self.seed)
+        return self._rng
 
     def substream(self, *labels: object) -> "SeededRng":
         """Derive an independent child stream from this seed and labels."""
@@ -27,19 +37,19 @@ class SeededRng:
         return SeededRng(int.from_bytes(digest[:8], "big"))
 
     def bit(self) -> int:
-        return self._rng.getrandbits(1)
+        return (self._rng or self._seeded()).getrandbits(1)
 
     def random(self) -> float:
-        return self._rng.random()
+        return (self._rng or self._seeded()).random()
 
     def randrange(self, n: int) -> int:
-        return self._rng.randrange(n)
+        return (self._rng or self._seeded()).randrange(n)
 
     def choice(self, seq):
-        return self._rng.choice(seq)
+        return (self._rng or self._seeded()).choice(seq)
 
     def sample(self, seq, k: int):
-        return self._rng.sample(seq, k)
+        return (self._rng or self._seeded()).sample(seq, k)
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed})"

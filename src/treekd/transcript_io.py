@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, NamedTuple, Set
+from typing import Any, Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from .bits import BitString
 from .channel_sim import Transcript
@@ -100,9 +100,14 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     ... (a 0 starts the next block), every kind is a known one, a
     terminal_choice must close every run of announcements, and each agent
     announces at most once per round.
+
+    Each distinct payload text of a kind is parsed once per call, as a
+    transcript repeats few texts many times; every message still gets its
+    own copy of a dict payload, so no two messages share one.
     """
     transcripts: List[ParsedTranscript] = []
     current: ParsedTranscript | None = None
+    parsed: Dict[Tuple[str, str], Any] = {}  # (kind, text) -> its payload
     open_round = 0  # first line of a round; only a terminal_choice may follow it
     announced: Set[int] = set()  # senders in the open round
     for lineno, raw in enumerate(lines, start=1):
@@ -112,7 +117,12 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
         try:
             seq_s, sender_s, kind, payload_text = (line.split(" ", 3) + [""])[:4]
             seq, sender = int(seq_s), int(sender_s)
-            payload = _parse_payload(kind, payload_text)
+            key = (kind, payload_text)
+            payload = parsed.get(key)
+            if payload is None:
+                payload = parsed[key] = _parse_payload(kind, payload_text)
+            elif isinstance(payload, dict):
+                payload = dict(payload)
             if open_round and (seq == 0 or kind not in ("announcement", "terminal_choice")):
                 raise ValueError(f"round from line {open_round} has no terminal_choice")
             if kind == "announcement" and sender in announced:

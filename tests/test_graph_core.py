@@ -240,6 +240,14 @@ class TestPrecomputedStructure:
             reached.append(v)
         assert sorted(reached) == list(range(tree.n))
 
+    @given(random_trees())
+    def test_incident_keys_are_the_incident_edge_keys(self, tree):
+        for v in range(tree.n):
+            assert tree.incident_keys(v) == {e.key for e in tree.incident_edges(v)}
+        assert tree.incident_keys(tree.n) == frozenset()
+        with pytest.raises(AttributeError):
+            tree.incident_keys(0).add((0, 9))
+
     def test_returned_structures_are_read_only(self):
         tree = mst_kruskal(star_graph(4))
         adjacency = tree.adjacency()

@@ -17,6 +17,7 @@ from conftest import (
     reference_rounds,
 )
 from treekd import cli, graph_core, linear_code, protocol, subroutine
+from treekd import rng as rng_module
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript
 from treekd.config_io import parse_config
@@ -241,9 +242,9 @@ class TestRunBlock:
         # check-position values replaced by garbage: identical keys.
         config = path_config(n=3, seed=23)
         m = config.code.m
-        words, _ = run_rounds(config, 0, 2 * m)
-        strings = {a: BitString(w, 2 * m) for a, w in enumerate(words)}
         rng = SeededRng(config.seed).substream("block", 0)
+        words, _ = run_rounds(config, rng, 2 * m)
+        strings = {a: BitString(w, 2 * m) for a, w in enumerate(words)}
         check = set(select_check_positions(rng.substream("check"), 2 * m))
         code_positions = [i for i in range(2 * m) if i not in check]
 
@@ -271,9 +272,9 @@ class TestRunBlock:
             if result.status != "completed":
                 continue
             m = config.code.m
-            words, _ = run_rounds(config, i, 2 * m)
-            strings = {a: BitString(w, 2 * m) for a, w in enumerate(words)}
             rng = SeededRng(config.seed).substream("block", i)
+            words, _ = run_rounds(config, rng, 2 * m)
+            strings = {a: BitString(w, 2 * m) for a, w in enumerate(words)}
             check = set(select_check_positions(rng.substream("check"), 2 * m))
             code_positions = [p for p in range(2 * m) if p not in check]
             leader_bits = strings[0].take(code_positions)
@@ -440,13 +441,41 @@ class TestOncePerDistinctString:
         assert len(set(result.key_indices.values())) == 1
         assert calls == {"decode": 1, "take": 2}
 
+    def test_only_streams_that_draw_are_seeded(self, monkeypatch):
+        # One Mersenne Twister per edge session, round, check draw and code
+        # draw; the run's root stream and the block's stream only derive
+        # children, and the block's stream is derived once.
+        seeded, derived = Counter(), Counter()
+
+        class CountingRandom(random.Random):
+            def seed(self, *args, **kwargs):
+                seeded["twisters"] += 1
+                super().seed(*args, **kwargs)
+
+        original_substream = SeededRng.substream
+
+        def substream(stream, *labels):
+            derived[labels[0]] += 1
+            return original_substream(stream, *labels)
+
+        config = self.tree_config(0.0, 4)
+        m = config.code.m
+        monkeypatch.setattr(rng_module, "Random", CountingRandom)
+        monkeypatch.setattr(SeededRng, "substream", substream)
+        for i in range(3):
+            seeded.clear()
+            derived.clear()
+            assert run_block(config, i).status == "completed"
+            assert seeded["twisters"] == 11 + 2 * m + 2
+            assert derived == {"block": 1, "edge": 11, "round": 2 * m, "check": 1, "code": 1}
+
     def test_noisy_block_decodes_each_distinct_code_string_once(self, monkeypatch):
         config = self.tree_config(0.05, 1)
         result, calls = self.counted_block(monkeypatch, config)
         assert result.status == "completed"
         m = config.code.m
-        words, _ = run_rounds(config, 0, 2 * m)
         rng = SeededRng(config.seed).substream("block", 0)
+        words, _ = run_rounds(config, rng, 2 * m)
         check = set(select_check_positions(rng.substream("check"), 2 * m))
         code_positions = [p for p in range(2 * m) if p not in check]
         distinct = {
@@ -484,7 +513,9 @@ class TestReferenceRounds:
             epsilon=0.05,
             seed=seed,
         )
-        words, transcript = run_rounds(config, block_index, positions)
+        words, transcript = run_rounds(
+            config, SeededRng(seed).substream("block", block_index), positions
+        )
         strings = {a: BitString(w, positions) for a, w in enumerate(words)}
         want_strings, want_lines = reference_rounds(config, block_index, positions)
         assert transcript_lines(transcript) == want_lines

@@ -271,7 +271,9 @@ class TestSubroutineRound:
             return words
 
         with mock.patch.object(protocol, "simulate_pairwise_kd", recording):
-            words, engine_transcript = protocol.run_rounds(config, 0, positions)
+            words, engine_transcript = protocol.run_rounds(
+                config, SeededRng(config.seed).substream("block", 0), positions
+            )
         strings = {a: BitString(w, positions) for a, w in enumerate(words)}
         tree = config.tree
         (transcript,) = parse_transcript(transcript_lines(engine_transcript))
