@@ -40,16 +40,19 @@ def simulate_pairwise_kd(
     Returns the (a-side, b-side) words, position 0 in the most significant
     bit, after the endpoints have corrected any anti-correlation: the a-side
     is `length` uniform bits and the b-side is the a-side XOR `length`
-    independent Bernoulli(flip_prob) draws, drawn in that order.  Applying
-    noise to one side only is equivalent in distribution to symmetric
-    application.
+    independent Bernoulli(flip_prob) draws, drawn in that order: the draws
+    of `length` calls of rng.bit(), then of `length` of rng.random() < flip,
+    made through the stream's generator.  Applying noise to one side only is
+    equivalent in distribution to symmetric application.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    generator, flip = rng.generator(), edge.flip_prob
+    draw_bits, draw_unit = generator.getrandbits, generator.random
     a = noise = 0
     for _ in range(length):
-        a = a << 1 | rng.bit()
+        a = a << 1 | draw_bits(1)
     for _ in range(length):
-        noise = noise << 1 | (rng.random() < edge.flip_prob)
+        noise = noise << 1 | (draw_unit() < flip)
     return a, a ^ noise
 

@@ -6,12 +6,14 @@ One record per line; ``#`` starts a comment.  Graph records:
     source <id>
     edge <a> <b> weight=<w> flip=<p> [anti]
 
-A negative agent id is a line-numbered error in any record.
+A negative agent id is a line-numbered error in any record, and so are a
+source or edge that names an undeclared agent, a self-loop and a repeated
+edge.
 A run config is the same graph format plus ``param key=value`` lines
 (keys: leader, code, blocks, delta, epsilon, seed), each optional, so a
 graph file with no ``param`` lines is a valid run config.  parse_config
-is the one check of the run parameters; ProtocolConfig.tree checks the
-graph itself.
+is the one check of the run parameters and of each graph record;
+ProtocolConfig.tree checks the graph as a whole.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ def _number(kind, text: str):
 
 def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], List[str]]:
     nodes: Dict[int, int] = {}  # agent id -> its line
-    sources: List[int] = []
-    edges: List[WeightedEdge] = []
+    sources: List[Tuple[int, int]] = []  # (line, agent id)
+    edges: Dict[Tuple[int, int], Tuple[int, WeightedEdge]] = {}  # key -> (line, edge)
     params: Dict[str, Tuple[int, str]] = {}
     errors: List[str] = []
 
@@ -88,7 +90,7 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
                     raise ValueError(f"node {agent} already declared on line {nodes[agent]}")
                 nodes[agent] = lineno
             elif kind == "source":
-                sources.append(agent)
+                sources.append((lineno, agent))
             elif kind == "edge":
                 if len(fields) < 3:
                     raise ValueError("edge needs two agent ids")
@@ -105,7 +107,13 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
                 # The endpoints correct an anti link, so the flag is dropped.
                 weight = _number(Fraction, attrs.get("weight", "1"))
                 flip = _number(float, attrs.get("flip", "0"))
-                edges.append(WeightedEdge(a, b, weight=weight, flip_prob=flip))
+                edge = WeightedEdge(a, b, weight=weight, flip_prob=flip)
+                if a == b:
+                    raise ValueError(f"self-loop at agent {a}")
+                key = edge.key
+                if key in edges:
+                    raise ValueError(f"duplicate edge {key}, first on line {edges[key][0]}")
+                edges[key] = (lineno, edge)
             elif kind == "param":
                 if len(fields) < 2 or "=" not in fields[1]:
                     raise ValueError("param needs key=value")
@@ -120,19 +128,35 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
         except ZeroDivisionError:
             errors.append(f"line {lineno}: weight has a zero denominator")
 
+    # Nodes may be declared after the records that name them, so sources
+    # and edge endpoints are checked once every line is read.
+    unknown = [
+        (line, f"source {s} is not a valid agent id")
+        for line, s in sources
+        if s not in nodes
+    ]
+    for (a, b), (line, _) in edges.items():
+        if b not in nodes or a not in nodes:
+            missing = b if b not in nodes else a
+            unknown.append((line, f"edge {(a, b)} references unknown agent {missing}"))
+    errors.extend(f"line {line}: {message}" for line, message in sorted(unknown))
     if sorted(nodes) != list(range(len(nodes))):
         errors.append("node ids must be dense 0..n-1, each declared once")
     n = len(nodes)
-    graph = SecurityGraph(n=n, edges=edges, sources=sources)
+    graph = SecurityGraph(
+        n=n, edges=[e for _, e in edges.values()], sources=[s for _, s in sources]
+    )
     return graph, params, errors
 
 
 def parse_config(text: str) -> RunSpec:
     """Parse a run config; collects every line and param error before failing.
 
-    The graph's own violations (agent count, sources, self-loops, unknown
-    or duplicate edges, connectivity) are not checked here:
-    ProtocolConfig.tree reports them after this parse succeeds.
+    Each source and edge record is checked against the declared nodes and
+    the earlier edges here, with its line.  The graph-wide violations
+    (agent count, an empty source set, an edge with no source endpoint,
+    connectivity) are not: ProtocolConfig.tree reports them after this
+    parse succeeds.
     """
     graph, params, errors = _parse_lines(text)
 

@@ -17,10 +17,10 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .bits import BitString
 from .channel_sim import Transcript, broadcast, simulate_pairwise_kd
 from .config_io import ConfigError, RunSpec
-from .graph_core import SpanningTree, mst_kruskal, validate_graph
+from .graph_core import EdgeKey, SpanningTree, mst_kruskal, validate_graph
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
-from .subroutine import block_announcers, reconstruct_assignment
+from .subroutine import announcement_layout, block_announcers, reconstruct_assignment
 from .subroutine import random_efficiency, subroutine_round, terminal_edge_key
 from .transcript_io import format_payload
 
@@ -47,6 +47,17 @@ class ProtocolConfig(RunSpec):
         if violations:
             raise InvalidGraphError(violations)
         return mst_kruskal(self.graph)
+
+    @cached_property
+    def announcers(self) -> Tuple[Tuple[int, str, Tuple[Tuple[EdgeKey, int], ...]], ...]:
+        """The tree's announcement_layout: each announcer, its template and
+        its edges' (key, side), built once per config, not once per block."""
+        return announcement_layout(self.tree)
+
+    @cached_property
+    def terminal_keys(self) -> Dict[int, EdgeKey]:
+        """Each terminal agent's edge key, which holds its rounds' secret bits."""
+        return {t: terminal_edge_key(self.tree, t) for t in self.tree.terminals}
 
 
 class KeyResult(NamedTuple):
@@ -146,14 +157,19 @@ def run_rounds(
 
     Returns each agent's secret string as a `positions`-bit int word, in
     agent order, and the rounds' transcript.  These words, the edge copies
-    and each announcer's masks hold position 0 in the most significant bit.
-    The leader reconstructs once, from its own words and the masked words;
-    its bit r is bit r of round r's chosen terminal edge.  Agent j's string is the leader's XOR
-    P[leader] XOR P[j], where P[v] is the XOR of the disagreement words
-    A ^ B on the tree path from agent 0 to v; at low noise most P[j] are 0.
+    and each announcer's mask word hold position 0 in the most significant
+    bit.  The announcers' templates and edges come from the config; per
+    block, each announcer's own words become plain and complemented bit
+    columns, and round r renders from column r.  Each mask word grows by a
+    bit as its round returns.  The leader reconstructs once, from its own
+    words and the masked words; its bit r is bit r of round r's chosen
+    terminal edge.  Agent j's string is the leader's XOR P[leader] XOR P[j],
+    where P[v] is the XOR of the disagreement words A ^ B on the tree path
+    from agent 0 to v; at low noise most P[j] are 0.
     """
-    tree, leader = config.tree, config.leader
-    words: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    tree, leader, layout = config.tree, config.leader, config.announcers
+    terminal_keys = config.terminal_keys
+    words: Dict[EdgeKey, Tuple[int, int]] = {}
     for edge in tree.edges:
         edge_rng = rng.substream("edge", edge.a, edge.b)
         words[edge.key] = simulate_pairwise_kd(edge, positions, edge_rng)
@@ -163,24 +179,25 @@ def run_rounds(
         parity[v] = parity[parent] ^ a ^ b
 
     transcript = Transcript()
-    announcing = block_announcers(tree, words)
-    rounds = [
-        subroutine_round(
+    announcing = block_announcers(layout, words, positions)
+    mask_words = [0] * len(layout)
+    chosen_keys = []
+    for r in range(positions):
+        chosen, masks = subroutine_round(
             tree, announcing, rng.substream("round", r), transcript, leader,
             positions - 1 - r,
         )
-        for r in range(positions)
-    ]
-    masked = {}
-    for i, (agent, _, record) in enumerate(announcing):
-        mask = sum(masks[i] << positions - 1 - r for r, (_, masks) in enumerate(rounds))
-        masked[agent] = {key: word ^ mask for key, word in record.items()}
+        mask_words = [w << 1 | m for w, m in zip(mask_words, masks)]
+        chosen_keys.append(terminal_keys[chosen])
+    masked = {
+        agent: {key: words[key][side] ^ mask for key, side in sides}
+        for (agent, _, sides), mask in zip(layout, mask_words)
+    }
     own = {e.key: words[e.key][int(leader == e.b)] for e in tree.incident_edges(leader)}
     assignment = reconstruct_assignment(leader, own, masked, tree)
-    base = parity[leader] ^ sum(
-        assignment[terminal_edge_key(tree, chosen)] & (1 << positions - 1 - r)
-        for r, (chosen, _) in enumerate(rounds)
-    )
+    base = parity[leader]
+    for r, key in enumerate(chosen_keys):
+        base ^= assignment[key] & 1 << positions - 1 - r
     return [base ^ p for p in parity], transcript
 
 

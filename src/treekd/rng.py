@@ -6,7 +6,9 @@ Substreams are derived by hashing the parent seed together with string
 labels (SHA-256, first 8 bytes as the child seed), so every component of a
 run draws from its own independent, reproducible stream.  A stream seeds
 its generator on its first draw, so one that only derives children never
-seeds one.
+seeds one.  Hot loops draw through the generator's own bound methods, from
+``generator()``, rather than one wrapper call per draw; the draws are the
+same either way.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ class SeededRng:
         # reads through a lock and without its fast attribute path.
         self._rng: Optional[Random] = None
 
-    def _seeded(self) -> Random:
-        self._rng = Random(self.seed)
+    def generator(self) -> Random:
+        """The stream's generator, seeded on the first call; draws from it
+        and through this stream's methods advance one shared state."""
+        if self._rng is None:
+            self._rng = Random(self.seed)
         return self._rng
 
     def substream(self, *labels: object) -> "SeededRng":
@@ -37,19 +42,19 @@ class SeededRng:
         return SeededRng(int.from_bytes(digest[:8], "big"))
 
     def bit(self) -> int:
-        return (self._rng or self._seeded()).getrandbits(1)
+        return self.generator().getrandbits(1)
 
     def random(self) -> float:
-        return (self._rng or self._seeded()).random()
+        return self.generator().random()
 
     def randrange(self, n: int) -> int:
-        return (self._rng or self._seeded()).randrange(n)
+        return self.generator().randrange(n)
 
     def choice(self, seq):
-        return (self._rng or self._seeded()).choice(seq)
+        return self.generator().choice(seq)
 
     def sample(self, seq, k: int):
-        return (self._rng or self._seeded()).sample(seq, k)
+        return self.generator().sample(seq, k)
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed})"

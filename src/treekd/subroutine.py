@@ -12,6 +12,13 @@ block, for the leader.  The masks cancel along tree paths, so two agents'
 reconstructions of an edge differ exactly by the XOR of the pairwise
 disagreements (a-side XOR b-side copy) on the tree path between them, and
 run_rounds derives every other agent's bits from the leader's that way.
+
+Rendering is split by how often its inputs change.  announcement_layout
+holds what depends on the tree alone (each announcer's template and the
+edge sides it reads) and runs once per config; block_announcers turns a
+block's edge words into per-position bit columns; subroutine_round draws
+a round's masks through the stream's generator and fills each template
+from the column its mask picks.
 """
 
 from __future__ import annotations
@@ -86,41 +93,68 @@ def terminal_edge_key(tree: SpanningTree, agent: int) -> EdgeKey:
     return incident[0].key
 
 
-def block_announcers(
-    tree: SpanningTree, edge_words: Mapping[EdgeKey, Tuple[int, int]]
-) -> List[Tuple[int, str, Dict[EdgeKey, int]]]:
+def announcement_layout(
+    tree: SpanningTree,
+) -> Tuple[Tuple[int, str, Tuple[Tuple[EdgeKey, int], ...]], ...]:
     """Each non-terminal agent in ascending id, with its announcement as
-    format_payload renders it, a %d in place of each bit, and its own words
-    of its edges from the (a-side, b-side) edge words: once per block."""
-    announcing = []
+    format_payload renders it, a %s in place of each bit, and the (edge key,
+    side) of each of its edges, side 1 where it is the edge's b end: the
+    part of a round that depends on the tree alone, built once per config."""
+    layout = []
     for agent in range(tree.n):
         edges = tree.incident_edges(agent)
         if len(edges) > 1:
-            record = {e.key: edge_words[e.key][int(agent == e.b)] for e in edges}
-            template = format_payload("announcement", dict.fromkeys(record, "%d"))
-            announcing.append((agent, template, record))
+            keys = [e.key for e in edges]
+            template = format_payload("announcement", dict.fromkeys(keys, "%s"))
+            sides = tuple((e.key, int(agent == e.b)) for e in edges)
+            layout.append((agent, template, sides))
+    return tuple(layout)
+
+
+def block_announcers(
+    layout: Sequence[Tuple[int, str, Sequence[Tuple[EdgeKey, int]]]],
+    edge_words: Mapping[EdgeKey, Tuple[int, int]],
+    positions: int,
+) -> List[Tuple[int, str, Tuple[List[Tuple[str, ...]], List[Tuple[str, ...]]]]]:
+    """Each announcer of the layout with its template and its bit columns
+    for one block of `positions`-bit (a-side, b-side) edge words.
+
+    Column r holds the announcer's own bits at position r (the word's most
+    significant bit is position 0) as '0'/'1' characters in template order:
+    columns[0] plain, columns[1] complemented, so a round renders each
+    announcement with one % and no per-bit work.  Every word is written at
+    `positions` digits, so a position whose bits are all 0 keeps its column.
+    """
+    digits = f"0{positions}b"
+    ones = (1 << positions) - 1
+    announcing = []
+    for agent, template, sides in layout:
+        words = [edge_words[key][side] for key, side in sides]
+        plain = list(zip(*[format(w, digits) for w in words]))
+        complemented = list(zip(*[format(w ^ ones, digits) for w in words]))
+        announcing.append((agent, template, (plain, complemented)))
     return announcing
 
 
 def subroutine_round(
     tree: SpanningTree,
-    announcing: Sequence[Tuple[int, str, Dict[EdgeKey, int]]],
+    announcing: Sequence[Tuple[int, str, Tuple[Sequence[Tuple[str, ...]], ...]]],
     rng: SeededRng,
     transcript: Transcript,
     leader: int = 0,
     bit: int = 0,
 ) -> Tuple[int, List[int]]:
     """One round's broadcasts on bit `bit` (0 = least significant) of each
-    announced word.  Round randomness draws in a fixed order: one fresh mask
-    per announcer in ascending id, then the leader's terminal choice, from
-    the tree's terminals in ascending id.  Returns the choice and the masks."""
-    masks = []
-    for agent, template, record in announcing:
-        mask = rng.bit()
-        masks.append(mask)
-        text = template % tuple([word >> bit & 1 ^ mask for word in record.values()])
-        broadcast(transcript, agent, "announcement", text)
-    chosen = rng.choice(tree.terminals)
+    announced word, from block_announcers' columns.  Round randomness draws
+    in a fixed order, through the stream's own generator: one fresh mask per
+    announcer in ascending id, then the leader's terminal choice, from the
+    tree's terminals in ascending id.  Returns the choice and the masks."""
+    generator = rng.generator()
+    draw = generator.getrandbits
+    masks = [draw(1) for _ in announcing]
+    for (agent, template, columns), mask in zip(announcing, masks):
+        broadcast(transcript, agent, "announcement", template % columns[mask][~bit])
+    chosen = generator.choice(tree.terminals)
     text = format_payload("terminal_choice", chosen)
     broadcast(transcript, leader, "terminal_choice", text)
     return chosen, masks

@@ -137,7 +137,9 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                 raise ValueError(f"stream starts at seq {seq}")
             if seq != len(current.lines):
                 raise ValueError(f"expected seq {len(current.lines)}, got {seq}")
-            current.messages.append(BroadcastMessage(seq, sender, kind, payload))
+            # tuple.__new__ skips the NamedTuple's Python-level __new__.
+            message = tuple.__new__(BroadcastMessage, (seq, sender, kind, payload))
+            current.messages.append(message)
             current.lines.append(line)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc

@@ -27,6 +27,7 @@ from treekd.protocol import ProtocolConfig
 from treekd.rng import SeededRng
 from treekd.subroutine import (
     NonTerminalChoiceError,
+    announcement_layout,
     block_announcers,
     reconstruct_assignment,
     subroutine_round,
@@ -210,7 +211,7 @@ def parsed_round(
     """One subroutine round on the given (a-side, b-side) edge copies, read
     back from the text it broadcasts, as the eavesdropper and analyze see it."""
     transcript = Transcript()
-    announcing = block_announcers(tree, edge_bits)
+    announcing = block_announcers(announcement_layout(tree), edge_bits, 1)
     subroutine_round(tree, announcing, SeededRng(seed), transcript, leader)
     (parsed,) = parse_transcript(transcript_lines(transcript))
     return parsed

@@ -26,6 +26,26 @@ class TestSimulatePairwiseKd:
         m2 = simulate_pairwise_kd(edge, 64, SeededRng(9))
         assert m1 == m2
 
+    @given(
+        a=st.integers(0, 30),
+        b=st.integers(0, 30),
+        length=st.integers(1, 64),
+        flip=st.floats(0.0, 0.5, exclude_max=True),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_draws_as_bit_then_random_calls(self, a, b, length, flip, seed):
+        # The per-draw definition: `length` calls of bit() give the a-side,
+        # most significant first, then `length` calls of random() < flip
+        # give the noise.  The streams must also end in the same state.
+        edge = WeightedEdge(a, b, flip_prob=flip)
+        fast, slow = SeededRng(seed), SeededRng(seed)
+        word_a, word_b = simulate_pairwise_kd(edge, length, fast)
+        bits = [slow.bit() for _ in range(length)]
+        noise = [int(slow.random() < flip) for _ in range(length)]
+        assert BitString(word_a, length) == BitString.from_bits(bits)
+        assert BitString(word_a ^ word_b, length) == BitString.from_bits(noise)
+        assert fast.random() == slow.random()
+
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             simulate_pairwise_kd(WeightedEdge(0, 1), 0, SeededRng(0))

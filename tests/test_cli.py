@@ -144,6 +144,24 @@ class TestParseConfig:
             assert f"error: {message}" in err
             assert "Traceback" not in err
 
+    def test_records_may_name_nodes_declared_later(self):
+        spec = parse_config("source 0\nedge 0 1\nnode 0\nnode 1\n")
+        assert spec.graph.n == 2
+        assert spec.graph.sources == {0}
+        assert [e.key for e in spec.graph.edges] == [(0, 1)]
+
+    def test_unknown_agent_is_an_undeclared_one(self):
+        # Agent 2 is declared, so only agent 1 is unknown, on each line
+        # that names it, in line order before the graph-wide error.
+        with pytest.raises(ConfigError) as err:
+            parse_config("node 0\nnode 2\nsource 1\nedge 0 1\nedge 0 2\nedge 1 2\n")
+        assert err.value.errors == [
+            "line 3: source 1 is not a valid agent id",
+            "line 4: edge (0, 1) references unknown agent 1",
+            "line 6: edge (1, 2) references unknown agent 1",
+            "node ids must be dense 0..n-1, each declared once",
+        ]
+
     def test_anti_flag_is_dropped(self):
         # The endpoints correct an anti link, so the parser keeps nothing of it.
         anti = parse_config("node 0\nnode 1\nsource 0\nedge 0 1 anti flip=0.01\n")
@@ -377,13 +395,13 @@ class TestGraphErrors:
             ("", EXIT_CONFIG, ["agent count 0 < 2", "source set is empty"]),
             ("node 0\nsource 0\n", EXIT_CONFIG, ["agent count 1 < 2"]),
             ("node 0\nnode 1\nsource 0\nedge 0 5\n", EXIT_CONFIG,
-             ["edge (0, 5) references unknown agent 5"]),
+             ["line 4: edge (0, 5) references unknown agent 5"]),
             ("node 0\nnode 1\nsource 0\nedge 0 1\nedge 1 1\n", EXIT_CONFIG,
-             ["self-loop at agent 1"]),
+             ["line 5: self-loop at agent 1"]),
             ("node 0\nnode 1\nsource 0\nedge 0 1\nedge 1 0\n", EXIT_CONFIG,
-             ["duplicate edge (0, 1)"]),
+             ["line 5: duplicate edge (0, 1), first on line 4"]),
             ("node 0\nnode 1\nsource 0\nsource 5\nedge 0 1\n", EXIT_CONFIG,
-             ["source 5 is not a valid agent id"]),
+             ["line 4: source 5 is not a valid agent id"]),
             (PATH3.replace("source 1", "source 0"), EXIT_CONFIG,
              ["edge (1, 2) has no endpoint in the source set"]),
             (DISCONNECTED, EXIT_DISCONNECTED,

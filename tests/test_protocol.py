@@ -336,15 +336,22 @@ class TestSummarize:
 
 class TestTreeBuiltOnce:
     def test_run_blocks_validates_and_builds_mst_once(self, monkeypatch):
+        # The announcement layout and each terminal's edge key come with
+        # the tree: once per config, not once per block or round.
         calls = Counter()
-        for name in ("validate_graph", "mst_kruskal"):
-            def counted(graph, _name=name, _original=getattr(protocol, name)):
+        for name in (
+            "validate_graph", "mst_kruskal", "announcement_layout", "terminal_edge_key"
+        ):
+            def counted(*args, _name=name, _original=getattr(protocol, name)):
                 calls[_name] += 1
-                return _original(graph)
+                return _original(*args)
             monkeypatch.setattr(protocol, name, counted)
         results = run_blocks(path_config(n=4, blocks=5))
         assert len(results) == 5
-        assert calls == {"validate_graph": 1, "mst_kruskal": 1}
+        assert calls == {
+            "validate_graph": 1, "mst_kruskal": 1,
+            "announcement_layout": 1, "terminal_edge_key": 2,
+        }
 
     def test_cli_run_checks_its_graph_once(self, monkeypatch, tmp_path, capsys):
         # Count every binding of each function, so a check made from any

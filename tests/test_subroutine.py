@@ -19,13 +19,14 @@ from treekd.rng import SeededRng
 from treekd.subroutine import (
     MissingAnnouncementError,
     NonTerminalChoiceError,
+    announcement_layout,
     block_announcers,
     random_efficiency,
     reconstruct_assignment,
     subroutine_round,
     terminal_edge_key,
 )
-from treekd.transcript_io import parse_transcript, transcript_lines
+from treekd.transcript_io import format_payload, parse_transcript, transcript_lines
 
 
 def path_tree(n=3):
@@ -194,7 +195,8 @@ class TestSubroutineRound:
         # The path 0-1-2 has terminals 0 and 2; each round returns one of
         # them, about half the time each.
         tree = path_tree()
-        announcing = block_announcers(tree, {(0, 1): (0, 0), (1, 2): (0, 0)})
+        layout = announcement_layout(tree)
+        announcing = block_announcers(layout, {(0, 1): (0, 0), (1, 2): (0, 0)}, 1)
         rng, transcript = SeededRng(123), Transcript()
         counts = {0: 0, 2: 0}
         for _ in range(10**4):
@@ -226,13 +228,14 @@ class TestSubroutineRound:
             key: (a << 2 | rng.randrange(4), b << 2 | rng.randrange(4))
             for key, (a, b) in single.items()
         }
+        layout = announcement_layout(tree)
         for leader in range(6):
             plain, wide = Transcript(), Transcript()
             drawn = subroutine_round(
-                tree, block_announcers(tree, single), SeededRng(9), plain, leader
+                tree, block_announcers(layout, single, 1), SeededRng(9), plain, leader
             )
             assert subroutine_round(
-                tree, block_announcers(tree, words), SeededRng(9), wide, leader, 2
+                tree, block_announcers(layout, words, 3), SeededRng(9), wide, leader, 2
             ) == drawn
             assert plain.lines == wide.lines
 
@@ -293,6 +296,91 @@ class TestSubroutineRound:
                     assert len({masked[e] ^ copies[e] for e in copies}) == 1
                 expected = reconstruct_assignment(agent, copies, announcements, tree)
                 assert strings[agent][r] == expected[key]
+
+
+def dict_rendered_round(tree, words, bit, rng, leader):
+    """A round drawn and rendered per bit, as reference_rounds does: a mask
+    from rng.bit() per non-terminal agent in ascending id, each record a
+    dict rendered by format_payload, then rng.choice of the sorted
+    terminals.  Returns (chosen, masks) and the transcript lines."""
+    lines, masks = [], []
+    for agent in range(tree.n):
+        edges = tree.incident_edges(agent)
+        if len(edges) < 2:
+            continue
+        mask = rng.bit()
+        masks.append(mask)
+        record = {e.key: words[e.key][int(agent == e.b)] >> bit & 1 ^ mask for e in edges}
+        text = format_payload("announcement", record)
+        lines.append(f"{len(lines)} {agent} announcement {text}")
+    chosen = rng.choice(sorted(terminal_agents(tree)))
+    lines.append(f"{len(lines)} {leader} terminal_choice {chosen}")
+    return (chosen, masks), lines
+
+
+def column_case(tree, positions, top, rng):
+    """The tree, random (a-side, b-side) words below 2**top (all 0 for top
+    0) and the block's positions."""
+    limit = 1 << top
+    words = {e.key: (rng.randrange(limit), rng.randrange(limit)) for e in tree.edges}
+    return tree, words, positions
+
+
+HUB7 = [WeightedEdge(2, v) for v in (0, 1, 3, 4, 5)] + [WeightedEdge(5, 6)]
+
+COLUMN_CASES = {
+    "all-zero-words": lambda rng: column_case(
+        SpanningTree(8, random_tree_edges(8, rng)), 14, 0, rng
+    ),
+    "leading-zero-columns": lambda rng: column_case(
+        SpanningTree(8, random_tree_edges(8, rng)), 14, 11, rng
+    ),
+    "full-words": lambda rng: column_case(
+        SpanningTree(8, random_tree_edges(8, rng)), 14, 14, rng
+    ),
+    "one-position": lambda rng: column_case(
+        SpanningTree(6, random_tree_edges(6, rng)), 1, 1, rng
+    ),
+    "two-agents": lambda rng: column_case(
+        SpanningTree(2, [WeightedEdge(0, 1)]), 5, 5, rng
+    ),
+    "degree-5-announcer": lambda rng: column_case(SpanningTree(7, HUB7), 6, 6, rng),
+}
+
+
+class TestColumnRendering:
+    @pytest.mark.parametrize("case", list(COLUMN_CASES))
+    def test_lines_match_dict_rendering_at_every_position(self, case):
+        # block_announcers' columns and one % per line against a dict per
+        # record: every bit, the top one included, for two leaders.  All-zero
+        # words and words below 2**11 leave their top columns all 0.
+        tree, words, positions = COLUMN_CASES[case](random.Random(case))
+        announcing = block_announcers(announcement_layout(tree), words, positions)
+        for bit in range(positions):
+            for leader in (0, tree.n - 1):
+                transcript = Transcript()
+                drawn = subroutine_round(
+                    tree, announcing, SeededRng(bit), transcript, leader, bit
+                )
+                expected, lines = dict_rendered_round(
+                    tree, words, bit, SeededRng(bit), leader
+                )
+                assert drawn == expected
+                assert transcript.lines == lines
+
+    def test_two_agents_have_no_announcers(self):
+        tree = SpanningTree(2, [WeightedEdge(0, 1)])
+        assert announcement_layout(tree) == ()
+        assert block_announcers((), {(0, 1): (3, 1)}, 2) == []
+
+    def test_degree_5_layout(self):
+        (hub, template, hub_sides), (_, _, tail_sides) = announcement_layout(
+            SpanningTree(7, HUB7)
+        )
+        assert hub == 2
+        assert template == "(0,2):%s,(1,2):%s,(2,3):%s,(2,4):%s,(2,5):%s"
+        assert [side for _, side in hub_sides] == [1, 1, 0, 0, 0]
+        assert tail_sides == (((2, 5), 1), ((5, 6), 0))
 
 
 class TestRandomEfficiency:
