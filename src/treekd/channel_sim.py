@@ -40,10 +40,10 @@ def simulate_pairwise_kd(
     Returns the (a-side, b-side) words, position 0 in the most significant
     bit, after the endpoints have corrected any anti-correlation: the a-side
     is `length` uniform bits and the b-side is the a-side XOR `length`
-    independent Bernoulli(flip_prob) draws, drawn in that order: the draws
-    of `length` calls of rng.bit(), then of `length` of rng.random() < flip,
-    made through the stream's generator.  Applying noise to one side only is
-    equivalent in distribution to symmetric application.
+    independent Bernoulli(flip_prob) draws, drawn in that order from the
+    stream's generator: `length` calls of getrandbits(1), then `length` of
+    random() < flip.  Applying noise to one side only is equivalent in
+    distribution to symmetric application.
     """
     if length < 1:
         raise ValueError("length must be >= 1")

@@ -30,7 +30,7 @@ def _key_hex(index: int, k: int) -> str:
 
 
 def _protocol_config(spec: RunSpec) -> protocol.ProtocolConfig:
-    """The run's config; its tree is the one graph check every command uses."""
+    """The run's config, whose tree every command builds through this."""
     return protocol.ProtocolConfig._make(spec)
 
 

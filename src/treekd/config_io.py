@@ -7,13 +7,13 @@ One record per line; ``#`` starts a comment.  Graph records:
     edge <a> <b> weight=<w> flip=<p> [anti]
 
 A negative agent id is a line-numbered error in any record, and so are a
-source or edge that names an undeclared agent, a self-loop and a repeated
-edge.
+source or edge that names an undeclared agent, a self-loop, a repeated
+edge and an edge with no endpoint in the source set.
 A run config is the same graph format plus ``param key=value`` lines
 (keys: leader, code, blocks, delta, epsilon, seed), each optional, so a
 graph file with no ``param`` lines is a valid run config.  parse_config
-is the one check of the run parameters and of each graph record;
-ProtocolConfig.tree checks the graph as a whole.
+is the one check of the run parameters and of the graph, each record and
+then the graph as a whole; only connectivity is left to the tree.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Tuple
 
-from .graph_core import SecurityGraph, WeightedEdge
+from .graph_core import SecurityGraph, WeightedEdge, validate_graph
 from .linear_code import LinearCode, code_by_name
 
 DEFAULTS = {
@@ -129,17 +129,22 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
             errors.append(f"line {lineno}: weight has a zero denominator")
 
     # Nodes may be declared after the records that name them, so sources
-    # and edge endpoints are checked once every line is read.
-    unknown = [
+    # and edge endpoints are checked once every line is read.  An edge
+    # needs an endpoint among the sources that name declared agents; with
+    # none, the error is the undeclared source or the empty source set.
+    late = [
         (line, f"source {s} is not a valid agent id")
         for line, s in sources
         if s not in nodes
     ]
+    declared = {s for _, s in sources if s in nodes}
     for (a, b), (line, _) in edges.items():
         if b not in nodes or a not in nodes:
             missing = b if b not in nodes else a
-            unknown.append((line, f"edge {(a, b)} references unknown agent {missing}"))
-    errors.extend(f"line {line}: {message}" for line, message in sorted(unknown))
+            late.append((line, f"edge {(a, b)} references unknown agent {missing}"))
+        elif declared and a not in declared and b not in declared:
+            late.append((line, f"edge {(a, b)} has no endpoint in the source set"))
+    errors.extend(f"line {line}: {message}" for line, message in sorted(late))
     if sorted(nodes) != list(range(len(nodes))):
         errors.append("node ids must be dense 0..n-1, each declared once")
     n = len(nodes)
@@ -152,11 +157,11 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
 def parse_config(text: str) -> RunSpec:
     """Parse a run config; collects every line and param error before failing.
 
-    Each source and edge record is checked against the declared nodes and
-    the earlier edges here, with its line.  The graph-wide violations
-    (agent count, an empty source set, an edge with no source endpoint,
-    connectivity) are not: ProtocolConfig.tree reports them after this
-    parse succeeds.
+    Each source and edge record is checked against the declared nodes, the
+    declared sources and the earlier edges here, with its line.  Once those
+    and the params are clear, validate_graph's whole-graph rules (agent
+    count, an empty source set) are the errors; connectivity is
+    mst_kruskal's, when ProtocolConfig.tree builds the tree.
     """
     graph, params, errors = _parse_lines(text)
 
@@ -198,6 +203,8 @@ def parse_config(text: str) -> RunSpec:
     if leader is not None and graph.n and not (0 <= leader < graph.n):
         fail("leader", f"param leader={leader} is not an agent id")
 
+    if not errors:
+        errors.extend(validate_graph(graph))
     if errors:
         raise ConfigError(errors)
     return RunSpec(

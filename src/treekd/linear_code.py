@@ -92,7 +92,7 @@ def index_of(code: LinearCode, codeword: BitString) -> int:
 
 def random_codeword(code: LinearCode, rng: SeededRng) -> Tuple[int, BitString]:
     """A uniformly random (index, codeword) pair."""
-    index = rng.randrange(1 << code.k)
+    index = rng.generator().randrange(1 << code.k)
     return index, encode_index(code, index)
 
 

@@ -16,18 +16,13 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitString
 from .channel_sim import Transcript, broadcast, simulate_pairwise_kd
-from .config_io import ConfigError, RunSpec
-from .graph_core import EdgeKey, SpanningTree, mst_kruskal, validate_graph
+from .config_io import RunSpec
+from .graph_core import EdgeKey, SpanningTree, mst_kruskal
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
 from .subroutine import announcement_layout, block_announcers, reconstruct_assignment
 from .subroutine import random_efficiency, subroutine_round, terminal_edge_key
 from .transcript_io import format_payload
-
-
-class InvalidGraphError(ConfigError):
-    """The protocol refuses to run on an invalid security graph; one error
-    per violated invariant."""
 
 
 class ProtocolConfig(RunSpec):
@@ -38,14 +33,11 @@ class ProtocolConfig(RunSpec):
 
     @cached_property
     def tree(self) -> SpanningTree:
-        """The validated graph's minimum spanning tree, built on first use.
+        """The graph's minimum spanning tree, built on first use.
 
-        The one place a run's graph is checked: InvalidGraphError lists every
-        violation, and mst_kruskal raises DisconnectedGraphError.
+        parse_config has checked the graph; mst_kruskal raises
+        DisconnectedGraphError when no spanning tree exists.
         """
-        violations = validate_graph(self.graph)
-        if violations:
-            raise InvalidGraphError(violations)
         return mst_kruskal(self.graph)
 
     @cached_property
@@ -92,7 +84,7 @@ def select_check_positions(rng: SeededRng, total: int) -> Tuple[int, ...]:
     if total % 2 != 0:
         raise ValueError("total must be even (2m positions)")
     m = total // 2
-    return tuple(sorted(rng.sample(range(total), m)))
+    return tuple(sorted(rng.generator().sample(range(total), m)))
 
 
 def decide_abort(

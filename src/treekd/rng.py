@@ -6,9 +6,8 @@ Substreams are derived by hashing the parent seed together with string
 labels (SHA-256, first 8 bytes as the child seed), so every component of a
 run draws from its own independent, reproducible stream.  A stream seeds
 its generator on its first draw, so one that only derives children never
-seeds one.  Hot loops draw through the generator's own bound methods, from
-``generator()``, rather than one wrapper call per draw; the draws are the
-same either way.
+seeds one.  Every draw goes through the generator's own methods, from
+``generator()``.
 """
 
 from __future__ import annotations
@@ -23,14 +22,14 @@ class SeededRng:
 
     def __init__(self, seed: int):
         self.seed = seed
-        # None until the first draw.  A plain attribute tested on each draw
+        # None until the first draw.  A plain attribute tested on each call
         # costs less per block than a cached_property, which CPython 3.11
         # reads through a lock and without its fast attribute path.
         self._rng: Optional[Random] = None
 
     def generator(self) -> Random:
-        """The stream's generator, seeded on the first call; draws from it
-        and through this stream's methods advance one shared state."""
+        """The stream's generator, seeded on the first call; every draw
+        from the stream advances its one state."""
         if self._rng is None:
             self._rng = Random(self.seed)
         return self._rng
@@ -40,21 +39,6 @@ class SeededRng:
         material = "/".join([str(self.seed), *(str(x) for x in labels)])
         digest = hashlib.sha256(material.encode("utf-8")).digest()
         return SeededRng(int.from_bytes(digest[:8], "big"))
-
-    def bit(self) -> int:
-        return self.generator().getrandbits(1)
-
-    def random(self) -> float:
-        return self.generator().random()
-
-    def randrange(self, n: int) -> int:
-        return self.generator().randrange(n)
-
-    def choice(self, seq):
-        return self.generator().choice(seq)
-
-    def sample(self, seq, k: int):
-        return self.generator().sample(seq, k)
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed})"

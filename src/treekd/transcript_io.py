@@ -11,6 +11,9 @@ Payload text per kind:
 - check_values:      the m check bits as 0/1 characters, index 0 first
 - code_broadcast:    the m broadcast bits as 0/1 characters
 - abort:             ``agent:mismatch`` pairs, comma-separated, exact rationals
+
+Every seq, agent id and position is written ``0|[1-9][0-9]*`` in ASCII
+digits, and read back only in that form.
 """
 
 from __future__ import annotations
@@ -56,8 +59,19 @@ def transcript_lines(t: Transcript) -> List[str]:
     return t.lines
 
 
+_ITEM = r"\((?:0|[1-9][0-9]*),(?:0|[1-9][0-9]*)\):[01]"
+_ANNOUNCEMENT = re.compile(rf"{_ITEM}(?:,{_ITEM})*")
+# Only run on a payload that _ANNOUNCEMENT has matched.
 _EDGE_BIT = re.compile(r"\((\d+),(\d+)\):([01])")
-_ANNOUNCEMENT = re.compile(r"\(\d+,\d+\):[01](?:,\(\d+,\d+\):[01])*")
+
+
+def _count(text: str, what: str) -> int:
+    """text as a non-negative int, read only as str() writes one: int()
+    alone also reads '00', '+1', '0_1' and non-ASCII digits such as '\u0662'."""
+    value = int(text)
+    if value < 0 or str(value) != text:
+        raise ValueError(f"{what} {text!r} is not a canonical ASCII number")
+    return value
 
 
 def _parse_payload(kind: str, text: str):
@@ -72,9 +86,9 @@ def _parse_payload(kind: str, text: str):
             raise ValueError(f"announcement repeats an edge: {text!r}")
         return record
     if kind == "terminal_choice":
-        return int(text)
+        return _count(text, "terminal choice")
     if kind == "check_positions":
-        return tuple(int(x) for x in text.split(",")) if text else ()
+        return tuple(_count(x, "check position") for x in text.split(",")) if text else ()
     if kind in ("check_values", "code_broadcast"):
         return BitString.from_text(text)
     if kind == "abort":
@@ -83,7 +97,7 @@ def _parse_payload(kind: str, text: str):
             for item in text.split(","):
                 agent, frac = item.split(":")
                 try:
-                    out[int(agent)] = Fraction(frac)
+                    out[_count(agent, "abort agent")] = Fraction(frac)
                 except ZeroDivisionError:
                     raise ValueError(
                         f"abort mismatch {frac!r} has a zero denominator"
@@ -101,13 +115,15 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     terminal_choice must close every run of announcements, and each agent
     announces at most once per round.
 
-    Each distinct payload text of a kind is parsed once per call, as a
-    transcript repeats few texts many times; every message still gets its
-    own copy of a dict payload, so no two messages share one.
+    Each distinct seq or sender text, and each distinct payload text of a
+    kind, is parsed once per call, as a transcript repeats few texts many
+    times; every message still gets its own copy of a dict payload, so no
+    two messages share one.
     """
     transcripts: List[ParsedTranscript] = []
     current: ParsedTranscript | None = None
     parsed: Dict[Tuple[str, str], Any] = {}  # (kind, text) -> its payload
+    numbers: Dict[str, int] = {}  # seq or sender text -> its value
     open_round = 0  # first line of a round; only a terminal_choice may follow it
     announced: Set[int] = set()  # senders in the open round
     for lineno, raw in enumerate(lines, start=1):
@@ -116,7 +132,12 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             continue
         try:
             seq_s, sender_s, kind, payload_text = (line.split(" ", 3) + [""])[:4]
-            seq, sender = int(seq_s), int(sender_s)
+            seq = numbers.get(seq_s)
+            if seq is None:
+                seq = numbers[seq_s] = _count(seq_s, "seq")
+            sender = numbers.get(sender_s)
+            if sender is None:
+                sender = numbers[sender_s] = _count(sender_s, "sender")
             key = (kind, payload_text)
             payload = parsed.get(key)
             if payload is None:

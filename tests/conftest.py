@@ -247,12 +247,12 @@ def reference_rounds(
     lines: List[str] = []
     bits: Dict[int, List[int]] = {agent: [] for agent in range(tree.n)}
     for r in range(positions):
-        round_rng = rng.substream("round", r)
+        round_rng = rng.substream("round", r).generator()
         announcements = {}
         for agent in range(tree.n):
             if agent in terminals:
                 continue
-            mask = round_rng.bit()
+            mask = round_rng.getrandbits(1)
             announcements[agent] = {key: b ^ mask for key, b in own(agent, r).items()}
             text = format_payload("announcement", announcements[agent])
             lines.append(f"{len(lines)} {agent} announcement {text}")
@@ -289,7 +289,7 @@ def reference_block(
     def send(sender: int, kind: str, payload) -> None:
         lines.append(f"{len(lines)} {sender} {kind} {format_payload(kind, payload)}")
 
-    check = sorted(rng.substream("check").sample(range(2 * m), m))
+    check = sorted(rng.substream("check").generator().sample(range(2 * m), m))
     send(leader, "check_positions", check)
     rest = [i for i in range(2 * m) if i not in check]
     checks, codebits = {}, {}
@@ -306,7 +306,7 @@ def reference_block(
         send(leader, "abort", mismatch)
         return "aborted", None, mismatch, lines
 
-    index = rng.substream("code").randrange(1 << code.k)
+    index = rng.substream("code").generator().randrange(1 << code.k)
     masked = encode_index(code, index) ^ codebits[leader]
     send(leader, "code_broadcast", masked)
     keys = {leader: index}

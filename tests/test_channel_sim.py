@@ -34,17 +34,18 @@ class TestSimulatePairwiseKd:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_draws_as_bit_then_random_calls(self, a, b, length, flip, seed):
-        # The per-draw definition: `length` calls of bit() give the a-side,
-        # most significant first, then `length` calls of random() < flip
-        # give the noise.  The streams must also end in the same state.
+        # The per-draw definition: `length` calls of getrandbits(1) give the
+        # a-side, most significant first, then `length` calls of
+        # random() < flip give the noise.  The streams must also end in the
+        # same state.
         edge = WeightedEdge(a, b, flip_prob=flip)
-        fast, slow = SeededRng(seed), SeededRng(seed)
+        fast, slow = SeededRng(seed), SeededRng(seed).generator()
         word_a, word_b = simulate_pairwise_kd(edge, length, fast)
-        bits = [slow.bit() for _ in range(length)]
+        bits = [slow.getrandbits(1) for _ in range(length)]
         noise = [int(slow.random() < flip) for _ in range(length)]
         assert BitString(word_a, length) == BitString.from_bits(bits)
         assert BitString(word_a ^ word_b, length) == BitString.from_bits(noise)
-        assert fast.random() == slow.random()
+        assert fast.generator().random() == slow.random()
 
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
@@ -94,15 +95,17 @@ class TestBitString:
 
 class TestSeededRng:
     def test_same_seed_same_stream(self):
-        a, b = SeededRng(5), SeededRng(5)
-        assert [a.bit() for _ in range(64)] == [b.bit() for _ in range(64)]
+        a, b = SeededRng(5).generator(), SeededRng(5).generator()
+        assert [a.getrandbits(1) for _ in range(64)] == [
+            b.getrandbits(1) for _ in range(64)
+        ]
 
     def test_substreams_are_independent_of_draw_order(self):
         root = SeededRng(5)
-        a_first = root.substream("a").randrange(1 << 30)
+        a_first = root.substream("a").generator().randrange(1 << 30)
         root2 = SeededRng(5)
-        root2.substream("b").randrange(1 << 30)
-        assert a_first == root2.substream("a").randrange(1 << 30)
+        root2.substream("b").generator().randrange(1 << 30)
+        assert a_first == root2.substream("a").generator().randrange(1 << 30)
 
     def test_distinct_labels_distinct_streams(self):
         root = SeededRng(5)

@@ -162,6 +162,16 @@ class TestParseConfig:
             "node ids must be dense 0..n-1, each declared once",
         ]
 
+    def test_edge_without_source_and_bad_param_reported_together(self):
+        # The no-source edge is a record error like any other, so a param
+        # error no longer hides it: both come, in line order.
+        with pytest.raises(ConfigError) as err:
+            parse_config(PATH3.replace("source 1", "source 0") + "param blocks=0\n")
+        assert err.value.errors == [
+            "line 6: edge (1, 2) has no endpoint in the source set",
+            "line 7: param blocks=0 must be >= 1",
+        ]
+
     def test_anti_flag_is_dropped(self):
         # The endpoints correct an anti link, so the parser keeps nothing of it.
         anti = parse_config("node 0\nnode 1\nsource 0\nedge 0 1 anti flip=0.01\n")
@@ -338,13 +348,34 @@ class TestAnalyze:
             # --config goes through the run-config loader, params included.
             (PATH3 + "param blocks=0\n", ANNOUNCE + "1 0 terminal_choice 0\n",
              "line 7: param blocks=0 must be >= 1"),
+            # Numbers are read only as the engine writes them; int() alone
+            # reads each of these as a valid number.
+            (PATH3, "00 1 announcement (0,1):0,(1,2):1\n1 0 terminal_choice 0\n",
+             "transcript line 1: seq '00' is not a canonical ASCII number"),
+            (PATH3, "0 +1 announcement (0,1):0,(1,2):1\n1 0 terminal_choice 0\n",
+             "transcript line 1: sender '+1' is not a canonical ASCII number"),
+            (PATH3, "0 0_1 announcement (0,1):0,(1,2):1\n1 0 terminal_choice 0\n",
+             "transcript line 1: sender '0_1' is not a canonical ASCII number"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice \u0662\n",
+             "transcript line 2: terminal choice '\u0662' is not a canonical "
+             "ASCII number"),
+            (PATH3, "0 1 announcement (\u0660,1):0,(1,2):1\n1 0 terminal_choice 0\n",
+             "transcript line 1: malformed announcement payload "
+             "'(\u0660,1):0,(1,2):1'"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 check_positions 0,01\n",
+             "transcript line 3: check position '01' is not a canonical ASCII number"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort +1:1/7\n",
+             "transcript line 3: abort agent '+1' is not a canonical ASCII number"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
              "duplicate-announcement", "repeated-edge-key",
              "text-between-announcement-items", "abort-zero-denominator",
              "stream-starts-past-0", "empty-transcript",
-             "comment-only-transcript", "unknown-kind", "config-param-error"],
+             "comment-only-transcript", "unknown-kind", "config-param-error",
+             "seq-leading-zero", "sender-plus-sign", "sender-underscore",
+             "terminal-choice-arabic-indic-digit", "announcement-arabic-indic-digit",
+             "check-position-leading-zero", "abort-agent-plus-sign"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message
@@ -403,7 +434,7 @@ class TestGraphErrors:
             ("node 0\nnode 1\nsource 0\nsource 5\nedge 0 1\n", EXIT_CONFIG,
              ["line 4: source 5 is not a valid agent id"]),
             (PATH3.replace("source 1", "source 0"), EXIT_CONFIG,
-             ["edge (1, 2) has no endpoint in the source set"]),
+             ["line 6: edge (1, 2) has no endpoint in the source set"]),
             (DISCONNECTED, EXIT_DISCONNECTED,
              ["security graph is disconnected: components {0,1}; {2,3}"]),
         ],

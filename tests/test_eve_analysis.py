@@ -160,7 +160,7 @@ class TestKeyUniformity:
     """The chi-square test that acceptance criterion 8 applies to key indices."""
 
     def test_uniform_sample_not_rejected(self):
-        rng = SeededRng(6)
+        rng = SeededRng(6).generator()
         indices = [rng.randrange(16) for _ in range(4000)]
         _, p_value = chi_square_uniformity(indices, 16)
         assert p_value >= 0.001

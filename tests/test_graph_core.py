@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_mst_weight, mst_prim, random_connected_graph
+from treekd.config_io import ConfigError, parse_config
 from treekd.graph_core import (
     DisconnectedGraphError,
     SecurityGraph,
@@ -50,27 +51,32 @@ class TestWeightedEdge:
 
 
 class TestValidateGraph:
+    """A graph's rules: parse_config checks each record, with its line,
+    and only then validate_graph's whole-graph rules."""
+
     def test_hub_source_covers_path(self):
         assert validate_graph(path_graph(sources={1})) == ()
 
     def test_edge_without_source_endpoint(self):
-        violations = validate_graph(path_graph(sources={0}))
-        assert violations
-        assert any("(1, 2)" in v for v in violations)
+        with pytest.raises(ConfigError) as err:
+            parse_config("node 0\nnode 1\nnode 2\nsource 0\nedge 0 1\nedge 1 2\n")
+        assert err.value.errors == ["line 6: edge (1, 2) has no endpoint in the source set"]
 
     def test_duplicate_edge_reported(self):
-        g = SecurityGraph(
-            2, [WeightedEdge(0, 1), WeightedEdge(1, 0)], sources={0}
-        )
-        violations = validate_graph(g)
-        assert violations
-        assert any("duplicate" in v for v in violations)
+        # The record error comes alone; the empty source set is reported
+        # once the records are clear.
+        with pytest.raises(ConfigError) as err:
+            parse_config("node 0\nnode 1\nedge 0 1\nedge 1 0\n")
+        assert err.value.errors == ["line 4: duplicate edge (0, 1), first on line 3"]
+        g = SecurityGraph(2, [WeightedEdge(0, 1), WeightedEdge(1, 0)], sources=())
+        assert validate_graph(g) == ("source set is empty",)
 
     def test_self_loop_and_empty_sources(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("node 0\nnode 1\nedge 1 1\n")
+        assert err.value.errors == ["line 3: self-loop at agent 1"]
         g = SecurityGraph(2, [WeightedEdge(1, 1)], sources=())
-        violations = validate_graph(g)
-        assert any("self-loop" in v for v in violations)
-        assert any("empty" in v for v in violations)
+        assert validate_graph(g) == ("source set is empty",)
 
 
 class TestConnectivity:

@@ -16,11 +16,11 @@ from conftest import (
     reference_block,
     reference_rounds,
 )
-from treekd import cli, graph_core, linear_code, protocol, subroutine
+from treekd import cli, config_io, graph_core, linear_code, protocol, subroutine
 from treekd import rng as rng_module
 from treekd.bits import BitString
 from treekd.channel_sim import Transcript
-from treekd.config_io import parse_config
+from treekd.config_io import ConfigError, parse_config
 from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge, terminal_agents
 from treekd.linear_code import encode_index, hamming_7_4, repetition_code
@@ -118,8 +118,8 @@ class TestReconcile:
             BitString.from_bits(1 if i == p else 0 for i in range(7)) for p in range(7)
         ]
         for index in range(16):
-            rng = SeededRng(1000 + index)
-            v = BitString.from_bits(rng.bit() for _ in range(7))
+            rng = SeededRng(1000 + index).generator()
+            v = BitString.from_bits(rng.getrandbits(1) for _ in range(7))
             for p1, p2, p3 in product(range(7), repeat=3):
                 agent_bits = {
                     0: v,
@@ -288,15 +288,11 @@ class TestRunBlock:
         assert hits > 50  # the conditional case actually occurred
 
     def test_rejects_invalid_graph(self):
-        from treekd.protocol import InvalidGraphError
-
-        graph = SecurityGraph(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)], sources={0})
-        config = ProtocolConfig(
-            graph=graph, leader=0, code=hamming_7_4(), blocks=1,
-            delta=0.05, epsilon=0.05, seed=0,
-        )
-        with pytest.raises(InvalidGraphError):
-            run_block(config)
+        # parse_config is the gate every run config passes, whole-graph
+        # rules included: no ProtocolConfig is built from this graph.
+        with pytest.raises(ConfigError) as err:
+            parse_config("node 0\nnode 1\nnode 2\nedge 0 1\nedge 1 2\n")
+        assert err.value.errors == ["source set is empty"]
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
@@ -336,17 +332,23 @@ class TestSummarize:
 
 class TestTreeBuiltOnce:
     def test_run_blocks_validates_and_builds_mst_once(self, monkeypatch):
-        # The announcement layout and each terminal's edge key come with
-        # the tree: once per config, not once per block or round.
+        # The graph is checked once, as its config is parsed.  The
+        # announcement layout and each terminal's edge key come with the
+        # tree: once per config, not once per block or round.
         calls = Counter()
-        for name in (
-            "validate_graph", "mst_kruskal", "announcement_layout", "terminal_edge_key"
+        for module, name in (
+            (config_io, "validate_graph"), (protocol, "mst_kruskal"),
+            (protocol, "announcement_layout"), (protocol, "terminal_edge_key"),
         ):
-            def counted(*args, _name=name, _original=getattr(protocol, name)):
+            def counted(*args, _name=name, _original=getattr(module, name)):
                 calls[_name] += 1
                 return _original(*args)
-            monkeypatch.setattr(protocol, name, counted)
-        results = run_blocks(path_config(n=4, blocks=5))
+            monkeypatch.setattr(module, name, counted)
+        spec = parse_config(
+            "node 0\nnode 1\nnode 2\nnode 3\nsource 1\nsource 2\n"
+            "edge 0 1\nedge 1 2\nedge 2 3\nparam blocks=5\n"
+        )
+        results = run_blocks(ProtocolConfig._make(spec))
         assert len(results) == 5
         assert calls == {
             "validate_graph": 1, "mst_kruskal": 1,
@@ -364,7 +366,7 @@ class TestTreeBuiltOnce:
                 calls[_name] += 1
                 return _original(graph)
 
-            for module in (graph_core, protocol, cli):
+            for module in (graph_core, config_io, protocol, cli):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         config = tmp_path / "run.cfg"

@@ -300,20 +300,22 @@ class TestSubroutineRound:
 
 def dict_rendered_round(tree, words, bit, rng, leader):
     """A round drawn and rendered per bit, as reference_rounds does: a mask
-    from rng.bit() per non-terminal agent in ascending id, each record a
-    dict rendered by format_payload, then rng.choice of the sorted
-    terminals.  Returns (chosen, masks) and the transcript lines."""
+    from getrandbits(1) per non-terminal agent in ascending id, each record
+    a dict rendered by format_payload, then a choice of the sorted
+    terminals, all drawn from rng's generator.  Returns (chosen, masks)
+    and the transcript lines."""
+    draw = rng.generator()
     lines, masks = [], []
     for agent in range(tree.n):
         edges = tree.incident_edges(agent)
         if len(edges) < 2:
             continue
-        mask = rng.bit()
+        mask = draw.getrandbits(1)
         masks.append(mask)
         record = {e.key: words[e.key][int(agent == e.b)] >> bit & 1 ^ mask for e in edges}
         text = format_payload("announcement", record)
         lines.append(f"{len(lines)} {agent} announcement {text}")
-    chosen = rng.choice(sorted(terminal_agents(tree)))
+    chosen = draw.choice(sorted(terminal_agents(tree)))
     lines.append(f"{len(lines)} {leader} terminal_choice {chosen}")
     return (chosen, masks), lines
 
