@@ -6,9 +6,11 @@ the edge's flip probability, and an eavesdropper learns nothing from this
 step.  An anti-correlated link is corrected by its endpoints (one of them
 complements its string), so the config parser accepts the ``anti`` flag
 and drops it, and the simulator hands out aligned strings.  Everything
-broadcast afterwards goes through an append-only public transcript: one
-text line per message, numbered 0, 1, 2, ... in the order they are
-broadcast, exactly as ``treekd run`` writes it.
+broadcast afterwards is on a block's public transcript: one text line
+per message, numbered 0, 1, 2, ... in the order they are broadcast,
+exactly as ``treekd run`` writes it.  A block's rounds are not sent line
+by line: subroutine.render_rounds writes all their lines at once, as the
+transcript's start, and ``broadcast`` appends each later message.
 """
 
 from __future__ import annotations

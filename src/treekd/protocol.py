@@ -20,8 +20,8 @@ from .config_io import RunSpec
 from .graph_core import EdgeKey, SpanningTree, mst_kruskal
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
-from .subroutine import announcement_layout, block_announcers, reconstruct_assignment
-from .subroutine import random_efficiency, subroutine_round, terminal_edge_key
+from .subroutine import announcement_layout, random_efficiency, reconstruct_assignment
+from .subroutine import render_rounds, subroutine_round, terminal_edge_key
 from .transcript_io import format_payload
 
 
@@ -150,14 +150,14 @@ def run_rounds(
     Returns each agent's secret string as a `positions`-bit int word, in
     agent order, and the rounds' transcript.  These words, the edge copies
     and each announcer's mask word hold position 0 in the most significant
-    bit.  The announcers' templates and edges come from the config; per
-    block, each announcer's own words become plain and complemented bit
-    columns, and round r renders from column r.  Each mask word grows by a
-    bit as its round returns.  The leader reconstructs once, from its own
-    words and the masked words; its bit r is bit r of round r's chosen
-    terminal edge.  Agent j's string is the leader's XOR P[leader] XOR P[j],
-    where P[v] is the XOR of the disagreement words A ^ B on the tree path
-    from agent 0 to v; at low noise most P[j] are 0.
+    bit.  Every round draws first, in round order, and each mask word grows
+    by a bit as its round returns.  Each announcer's masked words (its own
+    words XOR its mask word) then serve twice: render_rounds writes the
+    block's round lines from them, and the leader reconstructs from them
+    and its own words, once; its bit r is bit r of round r's chosen
+    terminal edge.  Agent j's string is the leader's XOR P[leader] XOR P[j], where
+    P[v] is the XOR of the disagreement words A ^ B on the tree path from
+    agent 0 to v; at low noise most P[j] are 0.
     """
     tree, leader, layout = config.tree, config.leader, config.announcers
     terminal_keys = config.terminal_keys
@@ -170,26 +170,23 @@ def run_rounds(
         a, b = words[key]
         parity[v] = parity[parent] ^ a ^ b
 
-    transcript = Transcript()
-    announcing = block_announcers(layout, words, positions)
     mask_words = [0] * len(layout)
-    chosen_keys = []
+    chosen = []
     for r in range(positions):
-        chosen, masks = subroutine_round(
-            tree, announcing, rng.substream("round", r), transcript, leader,
-            positions - 1 - r,
-        )
+        terminal, masks = subroutine_round(tree, rng.substream("round", r))
         mask_words = [w << 1 | m for w, m in zip(mask_words, masks)]
-        chosen_keys.append(terminal_keys[chosen])
+        chosen.append(terminal)
     masked = {
         agent: {key: words[key][side] ^ mask for key, side in sides}
         for (agent, _, sides), mask in zip(layout, mask_words)
     }
+    transcript = Transcript()
+    transcript.lines = render_rounds(layout, masked, chosen, leader)
     own = {e.key: words[e.key][int(leader == e.b)] for e in tree.incident_edges(leader)}
     assignment = reconstruct_assignment(leader, own, masked, tree)
     base = parity[leader]
-    for r, key in enumerate(chosen_keys):
-        base ^= assignment[key] & 1 << positions - 1 - r
+    for r, terminal in enumerate(chosen):
+        base ^= assignment[terminal_keys[terminal]] & 1 << positions - 1 - r
     return [base ^ p for p in parity], transcript
 
 

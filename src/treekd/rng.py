@@ -7,7 +7,9 @@ labels (SHA-256, first 8 bytes as the child seed), so every component of a
 run draws from its own independent, reproducible stream.  A stream seeds
 its generator on its first draw, so one that only derives children never
 seeds one.  Every draw goes through the generator's own methods, from
-``generator()``.
+``generator()``, which seeds the twister through its C ``seed`` alone: the
+state ``Random(seed)`` builds for an int seed, without ``Random.__init__``
+and ``Random.seed`` dispatching to it in Python.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ class SeededRng:
         """The stream's generator, seeded on the first call; every draw
         from the stream advances its one state."""
         if self._rng is None:
-            self._rng = Random(self.seed)
+            rng = self._rng = Random.__new__(Random)
+            super(Random, rng).seed(self.seed)
+            rng.gauss_next = None
         return self._rng
 
     def substream(self, *labels: object) -> "SeededRng":
         """Derive an independent child stream from this seed and labels."""
-        material = "/".join([str(self.seed), *(str(x) for x in labels)])
+        material = "/".join(map(str, (self.seed, *labels)))
         digest = hashlib.sha256(material.encode("utf-8")).digest()
         return SeededRng(int.from_bytes(digest[:8], "big"))
 

@@ -13,22 +13,21 @@ reconstructions of an edge differ exactly by the XOR of the pairwise
 disagreements (a-side XOR b-side copy) on the tree path between them, and
 run_rounds derives every other agent's bits from the leader's that way.
 
-Rendering is split by how often its inputs change.  announcement_layout
-holds what depends on the tree alone (each announcer's template and the
-edge sides it reads) and runs once per config; block_announcers turns a
-block's edge words into per-position bit columns; subroutine_round draws
-a round's masks through the stream's generator and fills each template
-from the column its mask picks.
+A block draws its rounds first and renders them after.  subroutine_round
+draws one round's randomness from the round's stream and renders nothing;
+announcement_layout holds what depends on the tree alone (each announcer's
+template and the edge sides it reads) and runs once per config; and
+render_rounds writes every round of a block at once, each announcer's
+lines in one pass over its masked words.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from collections import deque
-
-from .channel_sim import Transcript, broadcast
 from .graph_core import EdgeKey, SpanningTree, terminal_agents
 from .rng import SeededRng
 from .transcript_io import format_payload
@@ -111,53 +110,46 @@ def announcement_layout(
     return tuple(layout)
 
 
-def block_announcers(
-    layout: Sequence[Tuple[int, str, Sequence[Tuple[EdgeKey, int]]]],
-    edge_words: Mapping[EdgeKey, Tuple[int, int]],
-    positions: int,
-) -> List[Tuple[int, str, Tuple[List[Tuple[str, ...]], List[Tuple[str, ...]]]]]:
-    """Each announcer of the layout with its template and its bit columns
-    for one block of `positions`-bit (a-side, b-side) edge words.
-
-    Column r holds the announcer's own bits at position r (the word's most
-    significant bit is position 0) as '0'/'1' characters in template order:
-    columns[0] plain, columns[1] complemented, so a round renders each
-    announcement with one % and no per-bit work.  Every word is written at
-    `positions` digits, so a position whose bits are all 0 keeps its column.
-    """
-    digits = f"0{positions}b"
-    ones = (1 << positions) - 1
-    announcing = []
-    for agent, template, sides in layout:
-        words = [edge_words[key][side] for key, side in sides]
-        plain = list(zip(*[format(w, digits) for w in words]))
-        complemented = list(zip(*[format(w ^ ones, digits) for w in words]))
-        announcing.append((agent, template, (plain, complemented)))
-    return announcing
-
-
-def subroutine_round(
-    tree: SpanningTree,
-    announcing: Sequence[Tuple[int, str, Tuple[Sequence[Tuple[str, ...]], ...]]],
-    rng: SeededRng,
-    transcript: Transcript,
-    leader: int = 0,
-    bit: int = 0,
-) -> Tuple[int, List[int]]:
-    """One round's broadcasts on bit `bit` (0 = least significant) of each
-    announced word, from block_announcers' columns.  Round randomness draws
-    in a fixed order, through the stream's own generator: one fresh mask per
-    announcer in ascending id, then the leader's terminal choice, from the
-    tree's terminals in ascending id.  Returns the choice and the masks."""
+def subroutine_round(tree: SpanningTree, rng: SeededRng) -> Tuple[int, List[int]]:
+    """One round's randomness, drawn in a fixed order through the stream's
+    own generator: one fresh mask bit per non-terminal agent in ascending
+    id, then the leader's terminal choice, from the tree's terminals in
+    ascending id.  Returns the choice and the masks; render_rounds writes
+    the round's lines."""
     generator = rng.generator()
     draw = generator.getrandbits
-    masks = [draw(1) for _ in announcing]
-    for (agent, template, columns), mask in zip(announcing, masks):
-        broadcast(transcript, agent, "announcement", template % columns[mask][~bit])
-    chosen = generator.choice(tree.terminals)
-    text = format_payload("terminal_choice", chosen)
-    broadcast(transcript, leader, "terminal_choice", text)
-    return chosen, masks
+    masks = [draw(1) for _ in range(tree.n - len(tree.terminals))]
+    return generator.choice(tree.terminals), masks
+
+
+def render_rounds(
+    layout: Sequence[Tuple[int, str, Sequence[Tuple[EdgeKey, int]]]],
+    masked: Mapping[int, Mapping[EdgeKey, int]],
+    chosen: Sequence[int],
+    leader: int = 0,
+) -> List[str]:
+    """The transcript lines of a block's rounds, one round per chosen
+    terminal, numbered from 0.
+
+    masked maps each announcer to its masked words, in the order of its
+    layout edges, position 0 in the most significant bit.  Round r is each
+    announcer's record at position r, in layout order, then the leader's
+    terminal choice: of A announcers, announcer i's line of round r is
+    line i + r(A + 1) and the choice is line A + r(A + 1).  Each
+    announcer's lines come from one line template and its words written
+    at len(chosen) digits: one % per line and no per-bit work.
+    """
+    positions, stride = len(chosen), len(layout) + 1
+    end, digits = positions * stride, f"0{positions}b"
+    rendered = []
+    for i, (agent, template, _) in enumerate(layout):
+        line = f"%d {agent} announcement " + template
+        columns = [format(w, digits) for w in masked[agent].values()]
+        rendered.append([line % bits for bits in zip(range(i, end, stride), *columns)])
+    choice = f"%d {leader} terminal_choice %d"
+    seqs = range(stride - 1, end, stride)
+    rendered.append([choice % pair for pair in zip(seqs, chosen)])
+    return list(chain.from_iterable(zip(*rendered)))
 
 
 def random_efficiency(n: int) -> Fraction:

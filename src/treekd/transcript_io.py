@@ -10,10 +10,12 @@ Payload text per kind:
 - check_positions:   sorted position indices, comma-separated
 - check_values:      the m check bits as 0/1 characters, index 0 first
 - code_broadcast:    the m broadcast bits as 0/1 characters
-- abort:             ``agent:mismatch`` pairs, comma-separated, exact rationals
+- abort:             ``agent:mismatch`` pairs, comma-separated, each mismatch
+                     an exact rational in [0, 1] as ``str(Fraction)`` writes
+                     it: ``0``, ``1`` or ``p/q`` in lowest terms
 
 Every seq, agent id and position is written ``0|[1-9][0-9]*`` in ASCII
-digits, and read back only in that form.
+digits, and every number is read back only in the form it is written in.
 """
 
 from __future__ import annotations
@@ -74,6 +76,21 @@ def _count(text: str, what: str) -> int:
     return value
 
 
+def _mismatch(text: str) -> Fraction:
+    """text as an abort mismatch, read only as str() writes a Fraction in
+    [0, 1]: Fraction() alone also reads '2/4', '0.5', '+1/7', '1_0/7',
+    '-1/7' and non-ASCII digits."""
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"abort mismatch {text!r} has a zero denominator") from None
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value <= 1 or str(value) != text:
+        raise ValueError(f"abort mismatch {text!r} is not a canonical fraction")
+    return value
+
+
 def _parse_payload(kind: str, text: str):
     if kind == "announcement":
         if not _ANNOUNCEMENT.fullmatch(text):
@@ -96,12 +113,7 @@ def _parse_payload(kind: str, text: str):
         if text:
             for item in text.split(","):
                 agent, frac = item.split(":")
-                try:
-                    out[_count(agent, "abort agent")] = Fraction(frac)
-                except ZeroDivisionError:
-                    raise ValueError(
-                        f"abort mismatch {frac!r} has a zero denominator"
-                    ) from None
+                out[_count(agent, "abort agent")] = _mismatch(frac)
         return out
     raise ValueError(f"unknown kind {kind!r}")
 

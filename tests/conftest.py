@@ -11,7 +11,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from scipy import stats
 
 from treekd.bits import BitString
-from treekd.channel_sim import Transcript, simulate_pairwise_kd
+from treekd.channel_sim import simulate_pairwise_kd
 from treekd.graph_core import (
     DisconnectedGraphError,
     EdgeKey,
@@ -28,22 +28,21 @@ from treekd.rng import SeededRng
 from treekd.subroutine import (
     NonTerminalChoiceError,
     announcement_layout,
-    block_announcers,
     reconstruct_assignment,
+    render_rounds,
     subroutine_round,
     terminal_edge_key,
 )
-from treekd.transcript_io import (
-    ParsedTranscript,
-    format_payload,
-    parse_transcript,
-    transcript_lines,
-)
+from treekd.transcript_io import ParsedTranscript, format_payload, parse_transcript
 
 # A [6,3] code with a weight-2 codeword (001100), so some words have two
 # nearest codewords and the decoder's tie rule decides: no named code has
 # such words.
 TIED_6_3 = _systematic_code(6, 3, 0, ((1, 1, 0), (0, 1, 1), (1, 0, 0)))
+
+
+# A degree-5 announcer (agent 2) next to a degree-2 one (agent 5).
+HUB7 = [WeightedEdge(2, v) for v in (0, 1, 3, 4, 5)] + [WeightedEdge(5, 6)]
 
 
 def random_tree_edges(n: int, rng: random.Random) -> List[WeightedEdge]:
@@ -210,10 +209,13 @@ def parsed_round(
 ) -> ParsedTranscript:
     """One subroutine round on the given (a-side, b-side) edge copies, read
     back from the text it broadcasts, as the eavesdropper and analyze see it."""
-    transcript = Transcript()
-    announcing = block_announcers(announcement_layout(tree), edge_bits, 1)
-    subroutine_round(tree, announcing, SeededRng(seed), transcript, leader)
-    (parsed,) = parse_transcript(transcript_lines(transcript))
+    layout = announcement_layout(tree)
+    chosen, masks = subroutine_round(tree, SeededRng(seed))
+    masked = {
+        agent: {key: edge_bits[key][side] ^ mask for key, side in sides}
+        for (agent, _, sides), mask in zip(layout, masks)
+    }
+    (parsed,) = parse_transcript(render_rounds(layout, masked, [chosen], leader))
     return parsed
 
 

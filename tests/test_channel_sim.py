@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treekd.bits import BitString
@@ -106,6 +108,17 @@ class TestSeededRng:
         root2 = SeededRng(5)
         root2.substream("b").generator().randrange(1 << 30)
         assert a_first == root2.substream("a").generator().randrange(1 << 30)
+
+    @given(seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**64), -1)))
+    @example(seed=0)
+    @example(seed=-1)
+    def test_generator_state_is_random_of_seed(self, seed):
+        # generator() seeds its twister in C, past Random.__init__ and
+        # Random.seed: the state, gauss_next included, is Random(seed)'s.
+        generator, reference = SeededRng(seed).generator(), random.Random(seed)
+        assert generator.getstate() == reference.getstate()
+        assert generator.gauss(0, 1) == reference.gauss(0, 1)
+        assert generator.getstate() == reference.getstate()
 
     def test_distinct_labels_distinct_streams(self):
         root = SeededRng(5)

@@ -366,6 +366,22 @@ class TestAnalyze:
              "transcript line 3: check position '01' is not a canonical ASCII number"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort +1:1/7\n",
              "transcript line 3: abort agent '+1' is not a canonical ASCII number"),
+            # A mismatch is read only as str() writes a Fraction in [0, 1];
+            # Fraction() alone reads each of these as a valid rational.
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:2/4,2:0\n",
+             "transcript line 3: abort mismatch '2/4' is not a canonical fraction"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:-1/7,2:0\n",
+             "transcript line 3: abort mismatch '-1/7' is not a canonical fraction"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:8/7,2:0\n",
+             "transcript line 3: abort mismatch '8/7' is not a canonical fraction"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:\u0663/7,2:0\n",
+             "transcript line 3: abort mismatch '\u0663/7' is not a canonical fraction"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0.5,2:0\n",
+             "transcript line 3: abort mismatch '0.5' is not a canonical fraction"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:+1/7,2:0\n",
+             "transcript line 3: abort mismatch '+1/7' is not a canonical fraction"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:1_0/7,2:0\n",
+             "transcript line 3: abort mismatch '1_0/7' is not a canonical fraction"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
@@ -375,7 +391,11 @@ class TestAnalyze:
              "comment-only-transcript", "unknown-kind", "config-param-error",
              "seq-leading-zero", "sender-plus-sign", "sender-underscore",
              "terminal-choice-arabic-indic-digit", "announcement-arabic-indic-digit",
-             "check-position-leading-zero", "abort-agent-plus-sign"],
+             "check-position-leading-zero", "abort-agent-plus-sign",
+             "abort-mismatch-not-lowest-terms", "abort-mismatch-negative",
+             "abort-mismatch-above-1", "abort-mismatch-arabic-indic-digit",
+             "abort-mismatch-decimal", "abort-mismatch-plus-sign",
+             "abort-mismatch-underscore"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message

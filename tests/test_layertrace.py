@@ -49,4 +49,7 @@ def test_every_target_resolves_and_one_block_is_traced():
     rounds = 2 * config.code.m
     assert counts["subroutine.subroutine_round.calls"] == rounds
     assert counts["subroutine.reconstruct_assignment.calls"] == 1
-    assert counts["channel_sim.broadcast.calls"] == len(result.transcript.lines)
+    # render_rounds writes the rounds' lines, announcements and terminal
+    # choices; every later line is one broadcast.
+    broadcast_lines = len(result.transcript.lines) - rounds * (len(config.announcers) + 1)
+    assert counts["channel_sim.broadcast.calls"] == broadcast_lines

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    HUB7,
     TIED_6_3,
     path_config,
     random_tree_edges,
@@ -453,13 +454,14 @@ class TestOncePerDistinctString:
     def test_only_streams_that_draw_are_seeded(self, monkeypatch):
         # One Mersenne Twister per edge session, round, check draw and code
         # draw; the run's root stream and the block's stream only derive
-        # children, and the block's stream is derived once.
+        # children, and the block's stream is derived once.  generator()
+        # builds each twister with Random.__new__ and seeds it in C.
         seeded, derived = Counter(), Counter()
 
         class CountingRandom(random.Random):
-            def seed(self, *args, **kwargs):
+            def __new__(cls, *args, **kwargs):
                 seeded["twisters"] += 1
-                super().seed(*args, **kwargs)
+                return super().__new__(cls, *args, **kwargs)
 
         original_substream = SeededRng.substream
 
@@ -505,13 +507,24 @@ class TestReferenceRounds:
         leader=st.integers(0, 11),
         positions=st.integers(1, 30),
         block_index=st.integers(0, 3),
+        shape=st.none(),
     )
+    # Two agents have no announcers, so each round is its terminal choice
+    # alone; one position renders one digit per word.
+    @example(n=2, seed=7, flip=0.1, leader=1, positions=5, block_index=0, shape=None)
+    @example(n=9, seed=8, flip=0.1, leader=3, positions=1, block_index=1, shape=None)
+    # A degree-5 announcer, and 100 agents as run_tree100 has.
+    @example(n=7, seed=9, flip=0.2, leader=2, positions=14, block_index=2, shape=HUB7)
+    @example(n=100, seed=10, flip=0.01, leader=57, positions=14, block_index=0,
+             shape=None)
     def test_run_rounds_matches_reference(
-        self, n, seed, flip, leader, positions, block_index
+        self, n, seed, flip, leader, positions, block_index, shape
     ):
+        # shape is the tree's edges; None draws a random tree on n agents.
         rng = random.Random(seed)
         edges = [
-            WeightedEdge(e.a, e.b, flip_prob=flip) for e in random_tree_edges(n, rng)
+            WeightedEdge(e.a, e.b, flip_prob=flip)
+            for e in shape or random_tree_edges(n, rng)
         ]
         config = ProtocolConfig(
             graph=SecurityGraph(n, edges, range(n)),

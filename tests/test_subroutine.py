@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parsed_round, random_tree_edges
+from conftest import HUB7, parsed_round, random_tree_edges
 from treekd import protocol
 from treekd.bits import BitString
-from treekd.channel_sim import Transcript, simulate_pairwise_kd
+from treekd.channel_sim import simulate_pairwise_kd
 from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, SpanningTree, WeightedEdge, terminal_agents
 from treekd.linear_code import hamming_7_4
@@ -20,9 +20,9 @@ from treekd.subroutine import (
     MissingAnnouncementError,
     NonTerminalChoiceError,
     announcement_layout,
-    block_announcers,
     random_efficiency,
     reconstruct_assignment,
+    render_rounds,
     subroutine_round,
     terminal_edge_key,
 )
@@ -195,12 +195,10 @@ class TestSubroutineRound:
         # The path 0-1-2 has terminals 0 and 2; each round returns one of
         # them, about half the time each.
         tree = path_tree()
-        layout = announcement_layout(tree)
-        announcing = block_announcers(layout, {(0, 1): (0, 0), (1, 2): (0, 0)}, 1)
-        rng, transcript = SeededRng(123), Transcript()
+        rng = SeededRng(123)
         counts = {0: 0, 2: 0}
         for _ in range(10**4):
-            chosen, _ = subroutine_round(tree, announcing, rng, transcript)
+            chosen, _ = subroutine_round(tree, rng)
             counts[chosen] += 1
         assert abs(counts[0] - 5000) <= 300
 
@@ -220,7 +218,8 @@ class TestSubroutineRound:
             assert len(diffs) == 1  # consistent with one mask, value unknown
 
     def test_reads_the_given_bit_of_each_word(self):
-        # Bit 2 of these words is the single-bit mapping's round.
+        # Bit 2 of these words is position 0 of a 3-position block, whose
+        # round 0 draws what the single-bit block's one round draws.
         rng = random.Random(5)
         tree = SpanningTree(6, random_tree_edges(6, rng))
         single = {e.key: (rng.randrange(2), rng.randrange(2)) for e in tree.edges}
@@ -228,16 +227,11 @@ class TestSubroutineRound:
             key: (a << 2 | rng.randrange(4), b << 2 | rng.randrange(4))
             for key, (a, b) in single.items()
         }
-        layout = announcement_layout(tree)
         for leader in range(6):
-            plain, wide = Transcript(), Transcript()
-            drawn = subroutine_round(
-                tree, block_announcers(layout, single, 1), SeededRng(9), plain, leader
-            )
-            assert subroutine_round(
-                tree, block_announcers(layout, words, 3), SeededRng(9), wide, leader, 2
-            ) == drawn
-            assert plain.lines == wide.lines
+            drawn, plain = rendered_block(tree, single, 1, leader)
+            wide_drawn, wide = rendered_block(tree, words, 3, leader)
+            assert wide_drawn[0] == drawn[0]
+            assert wide[: len(plain)] == plain
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -298,12 +292,12 @@ class TestSubroutineRound:
                 assert strings[agent][r] == expected[key]
 
 
-def dict_rendered_round(tree, words, bit, rng, leader):
+def dict_rendered_round(tree, words, bit, rng, leader, first=0):
     """A round drawn and rendered per bit, as reference_rounds does: a mask
     from getrandbits(1) per non-terminal agent in ascending id, each record
     a dict rendered by format_payload, then a choice of the sorted
     terminals, all drawn from rng's generator.  Returns (chosen, masks)
-    and the transcript lines."""
+    and the transcript lines, numbered from `first`."""
     draw = rng.generator()
     lines, masks = [], []
     for agent in range(tree.n):
@@ -314,10 +308,29 @@ def dict_rendered_round(tree, words, bit, rng, leader):
         masks.append(mask)
         record = {e.key: words[e.key][int(agent == e.b)] >> bit & 1 ^ mask for e in edges}
         text = format_payload("announcement", record)
-        lines.append(f"{len(lines)} {agent} announcement {text}")
+        lines.append(f"{first + len(lines)} {agent} announcement {text}")
     chosen = draw.choice(sorted(terminal_agents(tree)))
-    lines.append(f"{len(lines)} {leader} terminal_choice {chosen}")
+    lines.append(f"{first + len(lines)} {leader} terminal_choice {chosen}")
     return (chosen, masks), lines
+
+
+def rendered_block(tree, words, positions, leader):
+    """A block of `positions` rounds on the given (a-side, b-side) words,
+    round r drawn from SeededRng(r): each announcer's words XOR its mask
+    word (round r's mask at position r, the most significant bit first),
+    rendered by render_rounds.  Returns every round's (chosen, masks) and
+    the lines."""
+    layout = announcement_layout(tree)
+    drawn = [subroutine_round(tree, SeededRng(r)) for r in range(positions)]
+    mask_words = [
+        sum(mask << positions - 1 - r for r, mask in enumerate(column))
+        for column in zip(*(masks for _, masks in drawn))
+    ]
+    masked = {
+        agent: {key: words[key][side] ^ mask for key, side in sides}
+        for (agent, _, sides), mask in zip(layout, mask_words)
+    }
+    return drawn, render_rounds(layout, masked, [chosen for chosen, _ in drawn], leader)
 
 
 def column_case(tree, positions, top, rng):
@@ -327,8 +340,6 @@ def column_case(tree, positions, top, rng):
     words = {e.key: (rng.randrange(limit), rng.randrange(limit)) for e in tree.edges}
     return tree, words, positions
 
-
-HUB7 = [WeightedEdge(2, v) for v in (0, 1, 3, 4, 5)] + [WeightedEdge(5, 6)]
 
 COLUMN_CASES = {
     "all-zero-words": lambda rng: column_case(
@@ -353,27 +364,28 @@ COLUMN_CASES = {
 class TestColumnRendering:
     @pytest.mark.parametrize("case", list(COLUMN_CASES))
     def test_lines_match_dict_rendering_at_every_position(self, case):
-        # block_announcers' columns and one % per line against a dict per
-        # record: every bit, the top one included, for two leaders.  All-zero
-        # words and words below 2**11 leave their top columns all 0.
+        # render_rounds' one % per line against a dict per record: every
+        # position, the top bit included, for two leaders.  All-zero words
+        # and words below 2**11 write their top digits as 0.
         tree, words, positions = COLUMN_CASES[case](random.Random(case))
-        announcing = block_announcers(announcement_layout(tree), words, positions)
-        for bit in range(positions):
-            for leader in (0, tree.n - 1):
-                transcript = Transcript()
-                drawn = subroutine_round(
-                    tree, announcing, SeededRng(bit), transcript, leader, bit
+        stride = len(announcement_layout(tree)) + 1
+        for leader in (0, tree.n - 1):
+            drawn, lines = rendered_block(tree, words, positions, leader)
+            assert len(lines) == positions * stride
+            for r in range(positions):
+                expected, round_lines = dict_rendered_round(
+                    tree, words, positions - 1 - r, SeededRng(r), leader, r * stride
                 )
-                expected, lines = dict_rendered_round(
-                    tree, words, bit, SeededRng(bit), leader
-                )
-                assert drawn == expected
-                assert transcript.lines == lines
+                assert drawn[r] == expected
+                assert lines[r * stride : (r + 1) * stride] == round_lines
 
     def test_two_agents_have_no_announcers(self):
         tree = SpanningTree(2, [WeightedEdge(0, 1)])
         assert announcement_layout(tree) == ()
-        assert block_announcers((), {(0, 1): (3, 1)}, 2) == []
+        assert render_rounds((), {}, [0, 1], leader=1) == [
+            "0 1 terminal_choice 0",
+            "1 1 terminal_choice 1",
+        ]
 
     def test_degree_5_layout(self):
         (hub, template, hub_sides), (_, _, tail_sides) = announcement_layout(
