@@ -90,26 +90,18 @@ def select_check_positions(rng: SeededRng, total: int) -> Tuple[int, ...]:
 def decide_abort(
     check_values: Mapping[int, BitString], leader: int, delta: float
 ) -> Tuple[bool, Dict[int, Fraction]]:
-    """(abort, mismatch): abort iff any agent's mismatch fraction vs the
-    leader strictly exceeds delta, read as the decimal it prints as (the
-    float 0.3 is below 3/10); exactly delta proceeds.
-
-    Agents at the same Hamming distance share one Fraction, and the test
-    runs once per distinct distance.
+    """(abort, mismatch): each key's mismatch fraction vs the leader, the
+    leader's own 0 included; abort iff one strictly exceeds delta, read as
+    the decimal it prints as (the float 0.3 is below 3/10); exactly delta
+    proceeds.
     """
     limit = Fraction(str(delta))
     reference = check_values[leader]
     m = len(reference)
-    by_distance: Dict[int, Fraction] = {}
-    mismatch: Dict[int, Fraction] = {}
-    for agent, bits in check_values.items():
-        if agent == leader:
-            continue
-        distance = reference.hamming(bits)
-        if distance not in by_distance:
-            by_distance[distance] = Fraction(distance, m)
-        mismatch[agent] = by_distance[distance]
-    return any(frac > limit for frac in by_distance.values()), mismatch
+    mismatch = {
+        agent: Fraction(reference.hamming(bits), m) for agent, bits in check_values.items()
+    }
+    return any(frac > limit for frac in mismatch.values()), mismatch
 
 
 def reconcile(
@@ -119,26 +111,19 @@ def reconcile(
     transcript: Transcript,
     leader: int,
 ) -> Dict[int, int]:
-    """Code-based reconciliation: broadcast c XOR v, decode, output index.
-
-    Agents holding the same code bits decode to the same index, so each
-    distinct non-leader string, keyed by its int value, is decoded once.
+    """Code-based reconciliation: the leader broadcasts c XOR its code bits
+    for a random codeword c, and every key, the leader too, decodes that
+    XOR its own bits and outputs the codeword's index; the leader decodes
+    c itself, so it gets the index it drew.
     """
-    index, codeword = random_codeword(code, rng)
+    _, codeword = random_codeword(code, rng)
     masked = codeword ^ codebits[leader]
     text = format_payload("code_broadcast", masked)
     broadcast(transcript, leader, "code_broadcast", text)
-    indices: Dict[int, int] = {leader: index}
-    by_value: Dict[int, int] = {}
-    for agent, bits in codebits.items():
-        if agent == leader:
-            continue
-        if bits.value not in by_value:
-            received = masked ^ bits  # = codeword XOR error vector
-            decoded, _ = decode_to_codeword(code, received)
-            by_value[bits.value] = index_of(code, decoded)
-        indices[agent] = by_value[bits.value]
-    return indices
+    return {
+        agent: index_of(code, decode_to_codeword(code, masked ^ bits)[0])
+        for agent, bits in codebits.items()
+    }
 
 
 def run_rounds(
@@ -193,33 +178,38 @@ def run_rounds(
 def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
     """One full block: rounds, check phase, abort decision, reconciliation.
 
+    Agents with one word share everything after the rounds, so the block
+    splits, checks and decodes one holder per distinct word, the leader for
+    its own, and maps the results back to every agent in agent order.
+
     A completed block's key is the codeword index each agent decoded; for
     these systematic codes the key bits are the index's k bits.
     """
     m, leader = config.code.m, config.leader
     rng = SeededRng(config.seed).substream("block", block_index)
     words, transcript = run_rounds(config, rng, 2 * m)
-    # Most agents share a word, so each distinct word is split and rendered
-    # once, and every agent gets the shared BitStrings of its word.
-    strings = {word: BitString(word, 2 * m) for word in set(words)}
+    holder = {word: agent for agent, word in enumerate(words)}
+    holder[words[leader]] = leader
+    held = [holder[word] for word in words]
+    strings = {agent: BitString(word, 2 * m) for word, agent in holder.items()}
 
     check_positions = select_check_positions(rng.substream("check"), 2 * m)
     text = format_payload("check_positions", check_positions)
     broadcast(transcript, leader, "check_positions", text)
-    checks = {word: bits.take(check_positions) for word, bits in strings.items()}
-    texts = {word: format_payload("check_values", bits) for word, bits in checks.items()}
-    for agent, word in enumerate(words):
-        broadcast(transcript, agent, "check_values", texts[word])
-    check_values = {agent: checks[word] for agent, word in enumerate(words)}
-    abort, mismatch = decide_abort(check_values, leader, config.delta)
+    checks = {agent: bits.take(check_positions) for agent, bits in strings.items()}
+    texts = {agent: format_payload("check_values", bits) for agent, bits in checks.items()}
+    for agent, h in enumerate(held):
+        broadcast(transcript, agent, "check_values", texts[h])
+    abort, fractions = decide_abort(checks, leader, config.delta)
+    mismatch = {agent: fractions[h] for agent, h in enumerate(held) if agent != leader}
     if abort:
         broadcast(transcript, leader, "abort", format_payload("abort", mismatch))
         return KeyResult("aborted", None, mismatch, transcript)
 
     code_positions = sorted(set(range(2 * m)).difference(check_positions))
-    codes = {word: bits.take(code_positions) for word, bits in strings.items()}
-    codebits = {agent: codes[word] for agent, word in enumerate(words)}
-    indices = reconcile(codebits, config.code, rng.substream("code"), transcript, leader)
+    codes = {agent: bits.take(code_positions) for agent, bits in strings.items()}
+    keys = reconcile(codes, config.code, rng.substream("code"), transcript, leader)
+    indices = {agent: keys[h] for agent, h in enumerate(held)}
     return KeyResult("completed", indices, mismatch, transcript)
 
 

@@ -10,9 +10,10 @@ Payload text per kind:
 - check_positions:   sorted position indices, comma-separated
 - check_values:      the m check bits as 0/1 characters, index 0 first
 - code_broadcast:    the m broadcast bits as 0/1 characters
-- abort:             ``agent:mismatch`` pairs, comma-separated, each mismatch
-                     an exact rational in [0, 1] as ``str(Fraction)`` writes
-                     it: ``0``, ``1`` or ``p/q`` in lowest terms
+- abort:             ``agent:mismatch`` pairs, comma-separated, each agent
+                     once, each mismatch an exact rational in [0, 1] as
+                     ``str(Fraction)`` writes it: ``0``, ``1`` or ``p/q`` in
+                     lowest terms
 
 Every seq, agent id and position is written ``0|[1-9][0-9]*`` in ASCII
 digits, and every number is read back only in the form it is written in.
@@ -110,10 +111,14 @@ def _parse_payload(kind: str, text: str):
         return BitString.from_text(text)
     if kind == "abort":
         out: Dict[int, Fraction] = {}
-        if text:
-            for item in text.split(","):
-                agent, frac = item.split(":")
-                out[_count(agent, "abort agent")] = _mismatch(frac)
+        for item in text.split(",") if text else ():
+            fields = item.split(":")
+            if len(fields) != 2:
+                raise ValueError(f"malformed abort item {item!r}")
+            agent = _count(fields[0], "abort agent")
+            if agent in out:
+                raise ValueError(f"abort names agent {agent} twice")
+            out[agent] = _mismatch(fields[1])
         return out
     raise ValueError(f"unknown kind {kind!r}")
 

@@ -382,6 +382,15 @@ class TestAnalyze:
              "transcript line 3: abort mismatch '+1/7' is not a canonical fraction"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:1_0/7,2:0\n",
              "transcript line 3: abort mismatch '1_0/7' is not a canonical fraction"),
+            # Read as a dict, the second value would silently replace the first.
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,1:1/7\n",
+             "transcript line 3: abort names agent 1 twice"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:2:3\n",
+             "transcript line 3: malformed abort item '1:2:3'"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1\n",
+             "transcript line 3: malformed abort item '1'"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,\n",
+             "transcript line 3: malformed abort item ''"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
@@ -395,7 +404,9 @@ class TestAnalyze:
              "abort-mismatch-not-lowest-terms", "abort-mismatch-negative",
              "abort-mismatch-above-1", "abort-mismatch-arabic-indic-digit",
              "abort-mismatch-decimal", "abort-mismatch-plus-sign",
-             "abort-mismatch-underscore"],
+             "abort-mismatch-underscore", "abort-agent-twice",
+             "abort-item-three-fields", "abort-item-no-mismatch",
+             "abort-item-after-trailing-comma"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message

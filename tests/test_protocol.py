@@ -143,6 +143,55 @@ class TestReconcile:
         assert indices[1] != indices[0]  # outside radius t=1
 
 
+class TestLeaderIsAnyKey:
+    """decide_abort and reconcile give the leader a result like every other
+    key: its own mismatch of 0, and the index it gets by decoding."""
+
+    def test_decide_abort_gives_the_leader_zero(self):
+        values = {
+            0: BitString.from_text("0110"),
+            1: BitString.from_text("1110"),
+            2: BitString.from_text("0110"),
+        }
+        abort, mismatch = decide_abort(values, leader=2, delta=0.25)
+        assert not abort
+        assert mismatch == {0: Fraction(0), 1: Fraction(1, 4), 2: Fraction(0)}
+
+    def test_reconcile_decodes_every_key_the_leader_to_its_drawn_index(
+        self, monkeypatch
+    ):
+        code = hamming_7_4()
+        v = BitString.from_text("1011001")
+        near = v ^ BitString.from_text("0000100")  # within the code's radius
+        inputs = []
+        original = linear_code.decode_to_codeword
+
+        def decode(code, word):
+            inputs.append(word)
+            return original(code, word)
+
+        monkeypatch.setattr(protocol, "decode_to_codeword", decode)
+        drawn = SeededRng(5).generator().randrange(1 << code.k)
+        transcript = Transcript()
+        indices = reconcile(
+            {0: near, 1: v, 2: near, 3: v}, code, SeededRng(5), transcript, leader=1
+        )
+        masked = encode_index(code, drawn) ^ v
+        assert transcript_lines(transcript) == [f"0 1 code_broadcast {masked}"]
+        assert len(inputs) == 4  # one decode per key, no cache
+        assert inputs[1] == encode_index(code, drawn)  # the leader decodes c
+        assert indices == {0: drawn, 1: drawn, 2: drawn, 3: drawn}
+
+    def test_reconcile_gives_equal_code_bits_one_index(self):
+        code = hamming_7_4()
+        v = BitString.from_text("0000000")
+        far = v ^ BitString.from_text("1100000")  # outside the radius
+        indices = reconcile(
+            {0: v, 1: far, 2: far, 3: v}, code, SeededRng(0), Transcript(), leader=0
+        )
+        assert indices[1] == indices[2] != indices[0] == indices[3]
+
+
 class TestFailureBound:
     def test_reference_value(self):
         assert failure_bound(0.1, 0.1, 100) == pytest.approx(
@@ -412,8 +461,8 @@ class TestOneReconstructionPerBlock:
 
 
 class TestOncePerDistinctString:
-    """At low noise most agents hold the same string, and run_block splits,
-    decodes and looks up each distinct string once, not once per agent."""
+    """At low noise most agents hold the same string, and run_block splits
+    and decodes one holder's string per distinct word, not once per agent."""
 
     def counted_block(self, monkeypatch, config):
         calls = Counter()
@@ -495,7 +544,8 @@ class TestOncePerDistinctString:
             if agent != config.leader
         }
         assert 1 < len(distinct) < 11  # strings are both shared and distinct
-        assert calls["decode"] == len(distinct)
+        # One decode per distinct word, the leader's included.
+        assert calls["decode"] == len(set(words))
 
 
 class TestReferenceRounds:
