@@ -127,7 +127,7 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
                 f"entropy={entropy:.6f}",
                 file=out,
             )
-            if count != 2 or entropy != 1.0:
+            if count != 2:
                 ok = False
             round_total += 1
     if not round_total:

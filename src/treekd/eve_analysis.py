@@ -9,7 +9,7 @@ Honest rounds must always leave exactly two complementary candidates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from .graph_core import EdgeKey, SpanningTree
 from .subroutine import terminal_edge_key
@@ -56,18 +56,11 @@ def secret_entropy(count: int, chosen: int, tree: SpanningTree) -> float:
 
 
 def rounds_from_transcript(transcript: ParsedTranscript) -> List[Tuple[dict, int]]:
-    """Split a block transcript into (announcements, chosen terminal) rounds.
+    """A block transcript's (announcements, chosen terminal) rounds, as
+    parse_transcript grouped them.
 
     A round is the run of announcements up to and including one
     terminal_choice, as visible on the wire; check/code/abort messages after
     the rounds are not part of the eavesdropper's round analysis.
     """
-    rounds: List[Tuple[dict, int]] = []
-    pending: Dict[int, Mapping[EdgeKey, int]] = {}
-    for msg in transcript.messages:
-        if msg.kind == "announcement":
-            pending[msg.sender] = msg.payload
-        elif msg.kind == "terminal_choice":
-            rounds.append((pending, msg.payload))
-            pending = {}
-    return rounds
+    return transcript.rounds

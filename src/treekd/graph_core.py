@@ -12,7 +12,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, KeysView, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 EdgeKey = Tuple[int, int]
 Adjacency = Mapping[int, Tuple[int, ...]]
@@ -80,10 +80,11 @@ def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ..
 class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
-    Its adjacency, incident edges, terminals (also as an ascending tuple)
-    and parent table are built once; each agent's incident edge keys and
-    the total weight, once on first read.  Neighbours and incident
-    edges are listed in ascending neighbour id, i.e. ascending edge-key order.
+    Its adjacency, incident edges, terminal_keys (each terminal in ascending
+    id to its one edge's key) and parent table are built once; each agent's
+    incident edge keys and the total weight, once on first read.  Neighbours
+    and incident edges are listed in ascending neighbour id, i.e. ascending
+    edge-key order.
     """
 
     def __init__(self, n: int, edges: Sequence[WeightedEdge]):
@@ -98,8 +99,10 @@ class SpanningTree:
             v: tuple(by_key[min(u, v), max(u, v)] for u in us)
             for v, us in self._adjacency.items()
         }
-        self.terminals = tuple(v for v, us in self._adjacency.items() if len(us) == 1)
-        self._terminals = frozenset(self.terminals)
+        self.terminal_keys: Mapping[int, EdgeKey] = MappingProxyType({
+            v: es[0].key for v, es in self._incident.items() if len(es) == 1
+        })
+        self.terminals = tuple(self.terminal_keys)
         parents: List[Tuple[int, int, EdgeKey]] = []
         seen = {0}
         queue = deque([0] if n else [])
@@ -204,6 +207,6 @@ def mst_kruskal(g: SecurityGraph) -> SpanningTree:
     return SpanningTree(g.n, chosen)
 
 
-def terminal_agents(t: SpanningTree) -> FrozenSet[int]:
+def terminal_agents(t: SpanningTree) -> KeysView[int]:
     """Tree vertices of degree exactly one; at least two for n >= 2."""
-    return t._terminals
+    return t.terminal_keys.keys()

@@ -21,7 +21,7 @@ from .graph_core import EdgeKey, SpanningTree, mst_kruskal
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
 from .subroutine import announcement_layout, random_efficiency, reconstruct_assignment
-from .subroutine import render_rounds, subroutine_round, terminal_edge_key
+from .subroutine import render_rounds, subroutine_round
 from .transcript_io import format_payload
 
 
@@ -45,11 +45,6 @@ class ProtocolConfig(RunSpec):
         """The tree's announcement_layout: each announcer, its template and
         its edges' (key, side), built once per config, not once per block."""
         return announcement_layout(self.tree)
-
-    @cached_property
-    def terminal_keys(self) -> Dict[int, EdgeKey]:
-        """Each terminal agent's edge key, which holds its rounds' secret bits."""
-        return {t: terminal_edge_key(self.tree, t) for t in self.tree.terminals}
 
 
 class KeyResult(NamedTuple):
@@ -145,7 +140,6 @@ def run_rounds(
     agent 0 to v; at low noise most P[j] are 0.
     """
     tree, leader, layout = config.tree, config.leader, config.announcers
-    terminal_keys = config.terminal_keys
     words: Dict[EdgeKey, Tuple[int, int]] = {}
     for edge in tree.edges:
         edge_rng = rng.substream("edge", edge.a, edge.b)
@@ -171,7 +165,7 @@ def run_rounds(
     assignment = reconstruct_assignment(leader, own, masked, tree)
     base = parity[leader]
     for r, terminal in enumerate(chosen):
-        base ^= assignment[terminal_keys[terminal]] & 1 << positions - 1 - r
+        base ^= assignment[tree.terminal_keys[terminal]] & 1 << positions - 1 - r
     return [base ^ p for p in parity], transcript
 
 

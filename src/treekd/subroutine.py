@@ -86,10 +86,10 @@ def reconstruct_assignment(
 
 def terminal_edge_key(tree: SpanningTree, agent: int) -> EdgeKey:
     """The key of a terminal agent's single tree edge, which holds its secret bit."""
-    incident = tree.incident_edges(agent)
-    if len(incident) != 1:
+    key = tree.terminal_keys.get(agent)
+    if key is None:
         raise NonTerminalChoiceError(f"agent {agent} is not terminal")
-    return incident[0].key
+    return key
 
 
 def announcement_layout(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Tuple
 
 from .bits import BitString
 from .channel_sim import Transcript
@@ -38,11 +38,14 @@ class BroadcastMessage(NamedTuple):
 
 
 class ParsedTranscript(Transcript):
-    """A block read back from text: its lines, and the message each carries."""
+    """A block read back from text: its lines, the message each carries,
+    and its rounds as the parser checked them, one (announcements by
+    sender, chosen terminal) pair per terminal_choice."""
 
     def __init__(self):
         super().__init__()
         self.messages: List[BroadcastMessage] = []
+        self.rounds: List[Tuple[Dict[int, Dict[EdgeKey, int]], int]] = []
 
 
 def format_payload(kind: str, payload) -> str:
@@ -66,15 +69,15 @@ _ITEM = r"\((?:0|[1-9][0-9]*),(?:0|[1-9][0-9]*)\):[01]"
 _ANNOUNCEMENT = re.compile(rf"{_ITEM}(?:,{_ITEM})*")
 # Only run on a payload that _ANNOUNCEMENT has matched.
 _EDGE_BIT = re.compile(r"\((\d+),(\d+)\):([01])")
+_NUMBER = re.compile(r"0|[1-9][0-9]*")
 
 
 def _count(text: str, what: str) -> int:
     """text as a non-negative int, read only as str() writes one: int()
-    alone also reads '00', '+1', '0_1' and non-ASCII digits such as '\u0662'."""
-    value = int(text)
-    if value < 0 or str(value) != text:
+    alone also reads '00', '+1', '0_1' and digits such as '\u0662'."""
+    if not _NUMBER.fullmatch(text):
         raise ValueError(f"{what} {text!r} is not a canonical ASCII number")
-    return value
+    return int(text)
 
 
 def _mismatch(text: str) -> Fraction:
@@ -130,7 +133,8 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     outside, so they are checked here: each block's numbers run 0, 1, 2,
     ... (a 0 starts the next block), every kind is a known one, a
     terminal_choice must close every run of announcements, and each agent
-    announces at most once per round.
+    announces at most once per round.  Each terminal_choice closes one of
+    its block's rounds: the open round's announcements by sender, and it.
 
     Each distinct seq or sender text, and each distinct payload text of a
     kind, is parsed once per call, as a transcript repeats few texts many
@@ -142,7 +146,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     parsed: Dict[Tuple[str, str], Any] = {}  # (kind, text) -> its payload
     numbers: Dict[str, int] = {}  # seq or sender text -> its value
     open_round = 0  # first line of a round; only a terminal_choice may follow it
-    announced: Set[int] = set()  # senders in the open round
+    pending: Dict[int, Dict[EdgeKey, int]] = {}  # the open round's records by sender
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -163,7 +167,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                 payload = dict(payload)
             if open_round and (seq == 0 or kind not in ("announcement", "terminal_choice")):
                 raise ValueError(f"round from line {open_round} has no terminal_choice")
-            if kind == "announcement" and sender in announced:
+            if kind == "announcement" and sender in pending:
                 raise ValueError(
                     f"round from line {open_round} has a second announcement "
                     f"from agent {sender}"
@@ -183,10 +187,12 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
         if kind == "announcement":
             open_round = open_round or lineno
-            announced.add(sender)
+            pending[sender] = payload
         else:
+            if kind == "terminal_choice":
+                current.rounds.append((pending, payload))
             open_round = 0
-            announced.clear()
+            pending = {}
     if open_round:
         raise ValueError(f"transcript line {open_round}: round has no terminal_choice")
     return transcripts

@@ -139,6 +139,51 @@ def chi_square_uniformity(indices: Sequence[int], cells: int) -> Tuple[float, fl
     return chi_square, float(stats.chi2.sf(chi_square, cells - 1))
 
 
+def structurally_valid(
+    announcements: Mapping[int, Mapping[EdgeKey, int]], tree: SpanningTree
+) -> bool:
+    """The eavesdropper oracles' structural rule: every sender is a
+    non-terminal agent whose record's edge set is exactly its incident tree
+    edges.  A round that breaks it is explainable by nothing, so its count
+    is 0, whatever its values say."""
+    for agent, masked in announcements.items():
+        incident = {e.key for e in tree.incident_edges(agent)}
+        if len(incident) <= 1 or set(masked) != incident:
+            return False
+    return True
+
+
+def gf2_configurations(
+    announcements: Mapping[int, Mapping[EdgeKey, int]], tree: SpanningTree
+) -> int:
+    """How many solutions a round's view has as a linear system over GF(2),
+    by Gaussian elimination: the analyzer's oracle at any n.
+
+    The unknowns are the n-1 edge bits and one mask bit per record; each
+    (edge, bit) entry of agent v's record reads x_e ^ mu_v = bit.  Each row
+    is a Python int, bit i for unknown i and the bit above them for the
+    right-hand side.  The count is 2^(unknowns - rank), or 0 when
+    elimination leaves a row reading 0 = 1.  A nonempty record's edges fix
+    its mask, so on rounds that pass structurally_valid this is the number
+    of consistent edge assignments; the linear system does not see that
+    rule, so the caller checks it apart.  Every key must be a tree edge.
+    """
+    column = {e.key: i for i, e in enumerate(tree.edges)}
+    unknowns = len(column) + len(announcements)
+    lhs, rhs = (1 << unknowns) - 1, 1 << unknowns
+    basis: Dict[int, int] = {}  # lowest unknown bit -> the row leading with it
+    for j, masked in enumerate(announcements.values(), start=len(column)):
+        for key, bit in masked.items():
+            row = (1 << column[key]) | (1 << j) | (rhs if bit else 0)
+            while row & lhs and (row & -row) in basis:
+                row ^= basis[row & -row]
+            if row & lhs:
+                basis[row & -row] = row
+            elif row:
+                return 0
+    return 2 ** (unknowns - len(basis))
+
+
 def brute_force_configurations(
     announcements: Mapping[int, Mapping[EdgeKey, int]], tree: SpanningTree
 ) -> Tuple[Dict[EdgeKey, int], ...]:
@@ -146,13 +191,11 @@ def brute_force_configurations(
     all 2^(n-1) of them; the reference for the analyzer's closed-form count.
 
     An assignment is consistent when every announcement can be explained
-    by a single mask bit.  A terminal sender, or a record whose edge set is
-    not exactly the sender's incident tree edges, is explainable by nothing.
+    by a single mask bit.  A round that is not structurally_valid is
+    explainable by nothing.
     """
-    for agent, masked in announcements.items():
-        incident = {e.key for e in tree.incident_edges(agent)}
-        if len(incident) <= 1 or set(masked) != incident:
-            return ()
+    if not structurally_valid(announcements, tree):
+        return ()
     edge_keys = sorted(e.key for e in tree.edges)
     kept: List[Dict[EdgeKey, int]] = []
     for bits in product((0, 1), repeat=len(edge_keys)):

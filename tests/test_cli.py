@@ -391,6 +391,19 @@ class TestAnalyze:
              "transcript line 3: malformed abort item '1'"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,\n",
              "transcript line 3: malformed abort item ''"),
+            # Not digits at all: the error names the field, not int()'s text.
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort x:1/7\n",
+             "transcript line 3: abort agent 'x' is not a canonical ASCII number"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort :1/7\n",
+             "transcript line 3: abort agent '' is not a canonical ASCII number"),
+            (PATH3, "x 1 announcement (0,1):0,(1,2):1\n1 0 terminal_choice 0\n",
+             "transcript line 1: seq 'x' is not a canonical ASCII number"),
+            (PATH3, "0 x announcement (0,1):0,(1,2):1\n1 0 terminal_choice 0\n",
+             "transcript line 1: sender 'x' is not a canonical ASCII number"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 check_positions 1,,2\n",
+             "transcript line 3: check position '' is not a canonical ASCII number"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice\n",
+             "transcript line 2: terminal choice '' is not a canonical ASCII number"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
@@ -406,7 +419,9 @@ class TestAnalyze:
              "abort-mismatch-decimal", "abort-mismatch-plus-sign",
              "abort-mismatch-underscore", "abort-agent-twice",
              "abort-item-three-fields", "abort-item-no-mismatch",
-             "abort-item-after-trailing-comma"],
+             "abort-item-after-trailing-comma", "abort-agent-letter",
+             "abort-agent-empty", "seq-letter", "sender-letter",
+             "check-position-empty", "terminal-choice-empty"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message

@@ -8,8 +8,10 @@ from conftest import (
     brute_force_configurations,
     brute_force_entropy,
     chi_square_uniformity,
+    gf2_configurations,
     parsed_round,
     random_tree_edges,
+    structurally_valid,
 )
 from treekd.eve_analysis import (
     consistent_configurations,
@@ -18,7 +20,8 @@ from treekd.eve_analysis import (
 )
 from treekd.graph_core import SpanningTree, WeightedEdge, terminal_agents
 from treekd.rng import SeededRng
-from treekd.subroutine import NonTerminalChoiceError
+from treekd.subroutine import NonTerminalChoiceError, announcement_layout, render_rounds
+from treekd.transcript_io import parse_transcript
 
 
 def honest_round(tree, rng, seed):
@@ -129,6 +132,74 @@ class TestConsistentConfigurations:
         for chosen in set(range(n + 1)) - terminal_agents(tree):
             with pytest.raises(NonTerminalChoiceError):
                 secret_entropy(count, chosen, tree)
+
+
+def tampered_round(tree, rng, flip_rate, drop_rate):
+    """One round on honest edge bits, as analyze groups it after parsing:
+    each announcer's record is left out with probability drop_rate and each
+    announced bit is flipped with probability flip_rate.  Records keep
+    their edge sets, so every round is structurally valid."""
+    bits = {e.key: rng.randrange(2) for e in tree.edges}
+    layout = [entry for entry in announcement_layout(tree) if rng.random() >= drop_rate]
+    masked = {}
+    for agent, _, sides in layout:
+        mask = rng.randrange(2)
+        masked[agent] = {
+            key: bits[key] ^ mask ^ (rng.random() < flip_rate) for key, _ in sides
+        }
+    chosen = rng.choice(tree.terminals)
+    (parsed,) = parse_transcript(render_rounds(layout, masked, [chosen]))
+    ((announcements, _),) = parsed.rounds
+    return announcements
+
+
+class TestGf2Oracle:
+    """The closed-form count against Gaussian elimination over GF(2), which,
+    unlike brute force, runs at the benchmark's n = 100."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 100),
+        seed=st.integers(0, 2**32 - 1),
+        flip_rate=st.sampled_from([0.0, 0.1, 0.5]),
+        drop_rate=st.sampled_from([0.0, 0.3]),
+    )
+    def test_count_matches_elimination(self, n, seed, flip_rate, drop_rate):
+        rng = random.Random(seed)
+        tree = SpanningTree(n, random_tree_edges(n, rng))
+        announcements = tampered_round(tree, rng, flip_rate, drop_rate)
+        assert structurally_valid(announcements, tree)
+        count = consistent_configurations(announcements, tree)
+        assert count == gf2_configurations(announcements, tree)
+        if len(announcements) == n - len(tree.terminals):
+            assert count == 2  # no record left out, flipped or not
+        if n <= 12:
+            assert count == len(brute_force_configurations(announcements, tree))
+
+    def test_structural_rule_is_checked_apart(self):
+        # Each tampered round has solutions as a linear system, yet breaks
+        # the structural rule, so the analyzer and brute force count 0.
+        tree = SpanningTree(4, [WeightedEdge(v, v + 1) for v in range(3)])
+        honest = {1: {(0, 1): 0, (1, 2): 1}, 2: {(1, 2): 1, (2, 3): 0}}
+        assert structurally_valid(honest, tree)
+        assert consistent_configurations(honest, tree) == 2
+        assert gf2_configurations(honest, tree) == 2
+        for announcements in (
+            {**honest, 0: {(0, 1): 1}},  # a terminal announces
+            {**honest, 1: {(0, 1): 0}},  # a record drops an incident edge
+        ):
+            assert not structurally_valid(announcements, tree)
+            assert gf2_configurations(announcements, tree) > 0
+            assert consistent_configurations(announcements, tree) == 0
+            assert brute_force_configurations(announcements, tree) == ()
+
+    def test_contradictory_records_count_0(self):
+        # A tree round's system is always consistent, as a tree has no
+        # cycle; two records over one edge set close one, and these bits
+        # no pair of masks explains, so elimination reads 0 = 1.
+        tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
+        records = {1: {(0, 1): 0, (1, 2): 0}, 2: {(0, 1): 0, (1, 2): 1}}
+        assert gf2_configurations(records, tree) == 0
 
 
 class TestSecretEntropy:

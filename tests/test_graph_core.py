@@ -247,6 +247,16 @@ class TestPrecomputedStructure:
         assert sorted(reached) == list(range(tree.n))
 
     @given(random_trees())
+    def test_terminal_keys_map_each_terminal_to_its_one_edge(self, tree):
+        terminals = [v for v in range(tree.n) if len(tree.incident_edges(v)) == 1]
+        assert list(tree.terminal_keys) == terminals  # ascending id
+        assert dict(tree.terminal_keys) == {
+            t: tree.incident_edges(t)[0].key for t in terminals
+        }
+        assert tree.terminals == tuple(terminals)
+        assert terminal_agents(tree) == set(terminals)
+
+    @given(random_trees())
     def test_incident_keys_are_the_incident_edge_keys(self, tree):
         for v in range(tree.n):
             assert tree.incident_keys(v) == {e.key for e in tree.incident_edges(v)}
@@ -265,6 +275,8 @@ class TestPrecomputedStructure:
             tree.incident_edges(0).append(WeightedEdge(0, 9))
         with pytest.raises(AttributeError):
             terminal_agents(tree).add(0)
+        with pytest.raises(TypeError):
+            tree.terminal_keys[0] = (0, 9)
         with pytest.raises(AttributeError):
             tree.parent_edges().append((9, 0, (0, 9)))
         assert tree.adjacency()[0] == (1, 2, 3)

@@ -382,18 +382,24 @@ class TestSummarize:
 
 class TestTreeBuiltOnce:
     def test_run_blocks_validates_and_builds_mst_once(self, monkeypatch):
-        # The graph is checked once, as its config is parsed.  The
-        # announcement layout and each terminal's edge key come with the
-        # tree: once per config, not once per block or round.
+        # The graph is checked once, as its config is parsed.  The tree is
+        # built once and holds each terminal's edge key, which the engine
+        # reads from it: it never derives one through terminal_edge_key.
+        # The announcement layout comes once per config, not once per block.
         calls = Counter()
         for module, name in (
             (config_io, "validate_graph"), (protocol, "mst_kruskal"),
-            (protocol, "announcement_layout"), (protocol, "terminal_edge_key"),
+            (protocol, "announcement_layout"), (subroutine, "terminal_edge_key"),
+            (graph_core.SpanningTree, "__init__"),
         ):
             def counted(*args, _name=name, _original=getattr(module, name)):
                 calls[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(module, name, counted)
+        # Also where the engine would import it.
+        monkeypatch.setattr(
+            protocol, "terminal_edge_key", subroutine.terminal_edge_key, raising=False
+        )
         spec = parse_config(
             "node 0\nnode 1\nnode 2\nnode 3\nsource 1\nsource 2\n"
             "edge 0 1\nedge 1 2\nedge 2 3\nparam blocks=5\n"
@@ -402,7 +408,7 @@ class TestTreeBuiltOnce:
         assert len(results) == 5
         assert calls == {
             "validate_graph": 1, "mst_kruskal": 1,
-            "announcement_layout": 1, "terminal_edge_key": 2,
+            "announcement_layout": 1, "__init__": 1,
         }
 
     def test_cli_run_checks_its_graph_once(self, monkeypatch, tmp_path, capsys):

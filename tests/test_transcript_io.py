@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tree_edges
+from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge
 from treekd.linear_code import hamming_7_4
 from treekd.protocol import ProtocolConfig, run_blocks
@@ -68,3 +69,50 @@ class TestParseOncePerDistinctText:
             original = dict(first)
             rest[0].clear()
             assert first == original and all(p == original for p in rest[1:])
+
+
+def regroup(messages):
+    """A block's rounds, message by message: each terminal_choice closes the
+    announcements since the previous terminal_choice, by sender.  The oracle
+    for the rounds parse_transcript keeps as it checks them."""
+    rounds, pending = [], {}
+    for msg in messages:
+        if msg.kind == "announcement":
+            pending[msg.sender] = msg.payload
+        elif msg.kind == "terminal_choice":
+            rounds.append((pending, msg.payload))
+            pending = {}
+    return rounds
+
+
+class TestParsedRounds:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+        flip=st.sampled_from([0.0, 0.01, 0.3]),
+    )
+    def test_rounds_equal_a_message_by_message_regrouping(self, n, seed, flip):
+        # At flip 0.3, every agent but the leader mismatches on some check
+        # bit in all but a few blocks, so those blocks abort at delta 0.1.
+        edges = [
+            WeightedEdge(e.a, e.b, flip_prob=flip)
+            for e in random_tree_edges(n, random.Random(seed))
+        ]
+        config = ProtocolConfig(
+            graph=SecurityGraph(n, edges, range(n)), leader=seed % n,
+            code=hamming_7_4(), blocks=4, delta=0.1, epsilon=0.05, seed=seed,
+        )
+        results = run_blocks(config)
+        lines = []
+        for i, result in enumerate(results):
+            lines.append(f"# block {i}")
+            lines.extend(transcript_lines(result.transcript))
+        blocks = parse_transcript(lines)
+        assert len(blocks) == len(results)
+        for block in blocks:
+            assert block.rounds == regroup(block.messages)
+            assert len(block.rounds) == 2 * config.code.m
+            assert rounds_from_transcript(block) is block.rounds
+        if flip == 0.3 and n > 2:
+            assert "aborted" in {result.status for result in results}
