@@ -17,7 +17,7 @@ from .config_io import ConfigError, RunSpec
 from .graph_core import DisconnectedGraphError, SecurityGraph, WeightedEdge
 from .linear_code import LinearCode
 from .rng import SeededRng
-from .subroutine import NonTerminalChoiceError, random_efficiency
+from .subroutine import random_efficiency
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -108,7 +108,8 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
 
 
 def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
-    tree = _protocol_config(config_io.load_config(config_path)).tree
+    config = _protocol_config(config_io.load_config(config_path))
+    tree, leader = config.tree, config.leader
     blocks = transcript_io.parse_transcript(
         transcript_path.read_text().splitlines()
     )
@@ -116,12 +117,16 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
     round_total = 0
     for b, transcript in enumerate(blocks):
         rounds = eve_analysis.rounds_from_transcript(transcript)
-        for r, (announcements, chosen) in enumerate(rounds):
-            try:
-                count = eve_analysis.consistent_configurations(announcements, tree)
-                entropy = eve_analysis.secret_entropy(count, chosen, tree)
-            except NonTerminalChoiceError as exc:
-                raise ValueError(f"block {b} round {r}: {exc}") from exc
+        for r, (announcements, chooser, chosen) in enumerate(rounds):
+            if chooser != leader:
+                raise ValueError(
+                    f"block {b} round {r}: terminal_choice from agent {chooser}, "
+                    f"not the leader {leader}"
+                )
+            if chosen not in tree.terminal_keys:
+                raise ValueError(f"block {b} round {r}: agent {chosen} is not terminal")
+            count = eve_analysis.consistent_configurations(announcements, tree)
+            entropy = eve_analysis.secret_entropy(count)
             print(
                 f"block {b} round {r}: configurations={count} "
                 f"entropy={entropy:.6f}",

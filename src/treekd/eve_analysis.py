@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Mapping, Tuple
 
 from .graph_core import EdgeKey, SpanningTree
-from .subroutine import terminal_edge_key
 from .transcript_io import ParsedTranscript
 
 
@@ -45,19 +44,18 @@ def consistent_configurations(
     return 2 ** (tree.n - 1 - fixed)
 
 
-def secret_entropy(count: int, chosen: int, tree: SpanningTree) -> float:
-    """Shannon entropy (bits) of the secret bit over the consistent set.
+def secret_entropy(count: int) -> float:
+    """Shannon entropy (bits) of a terminal's secret bit over the consistent set.
 
     count is the set's size from consistent_configurations.  Complementing
     every edge maps the set onto itself: a full bit unless empty.
     """
-    terminal_edge_key(tree, chosen)
     return 1.0 if count else 0.0
 
 
-def rounds_from_transcript(transcript: ParsedTranscript) -> List[Tuple[dict, int]]:
-    """A block transcript's (announcements, chosen terminal) rounds, as
-    parse_transcript grouped them.
+def rounds_from_transcript(transcript: ParsedTranscript) -> List[Tuple[dict, int, int]]:
+    """A block transcript's (announcements, chooser, chosen terminal) rounds,
+    as parse_transcript grouped them.
 
     A round is the run of announcements up to and including one
     terminal_choice, as visible on the wire; check/code/abort messages after

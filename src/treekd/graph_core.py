@@ -68,41 +68,30 @@ class SecurityGraph:
         self.sources = frozenset(sources)
 
 
-def _adjacency(n: int, edges: Sequence[WeightedEdge]) -> Dict[int, Tuple[int, ...]]:
-    """Neighbor tuples per vertex, in ascending id."""
-    adj: Dict[int, List[int]] = {v: [] for v in range(n)}
-    for e in edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    return {v: tuple(sorted(us)) for v, us in adj.items()}
-
-
 class SpanningTree:
     """Exactly n-1 edges forming a connected acyclic cover of all agents.
 
-    Its adjacency, incident edges, terminal_keys (each terminal in ascending
-    id to its one edge's key) and parent table are built once; each agent's
+    Its incident edges, adjacency, terminal_keys (each terminal in ascending
+    id to its one edge's key) and parent_edges are built once; each agent's
     incident edge keys and the total weight, once on first read.  Neighbours
     and incident edges are listed in ascending neighbour id, i.e. ascending
     edge-key order.
+
+    The parent walk is the tree check: n-1 in-range edges without a
+    self-loop that reach all n agents from agent 0 form a spanning tree.
     """
 
     def __init__(self, n: int, edges: Sequence[WeightedEdge]):
         edges = tuple(edges)
-        if not _forms_tree(n, edges):
-            raise ValueError("edges do not form a spanning tree")
-        self.n = n
-        self.edges = edges
-        self._adjacency = _adjacency(n, edges)
-        by_key = {e.key: e for e in edges}
-        self._incident = {
-            v: tuple(by_key[min(u, v), max(u, v)] for u in us)
-            for v, us in self._adjacency.items()
-        }
-        self.terminal_keys: Mapping[int, EdgeKey] = MappingProxyType({
-            v: es[0].key for v, es in self._incident.items() if len(es) == 1
-        })
-        self.terminals = tuple(self.terminal_keys)
+        incident: Dict[int, List[WeightedEdge]] = {v: [] for v in range(n)}
+        for e in sorted(edges):  # at each end, key order is neighbour order
+            if e.b >= n or e.a == e.b:
+                raise ValueError("edges do not form a spanning tree")
+            incident[e.a].append(e)
+            incident[e.b].append(e)
+        self._incident = {v: tuple(es) for v, es in incident.items()}
+        # e.a + e.b - v is the other end of an edge e at v.
+        self._adjacency = {v: tuple(e.a + e.b - v for e in es) for v, es in incident.items()}
         parents: List[Tuple[int, int, EdgeKey]] = []
         seen = {0}
         queue = deque([0] if n else [])
@@ -113,7 +102,17 @@ class SpanningTree:
                     seen.add(v)
                     queue.append(v)
                     parents.append((v, u, (min(u, v), max(u, v))))
-        self._parents = tuple(parents)
+        if not len(edges) == len(parents) == max(n - 1, 0):
+            raise ValueError("edges do not form a spanning tree")
+        self.n = n
+        self.edges = edges
+        self.terminal_keys: Mapping[int, EdgeKey] = MappingProxyType({
+            v: es[0].key for v, es in self._incident.items() if len(es) == 1
+        })
+        self.terminals = tuple(self.terminal_keys)
+        # (vertex, parent, edge key) for every vertex but 0, in BFS order
+        # from agent 0, so each parent appears before its children.
+        self.parent_edges: Tuple[Tuple[int, int, EdgeKey], ...] = tuple(parents)
 
     @cached_property
     def total_weight(self) -> Fraction:
@@ -133,11 +132,6 @@ class SpanningTree:
         """The keys of incident_edges(agent), as a set."""
         return self._incident_keys.get(agent, frozenset())
 
-    def parent_edges(self) -> Tuple[Tuple[int, int, EdgeKey], ...]:
-        """(vertex, parent, edge key) for every vertex but 0, in BFS order
-        from agent 0, so each parent appears before its children."""
-        return self._parents
-
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -155,14 +149,6 @@ class _UnionFind:
             return False
         self.parent[rx] = ry
         return True
-
-
-def _forms_tree(n: int, edges: Sequence[WeightedEdge]) -> bool:
-    """n-1 in-range, cycle-free edges, hence one component covering all n."""
-    if len(edges) != max(n - 1, 0):
-        return False
-    uf = _UnionFind(n)
-    return all(e.b < n and e.a != e.b and uf.union(e.a, e.b) for e in edges)
 
 
 def validate_graph(g: SecurityGraph) -> Tuple[str, ...]:

@@ -75,14 +75,8 @@ def decode_to_codeword(
     return BitString(value ^ error, code.m), BitString(error, code.m)
 
 
-def encode_index(code: LinearCode, index: int) -> BitString:
-    if not (0 <= index < (1 << code.k)):
-        raise ValueError("index out of range")
-    return code.codewords[index]
-
-
 def index_of(code: LinearCode, codeword: BitString) -> int:
-    """The unique index i with encode_index(i) == codeword: its first k bits."""
+    """The unique index i with code.codewords[i] == codeword: its first k bits."""
     if len(codeword) == code.m:
         index = codeword.value >> (code.m - code.k)
         if code.codewords[index] == codeword:
@@ -93,7 +87,7 @@ def index_of(code: LinearCode, codeword: BitString) -> int:
 def random_codeword(code: LinearCode, rng: SeededRng) -> Tuple[int, BitString]:
     """A uniformly random (index, codeword) pair."""
     index = rng.generator().randrange(1 << code.k)
-    return index, encode_index(code, index)
+    return index, code.codewords[index]
 
 
 def code_by_name(name: str) -> LinearCode:

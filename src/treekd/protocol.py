@@ -145,7 +145,7 @@ def run_rounds(
         edge_rng = rng.substream("edge", edge.a, edge.b)
         words[edge.key] = simulate_pairwise_kd(edge, positions, edge_rng)
     parity = [0] * tree.n
-    for v, parent, key in tree.parent_edges():
+    for v, parent, key in tree.parent_edges:
         a, b = words[key]
         parity[v] = parity[parent] ^ a ^ b
 

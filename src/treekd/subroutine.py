@@ -37,10 +37,6 @@ class MissingAnnouncementError(Exception):
     """A non-terminal agent's announcement is absent from the round."""
 
 
-class NonTerminalChoiceError(Exception):
-    """The secret-bit holder must be a terminal agent."""
-
-
 def reconstruct_assignment(
     agent: int,
     own_bits: Mapping[EdgeKey, int],
@@ -82,14 +78,6 @@ def reconstruct_assignment(
                         assignment[e] = mb ^ mask
             queue.append(v)
     return assignment
-
-
-def terminal_edge_key(tree: SpanningTree, agent: int) -> EdgeKey:
-    """The key of a terminal agent's single tree edge, which holds its secret bit."""
-    key = tree.terminal_keys.get(agent)
-    if key is None:
-        raise NonTerminalChoiceError(f"agent {agent} is not terminal")
-    return key
 
 
 def announcement_layout(

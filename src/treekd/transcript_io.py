@@ -40,12 +40,13 @@ class BroadcastMessage(NamedTuple):
 class ParsedTranscript(Transcript):
     """A block read back from text: its lines, the message each carries,
     and its rounds as the parser checked them, one (announcements by
-    sender, chosen terminal) pair per terminal_choice."""
+    sender, the choice's sender, chosen terminal) triple per
+    terminal_choice."""
 
     def __init__(self):
         super().__init__()
         self.messages: List[BroadcastMessage] = []
-        self.rounds: List[Tuple[Dict[int, Dict[EdgeKey, int]], int]] = []
+        self.rounds: List[Tuple[Dict[int, Dict[EdgeKey, int]], int, int]] = []
 
 
 def format_payload(kind: str, payload) -> str:
@@ -134,7 +135,8 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     ... (a 0 starts the next block), every kind is a known one, a
     terminal_choice must close every run of announcements, and each agent
     announces at most once per round.  Each terminal_choice closes one of
-    its block's rounds: the open round's announcements by sender, and it.
+    its block's rounds: the open round's announcements by sender, its own
+    sender, and the terminal it names.
 
     Each distinct seq or sender text, and each distinct payload text of a
     kind, is parsed once per call, as a transcript repeats few texts many
@@ -190,7 +192,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             pending[sender] = payload
         else:
             if kind == "terminal_choice":
-                current.rounds.append((pending, payload))
+                current.rounds.append((pending, sender, payload))
             open_round = 0
             pending = {}
     if open_round:

@@ -18,20 +18,17 @@ from treekd.graph_core import (
     SecurityGraph,
     SpanningTree,
     WeightedEdge,
-    _forms_tree,
     connected_components,
     terminal_agents,
 )
-from treekd.linear_code import LinearCode, _systematic_code, encode_index, hamming_7_4
+from treekd.linear_code import LinearCode, _systematic_code, hamming_7_4
 from treekd.protocol import ProtocolConfig
 from treekd.rng import SeededRng
 from treekd.subroutine import (
-    NonTerminalChoiceError,
     announcement_layout,
     reconstruct_assignment,
     render_rounds,
     subroutine_round,
-    terminal_edge_key,
 )
 from treekd.transcript_io import ParsedTranscript, format_payload, parse_transcript
 
@@ -102,13 +99,16 @@ def random_connected_graph(
 
 
 def brute_force_mst_weight(g: SecurityGraph) -> Optional[Fraction]:
-    """Minimum spanning-tree weight by enumerating all (n-1)-edge subsets."""
+    """Minimum spanning-tree weight by enumerating all (n-1)-edge subsets,
+    each one that SpanningTree accepts."""
     best = None
     for subset in combinations(g.edges, g.n - 1):
-        if _forms_tree(g.n, subset):
-            total = sum((e.weight for e in subset), Fraction(0))
-            if best is None or total < best:
-                best = total
+        try:
+            total = SpanningTree(g.n, subset).total_weight
+        except ValueError:
+            continue
+        if best is None or total < best:
+            best = total
     return best
 
 
@@ -214,7 +214,7 @@ def brute_force_entropy(
     """Shannon entropy (bits) of the chosen terminal's edge bit over the set."""
     incident = tree.incident_edges(chosen)
     if len(incident) != 1:
-        raise NonTerminalChoiceError(f"agent {chosen} is not terminal")
+        raise ValueError(f"agent {chosen} is not terminal")
     if not configurations:
         return 0.0
     key = incident[0].key
@@ -230,9 +230,7 @@ def coset_leader_decode(
     """(codeword, error) for the first error pattern, by weight and then
     ``combinations`` order, that turns word into a codeword: the coset-leader
     rule of a syndrome table, and the reference for decode_to_codeword."""
-    codewords = {
-        int(str(encode_index(code, index)), 2) for index in range(1 << code.k)
-    }
+    codewords = {int(str(codeword), 2) for codeword in code.codewords}
     value = int(str(word), 2)
     for weight in range(code.m + 1):
         for positions in combinations(range(code.m), weight):
@@ -304,7 +302,7 @@ def reference_rounds(
         chosen = round_rng.choice(sorted(terminals))
         text = format_payload("terminal_choice", chosen)
         lines.append(f"{len(lines)} {leader} terminal_choice {text}")
-        key = terminal_edge_key(tree, chosen)
+        key = tree.terminal_keys[chosen]
         for agent in range(tree.n):
             assignment = reconstruct_assignment(agent, own(agent, r), announcements, tree)
             bits[agent].append(assignment[key])
@@ -352,7 +350,7 @@ def reference_block(
         return "aborted", None, mismatch, lines
 
     index = rng.substream("code").generator().randrange(1 << code.k)
-    masked = encode_index(code, index) ^ codebits[leader]
+    masked = code.codewords[index] ^ codebits[leader]
     send(leader, "code_broadcast", masked)
     keys = {leader: index}
     for agent, bits in codebits.items():

@@ -35,7 +35,6 @@ from treekd.graph_core import (
 )
 from treekd.linear_code import (
     decode_to_codeword,
-    encode_index,
     hamming_7_4,
     index_of,
     repetition_code,
@@ -115,7 +114,7 @@ def test_criterion_2_two_configuration_security():
         assert len(configs) == 2
         a, b = configs
         assert all(a[e] == b[e] ^ 1 for e in a)
-        assert secret_entropy(count, chosen, tree) == 1.0
+        assert chosen in tree.terminal_keys and secret_entropy(count) == 1.0
     print(
         f"ACCEPTANCE 2 PASS: {rounds} honest rounds, always exactly 2 "
         "complementary configurations, entropy 1.0"
@@ -182,7 +181,7 @@ def test_criterion_5_reconciliation_exhaustive():
     ]
     cases = 0
     for index in range(16):
-        codeword = encode_index(code, index)
+        codeword = code.codewords[index]
         for e1, e2, e3 in product(errors, repeat=3):
             for e in (e1, e2, e3):
                 decoded, _ = decode_to_codeword(code, codeword ^ e)

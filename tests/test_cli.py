@@ -404,6 +404,13 @@ class TestAnalyze:
              "transcript line 3: check position '' is not a canonical ASCII number"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice\n",
              "transcript line 2: terminal choice '' is not a canonical ASCII number"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 7\n",
+             "block 0 round 0: agent 7 is not terminal"),
+            # The config names the leader (0 by default); only it chooses.
+            (PATH3, ANNOUNCE + "1 2 terminal_choice 0\n",
+             "block 0 round 0: terminal_choice from agent 2, not the leader 0"),
+            (PATH3 + "param leader=2\n", ANNOUNCE + "1 0 terminal_choice 0\n",
+             "block 0 round 0: terminal_choice from agent 0, not the leader 2"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
@@ -421,7 +428,9 @@ class TestAnalyze:
              "abort-item-three-fields", "abort-item-no-mismatch",
              "abort-item-after-trailing-comma", "abort-agent-letter",
              "abort-agent-empty", "seq-letter", "sender-letter",
-             "check-position-empty", "terminal-choice-empty"],
+             "check-position-empty", "terminal-choice-empty",
+             "terminal-choice-not-an-agent", "terminal-choice-from-non-leader",
+             "terminal-choice-from-default-leader-under-leader-2"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message

@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,13 +19,13 @@ from treekd.eve_analysis import (
 )
 from treekd.graph_core import SpanningTree, WeightedEdge, terminal_agents
 from treekd.rng import SeededRng
-from treekd.subroutine import NonTerminalChoiceError, announcement_layout, render_rounds
+from treekd.subroutine import announcement_layout, render_rounds
 from treekd.transcript_io import parse_transcript
 
 
 def honest_round(tree, rng, seed):
     """Run one honest round; return what the eavesdropper sees of it, the
-    (announcements, chosen terminal) pair, and the edge bits."""
+    (announcements, chooser, chosen terminal) round, and the edge bits."""
     bits = {e.key: (b := rng.randrange(2), b) for e in tree.edges}
     (seen,) = rounds_from_transcript(parsed_round(tree, bits, seed))
     return seen, bits
@@ -51,7 +50,7 @@ class TestConsistentConfigurations:
         tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
         rng = random.Random(0)
         for seed in range(16):
-            (announcements, _), bits = honest_round(tree, rng, seed)
+            (announcements, _, _), bits = honest_round(tree, rng, seed)
             configs = configurations(announcements, tree)
             assert complementary(configs)
             truth = {e: ab[0] for e, ab in bits.items()}
@@ -66,7 +65,7 @@ class TestConsistentConfigurations:
         for trial in range(60):
             n = rng.randrange(2, 13)
             tree = SpanningTree(n, random_tree_edges(n, rng))
-            (announcements, _), _ = honest_round(tree, rng, trial)
+            (announcements, _, _), _ = honest_round(tree, rng, trial)
             assert complementary(configurations(announcements, tree))
 
     def test_flipped_value_bit_is_invisible(self):
@@ -76,7 +75,7 @@ class TestConsistentConfigurations:
         # guarantee itself, seen from the other side.
         tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
         rng = random.Random(3)
-        (announcements, _), _ = honest_round(tree, rng, 0)
+        (announcements, _, _), _ = honest_round(tree, rng, 0)
         tampered = {
             agent: {**masked, min(masked): masked[min(masked)] ^ 1}
             for agent, masked in announcements.items()
@@ -88,7 +87,7 @@ class TestConsistentConfigurations:
         # sender's incident tree edges is detected: nothing explains it.
         tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
         rng = random.Random(3)
-        (announcements, _), _ = honest_round(tree, rng, 0)
+        (announcements, _, _), _ = honest_round(tree, rng, 0)
         (agent,) = announcements
         masked = dict(announcements[agent])
         masked[(0, 2)] = masked.pop((1, 2))  # not an edge at agent 1
@@ -126,12 +125,7 @@ class TestConsistentConfigurations:
         count = consistent_configurations(announcements, tree)
         assert count == len(configs)
         for chosen in sorted(terminal_agents(tree)):
-            assert secret_entropy(count, chosen, tree) == brute_force_entropy(
-                configs, chosen, tree
-            )
-        for chosen in set(range(n + 1)) - terminal_agents(tree):
-            with pytest.raises(NonTerminalChoiceError):
-                secret_entropy(count, chosen, tree)
+            assert secret_entropy(count) == brute_force_entropy(configs, chosen, tree)
 
 
 def tampered_round(tree, rng, flip_rate, drop_rate):
@@ -149,7 +143,7 @@ def tampered_round(tree, rng, flip_rate, drop_rate):
         }
     chosen = rng.choice(tree.terminals)
     (parsed,) = parse_transcript(render_rounds(layout, masked, [chosen]))
-    ((announcements, _),) = parsed.rounds
+    ((announcements, _, _),) = parsed.rounds
     return announcements
 
 
@@ -207,24 +201,25 @@ class TestSecretEntropy:
         tree = SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(1, 2)])
         rng = random.Random(8)
         for seed in range(10):
-            (announcements, _), _ = honest_round(tree, rng, seed)
-            count = consistent_configurations(announcements, tree)
+            (announcements, _, _), _ = honest_round(tree, rng, seed)
+            configs = configurations(announcements, tree)
+            assert secret_entropy(len(configs)) == 1.0
             for chosen in terminal_agents(tree):
-                assert secret_entropy(count, chosen, tree) == 1.0
+                assert brute_force_entropy(configs, chosen, tree) == 1.0
 
     def test_single_configuration_zero_entropy(self):
         tree = SpanningTree(2, [WeightedEdge(0, 1)])
         assert brute_force_entropy(({(0, 1): 1},), 0, tree) == 0.0
-        assert secret_entropy(0, 0, tree) == 0.0
+        assert secret_entropy(0) == 0.0
 
     def test_honest_random_trees_always_one_bit(self):
         rng = random.Random(13)
         for trial in range(40):
             n = rng.randrange(2, 13)
             tree = SpanningTree(n, random_tree_edges(n, rng))
-            (announcements, chosen), _ = honest_round(tree, rng, trial)
+            (announcements, _, chosen), _ = honest_round(tree, rng, trial)
             count = consistent_configurations(announcements, tree)
-            assert secret_entropy(count, chosen, tree) == 1.0
+            assert chosen in tree.terminal_keys and secret_entropy(count) == 1.0
 
 
 class TestKeyUniformity:

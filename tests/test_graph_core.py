@@ -240,7 +240,7 @@ class TestPrecomputedStructure:
         assert tree.incident_edges(tree.n) == ()
         keys = {e.key for e in tree.edges}
         reached = [0]  # BFS order: each parent is reached before its child
-        for v, parent, key in tree.parent_edges():
+        for v, parent, key in tree.parent_edges:
             assert parent in reached and v not in reached
             assert key == (min(v, parent), max(v, parent)) and key in keys
             reached.append(v)
@@ -278,12 +278,28 @@ class TestPrecomputedStructure:
         with pytest.raises(TypeError):
             tree.terminal_keys[0] = (0, 9)
         with pytest.raises(AttributeError):
-            tree.parent_edges().append((9, 0, (0, 9)))
+            tree.parent_edges.append((9, 0, (0, 9)))
         assert tree.adjacency()[0] == (1, 2, 3)
         assert terminal_agents(tree) == {1, 2, 3}
 
 
 class TestSpanningTreeType:
+    @pytest.mark.parametrize(
+        "n, ends",
+        [
+            (3, [(0, 1), (1, 1)]),
+            (3, [(0, 1), (1, 3)]),
+            (3, [(0, 1), (0, 1)]),
+            (4, [(0, 1), (1, 2), (0, 2)]),
+        ],
+        ids=["self-loop", "endpoint-out-of-range", "duplicate-edge",
+             "cycle-beside-isolated-agent"],
+    )
+    def test_rejects_edges_that_are_not_a_spanning_tree(self, n, ends):
+        # Each has n - 1 edges, so the edge count alone cannot tell.
+        with pytest.raises(ValueError, match="edges do not form a spanning tree"):
+            SpanningTree(n, [WeightedEdge(a, b) for a, b in ends])
+
     def test_rejects_cycle(self):
         with pytest.raises(ValueError):
             SpanningTree(3, [WeightedEdge(0, 1), WeightedEdge(0, 1)])

@@ -10,17 +10,12 @@ from treekd.linear_code import (
     NotACodewordError,
     code_by_name,
     decode_to_codeword,
-    encode_index,
     hamming_7_4,
     index_of,
     random_codeword,
     repetition_code,
 )
 from treekd.rng import SeededRng
-
-
-def all_codewords(code):
-    return [encode_index(code, i) for i in range(1 << code.k)]
 
 
 # (code, A rows) with G = [I_k | A], the rows written out independently.
@@ -64,14 +59,14 @@ class TestHamming74:
     def test_parameters(self):
         code = hamming_7_4()
         assert (code.m, code.k, code.t) == (7, 4, 1)
-        assert len(all_codewords(code)) == 16
+        assert len(code.codewords) == 16
 
     def test_zero_maps_to_zero(self):
-        zero = encode_index(hamming_7_4(), 0)
+        zero = hamming_7_4().codewords[0]
         assert zero == BitString.from_text("0000000")
 
     def test_minimum_nonzero_weight_is_3(self):
-        weights = [c.weight() for c in all_codewords(hamming_7_4()) if c.weight()]
+        weights = [c.weight() for c in hamming_7_4().codewords if c.weight()]
         assert min(weights) == 3
 
 
@@ -79,7 +74,7 @@ class TestRepetition:
     def test_m3(self):
         code = repetition_code(3)
         assert (code.m, code.k, code.t) == (3, 1, 1)
-        assert {str(c) for c in all_codewords(code)} == {"000", "111"}
+        assert {str(c) for c in code.codewords} == {"000", "111"}
 
     def test_m1_identity(self):
         code = repetition_code(1)
@@ -101,25 +96,20 @@ class TestEncode:
     def test_linearity(self):
         code = hamming_7_4()
         for x, y in product(range(16), repeat=2):
-            ex = encode_index(code, x)
-            ey = encode_index(code, y)
-            assert (ex ^ ey) == encode_index(code, x ^ y)
+            ex = code.codewords[x]
+            ey = code.codewords[y]
+            assert (ex ^ ey) == code.codewords[x ^ y]
 
     def test_all_encodings_distinct(self):
         for code in (hamming_7_4(), repetition_code(5)):
-            words = all_codewords(code)
+            words = code.codewords
             assert len(set(words)) == len(words)
-
-    def test_index_out_of_range(self):
-        for index in (-1, 16):
-            with pytest.raises(ValueError):
-                encode_index(hamming_7_4(), index)
 
 
 class TestDecode:
     def test_codeword_unchanged(self):
         code = hamming_7_4()
-        for cw in all_codewords(code):
+        for cw in code.codewords:
             decoded, err = decode_to_codeword(code, cw)
             assert decoded == cw
             assert err.weight() == 0
@@ -128,7 +118,7 @@ class TestDecode:
         # 16 codewords x 7 positions = 112 exhaustive cases
         code = hamming_7_4()
         cases = 0
-        for cw in all_codewords(code):
+        for cw in code.codewords:
             for pos in range(7):
                 flip = BitString.from_bits(1 if i == pos else 0 for i in range(7))
                 decoded, err = decode_to_codeword(code, cw ^ flip)
@@ -139,7 +129,7 @@ class TestDecode:
 
     def test_radius_t_exact_for_all_codes(self):
         for code in (hamming_7_4(), repetition_code(3), repetition_code(7)):
-            for cw in all_codewords(code):
+            for cw in code.codewords:
                 for w in range(code.t + 1):
                     for positions in combinations(range(code.m), w):
                         e = BitString.from_bits(
@@ -181,7 +171,7 @@ class TestDecode:
 
     def test_weight_two_miscorrects_to_some_codeword(self):
         code = hamming_7_4()
-        cw = encode_index(code, 5)
+        cw = code.codewords[5]
         e = BitString.from_text("1100000")
         decoded, _ = decode_to_codeword(code, cw ^ e)
         assert decoded != cw  # beyond radius: defined miscorrection
@@ -192,7 +182,7 @@ class TestIndexing:
     def test_round_trip_all_indices(self):
         for code in (hamming_7_4(), repetition_code(5)):
             for i in range(1 << code.k):
-                assert index_of(code, encode_index(code, i)) == i
+                assert index_of(code, code.codewords[i]) == i
 
     def test_zero_codeword_is_index_zero(self):
         assert index_of(hamming_7_4(), BitString.from_text("0000000")) == 0
@@ -206,7 +196,7 @@ class TestRandomCodeword:
     def test_pair_is_consistent(self):
         code = hamming_7_4()
         idx, cw = random_codeword(code, SeededRng(8))
-        assert encode_index(code, idx) == cw
+        assert code.codewords[idx] == cw
 
     def test_roughly_uniform(self):
         code = hamming_7_4()
@@ -235,7 +225,7 @@ class TestCodeByName:
     def test_repetition17_corrects_8_errors(self):
         code = code_by_name("repetition17")
         assert (code.m, code.k, code.t) == (17, 1, 8)
-        zeros, ones = all_codewords(code)
+        zeros, ones = code.codewords
         for cw in (zeros, ones):
             for w in range(9):
                 for e in ("1" * w + "0" * (17 - w), "0" * (17 - w) + "1" * w):

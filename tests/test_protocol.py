@@ -20,11 +20,11 @@ from conftest import (
 from treekd import cli, config_io, graph_core, linear_code, protocol, subroutine
 from treekd import rng as rng_module
 from treekd.bits import BitString
-from treekd.channel_sim import Transcript
+from treekd.channel_sim import Transcript, simulate_pairwise_kd
 from treekd.config_io import ConfigError, parse_config
 from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge, terminal_agents
-from treekd.linear_code import encode_index, hamming_7_4, repetition_code
+from treekd.linear_code import hamming_7_4, repetition_code
 from treekd.protocol import (
     KeyResult,
     ProtocolConfig,
@@ -176,10 +176,10 @@ class TestLeaderIsAnyKey:
         indices = reconcile(
             {0: near, 1: v, 2: near, 3: v}, code, SeededRng(5), transcript, leader=1
         )
-        masked = encode_index(code, drawn) ^ v
+        masked = code.codewords[drawn] ^ v
         assert transcript_lines(transcript) == [f"0 1 code_broadcast {masked}"]
         assert len(inputs) == 4  # one decode per key, no cache
-        assert inputs[1] == encode_index(code, drawn)  # the leader decodes c
+        assert inputs[1] == code.codewords[drawn]  # the leader decodes c
         assert indices == {0: drawn, 1: drawn, 2: drawn, 3: drawn}
 
     def test_reconcile_gives_equal_code_bits_one_index(self):
@@ -383,23 +383,21 @@ class TestSummarize:
 class TestTreeBuiltOnce:
     def test_run_blocks_validates_and_builds_mst_once(self, monkeypatch):
         # The graph is checked once, as its config is parsed.  The tree is
-        # built once and holds each terminal's edge key, which the engine
-        # reads from it: it never derives one through terminal_edge_key.
+        # built once, and its constructor's walk is its one check: the only
+        # union-find is Kruskal's, with no second pass over the tree's edges.
         # The announcement layout comes once per config, not once per block.
         calls = Counter()
-        for module, name in (
-            (config_io, "validate_graph"), (protocol, "mst_kruskal"),
-            (protocol, "announcement_layout"), (subroutine, "terminal_edge_key"),
-            (graph_core.SpanningTree, "__init__"),
+        for label, owner, name in (
+            ("validate_graph", config_io, "validate_graph"),
+            ("mst_kruskal", protocol, "mst_kruskal"),
+            ("announcement_layout", protocol, "announcement_layout"),
+            ("SpanningTree", graph_core.SpanningTree, "__init__"),
+            ("_UnionFind", graph_core._UnionFind, "__init__"),
         ):
-            def counted(*args, _name=name, _original=getattr(module, name)):
-                calls[_name] += 1
+            def counted(*args, _label=label, _original=getattr(owner, name)):
+                calls[_label] += 1
                 return _original(*args)
-            monkeypatch.setattr(module, name, counted)
-        # Also where the engine would import it.
-        monkeypatch.setattr(
-            protocol, "terminal_edge_key", subroutine.terminal_edge_key, raising=False
-        )
+            monkeypatch.setattr(owner, name, counted)
         spec = parse_config(
             "node 0\nnode 1\nnode 2\nnode 3\nsource 1\nsource 2\n"
             "edge 0 1\nedge 1 2\nedge 2 3\nparam blocks=5\n"
@@ -407,8 +405,8 @@ class TestTreeBuiltOnce:
         results = run_blocks(ProtocolConfig._make(spec))
         assert len(results) == 5
         assert calls == {
-            "validate_graph": 1, "mst_kruskal": 1,
-            "announcement_layout": 1, "__init__": 1,
+            "validate_graph": 1, "mst_kruskal": 1, "announcement_layout": 1,
+            "SpanningTree": 1, "_UnionFind": 1,
         }
 
     def test_cli_run_checks_its_graph_once(self, monkeypatch, tmp_path, capsys):
@@ -435,6 +433,57 @@ class TestTreeBuiltOnce:
         assert calls == {"validate_graph": 1, "mst_kruskal": 1}
 
 
+class TestWordFormula:
+    """Every agent's string without reconstruction, as ROADMAP item 2 would
+    compute it: agent j's word is BASE ^ P[j], where P[v] is the XOR of the
+    disagreement words A ^ B on the tree path from agent 0 to v, and bit r
+    of BASE is bit r of A_e ^ P[a] for round r's chosen terminal edge
+    e = (a, b), A_e its a-side word."""
+
+    def test_run_rounds_words_are_base_xor_path_parity(self):
+        rng = random.Random(2276)
+        for trial in range(200):
+            n = rng.randrange(2, 31)
+            flip = rng.choice((0.0, 0.05, 0.2, 0.45))
+            edges = [
+                WeightedEdge(e.a, e.b, flip_prob=flip)
+                for e in random_tree_edges(n, rng)
+            ]
+            config = ProtocolConfig(
+                graph=SecurityGraph(n, edges, range(n)), leader=rng.randrange(n),
+                code=hamming_7_4(), blocks=1, delta=0.1, epsilon=0.05, seed=trial,
+            )
+            positions = 2 * config.code.m
+            block = SeededRng(trial).substream("block", 0)
+            # The edge words and the choices, redrawn from the block's streams.
+            words = {
+                e.key: simulate_pairwise_kd(e, positions, block.substream("edge", e.a, e.b))
+                for e in edges
+            }
+            parity = {0: 0}
+            while len(parity) < n:
+                for (a, b), (word_a, word_b) in words.items():
+                    if a in parity and b not in parity:
+                        parity[b] = parity[a] ^ word_a ^ word_b
+                    elif b in parity and a not in parity:
+                        parity[a] = parity[b] ^ word_a ^ word_b
+            ends = Counter(v for key in words for v in key)
+            terminals = sorted(v for v in range(n) if ends[v] == 1)
+            base = 0
+            for r in range(positions):
+                draw = block.substream("round", r).generator()
+                for _ in range(n - len(terminals)):  # one mask per announcer
+                    draw.getrandbits(1)
+                chosen = draw.choice(terminals)
+                (a, b), (word_a, _) = next(
+                    item for item in words.items() if chosen in item[0]
+                )
+                bit = positions - 1 - r
+                base |= ((word_a ^ parity[a]) >> bit & 1) << bit
+            agents, _ = run_rounds(config, block, positions)
+            assert agents == [base ^ parity[j] for j in range(n)], trial
+
+
 class TestOneReconstructionPerBlock:
     def test_run_block_reconstructs_once_per_block(self, monkeypatch):
         # The leader's one reconstruction reads the announcements as words:
@@ -458,7 +507,7 @@ class TestOneReconstructionPerBlock:
         rounds = rounds_from_transcript(parsed)
         positions = 2 * config.code.m
         assert len(rounds) == positions
-        for r, (announcements, _) in enumerate(rounds):
+        for r, (announcements, _, _) in enumerate(rounds):
             shift = positions - 1 - r
             assert announcements == {
                 sender: {key: word >> shift & 1 for key, word in record.items()}

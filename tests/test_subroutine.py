@@ -18,13 +18,11 @@ from treekd.protocol import ProtocolConfig
 from treekd.rng import SeededRng
 from treekd.subroutine import (
     MissingAnnouncementError,
-    NonTerminalChoiceError,
     announcement_layout,
     random_efficiency,
     reconstruct_assignment,
     render_rounds,
     subroutine_round,
-    terminal_edge_key,
 )
 from treekd.transcript_io import format_payload, parse_transcript, transcript_lines
 
@@ -50,8 +48,8 @@ def agent_bits(tree, position_bits, seed):
     reconstruction of the round's transcript as parsed back from its text,
     and that parsed transcript."""
     transcript = parsed_round(tree, position_bits, seed)
-    ((announcements, chosen),) = rounds_from_transcript(transcript)
-    key = terminal_edge_key(tree, chosen)
+    ((announcements, _, chosen),) = rounds_from_transcript(transcript)
+    key = tree.terminal_keys[chosen]
     bits = {}
     for agent in range(tree.n):
         own = {
@@ -143,12 +141,8 @@ class TestSecretBit:
     def test_path_terminals(self):
         tree = path_tree()
         assignment = {(0, 1): 1, (1, 2): 0}
-        assert assignment[terminal_edge_key(tree, 0)] == 1
-        assert assignment[terminal_edge_key(tree, 2)] == 0
-
-    def test_non_terminal_rejected(self):
-        with pytest.raises(NonTerminalChoiceError):
-            terminal_edge_key(path_tree(), 1)
+        assert assignment[tree.terminal_keys[0]] == 1
+        assert assignment[tree.terminal_keys[2]] == 0
 
 
 class TestSubroutineRound:
@@ -276,9 +270,9 @@ class TestSubroutineRound:
         (transcript,) = parse_transcript(transcript_lines(engine_transcript))
         rounds = rounds_from_transcript(transcript)
         assert len(rounds) == positions
-        for r, (announcements, chosen) in enumerate(rounds):
+        for r, (announcements, _, chosen) in enumerate(rounds):
             assert set(announcements) == set(range(n)) - terminal_agents(tree)
-            key = terminal_edge_key(tree, chosen)
+            key = tree.terminal_keys[chosen]
             for agent in range(n):
                 copies = {
                     e.key: pairs[e.key][0 if agent == e.a else 1][r]

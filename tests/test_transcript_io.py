@@ -73,14 +73,15 @@ class TestParseOncePerDistinctText:
 
 def regroup(messages):
     """A block's rounds, message by message: each terminal_choice closes the
-    announcements since the previous terminal_choice, by sender.  The oracle
+    announcements since the previous terminal_choice, by sender, with its own
+    sender and payload.  The oracle
     for the rounds parse_transcript keeps as it checks them."""
     rounds, pending = [], {}
     for msg in messages:
         if msg.kind == "announcement":
             pending[msg.sender] = msg.payload
         elif msg.kind == "terminal_choice":
-            rounds.append((pending, msg.payload))
+            rounds.append((pending, msg.sender, msg.payload))
             pending = {}
     return rounds
 
