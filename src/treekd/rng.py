@@ -10,13 +10,26 @@ seeds one.  Every draw goes through the generator's own methods, from
 ``generator()``, which seeds the twister through its C ``seed`` alone: the
 state ``Random(seed)`` builds for an int seed, without ``Random.__init__``
 and ``Random.seed`` dispatching to it in Python.
+
+SHA-256 comes from the interpreter's built-in module, ``_sha2`` on CPython
+3.12+ and ``_sha256`` on 3.10-3.11, as ``random`` takes its ``sha512``.
+Importing ``hashlib`` loads OpenSSL, about a quarter of what importing the
+CLI costs, for the same digest; it is only the fallback for an interpreter
+built without either module.
 """
 
 from __future__ import annotations
 
-import hashlib
 from random import Random
 from typing import Optional
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class SeededRng:
@@ -41,7 +54,7 @@ class SeededRng:
     def substream(self, *labels: object) -> "SeededRng":
         """Derive an independent child stream from this seed and labels."""
         material = "/".join(map(str, (self.seed, *labels)))
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
+        digest = sha256(material.encode("utf-8")).digest()
         return SeededRng(int.from_bytes(digest[:8], "big"))
 
     def __repr__(self) -> str:

@@ -133,10 +133,12 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     This is where sequence numbers and kinds enter the program from
     outside, so they are checked here: each block's numbers run 0, 1, 2,
     ... (a 0 starts the next block), every kind is a known one, a
-    terminal_choice must close every run of announcements, and each agent
-    announces at most once per round.  Each terminal_choice closes one of
-    its block's rounds: the open round's announcements by sender, its own
-    sender, and the terminal it names.
+    terminal_choice must close every run of announcements, each agent
+    announces at most once per round, and a block's rounds come before
+    its other messages: once a block has carried any other message, a
+    later announcement or terminal_choice in it is an error.  Each
+    terminal_choice closes one of its block's rounds: the open round's
+    announcements by sender, its own sender, and the terminal it names.
 
     Each distinct seq or sender text, and each distinct payload text of a
     kind, is parsed once per call, as a transcript repeats few texts many
@@ -149,6 +151,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     numbers: Dict[str, int] = {}  # seq or sender text -> its value
     open_round = 0  # first line of a round; only a terminal_choice may follow it
     pending: Dict[int, Dict[EdgeKey, int]] = {}  # the open round's records by sender
+    rounds_done = False  # the block has carried a message past its rounds
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -177,10 +180,13 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             if seq == 0:
                 current = ParsedTranscript()
                 transcripts.append(current)
+                rounds_done = False
             if current is None:
                 raise ValueError(f"stream starts at seq {seq}")
             if seq != len(current.lines):
                 raise ValueError(f"expected seq {len(current.lines)}, got {seq}")
+            if rounds_done and kind in ("announcement", "terminal_choice"):
+                raise ValueError(f"{kind} after the block's rounds")
             # tuple.__new__ skips the NamedTuple's Python-level __new__.
             message = tuple.__new__(BroadcastMessage, (seq, sender, kind, payload))
             current.messages.append(message)
@@ -193,6 +199,8 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
         else:
             if kind == "terminal_choice":
                 current.rounds.append((pending, sender, payload))
+            else:
+                rounds_done = True
             open_round = 0
             pending = {}
     if open_round:

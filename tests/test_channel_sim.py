@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -119,6 +120,21 @@ class TestSeededRng:
         assert generator.getstate() == reference.getstate()
         assert generator.gauss(0, 1) == reference.gauss(0, 1)
         assert generator.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "labels",
+        [("block", 3), ("edge", 0, 17), ("round", 13), ("check",), ("code",),
+         ("sweep", 4)],
+        ids=["block", "edge", "round", "check", "code", "sweep"],
+    )
+    def test_substream_seed_is_sha256_prefix(self, seed, labels):
+        # Every label shape the engine derives: the child seed is the first
+        # 8 bytes of hashlib's SHA-256 of "seed/label/...", whichever module
+        # rng computes it with.
+        material = "/".join(map(str, (seed, *labels))).encode("utf-8")
+        expected = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+        assert SeededRng(seed).substream(*labels).seed == expected
 
     def test_distinct_labels_distinct_streams(self):
         root = SeededRng(5)

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -411,6 +412,14 @@ class TestAnalyze:
              "block 0 round 0: terminal_choice from agent 2, not the leader 0"),
             (PATH3 + "param leader=2\n", ANNOUNCE + "1 0 terminal_choice 0\n",
              "block 0 round 0: terminal_choice from agent 0, not the leader 2"),
+            # A block's rounds come before its check phase; nothing that
+            # follows a check or abort message may open or close a round.
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 check_positions 0\n"
+             "3 1 announcement (0,1):0,(1,2):1\n4 0 terminal_choice 0\n",
+             "transcript line 4: announcement after the block's rounds"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,2:0\n"
+             "3 0 terminal_choice 2\n",
+             "transcript line 4: terminal_choice after the block's rounds"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
@@ -430,7 +439,8 @@ class TestAnalyze:
              "abort-agent-empty", "seq-letter", "sender-letter",
              "check-position-empty", "terminal-choice-empty",
              "terminal-choice-not-an-agent", "terminal-choice-from-non-leader",
-             "terminal-choice-from-default-leader-under-leader-2"],
+             "terminal-choice-from-default-leader-under-leader-2",
+             "announcement-after-check-phase", "terminal-choice-after-abort"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message
@@ -659,20 +669,26 @@ class TestRuntimeDependencies:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0]", done.stderr
 
-    def test_import_loads_neither_dataclasses_nor_inspect(self):
+    def test_import_loads_no_dataclasses_inspect_or_hashlib(self):
         # The records are NamedTuples or plain classes, so importing the CLI
-        # costs no dataclasses (and the inspect module it pulls in).  site may
-        # preload modules, so only what the import adds counts.
+        # costs no dataclasses (and the inspect module it pulls in), and
+        # SHA-256 comes from the interpreter's built-in module, so it costs
+        # no hashlib (and the OpenSSL that _hashlib loads) either, unless
+        # the interpreter was built without that module.  site may preload
+        # modules, so only what the import adds counts.
+        forbidden = ["dataclasses", "inspect"]
+        if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+            forbidden += ["hashlib", "_hashlib"]
         src = str(Path(treekd.__file__).resolve().parents[1])
         script = (
             "import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "before = set(sys.modules)\n"
             "import treekd.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+            "print(sorted(set(sys.argv[2:]) & (set(sys.modules) - before)))\n"
         )
         done = subprocess.run(
-            [sys.executable, "-I", "-c", script, src],
+            [sys.executable, "-I", "-c", script, src, *forbidden],
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
