@@ -19,12 +19,13 @@ then the graph as a whole; only connectivity is left to the tree.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 from .graph_core import SecurityGraph, WeightedEdge, validate_graph
-from .linear_code import LinearCode, code_by_name
+from .linear_code import code_by_name
 
 DEFAULTS = {
     "code": "hamming7_4",
@@ -44,14 +45,10 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.errors))
 
 
-class RunSpec(NamedTuple):
-    graph: SecurityGraph
-    leader: int
-    code: LinearCode
-    blocks: int
-    delta: float
-    epsilon: float
-    seed: int
+RunSpec = namedtuple("RunSpec", "graph leader code blocks delta epsilon seed")
+RunSpec.__doc__ = """A run config as parse_config checked it: graph (SecurityGraph),
+leader (int), code (LinearCode), blocks (int), delta (float),
+epsilon (float) and seed (int)."""
 
 
 def _number(kind, text: str):
@@ -69,12 +66,21 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
     edges: Dict[Tuple[int, int], Tuple[int, WeightedEdge]] = {}  # key -> (line, edge)
     params: Dict[str, Tuple[int, str]] = {}
     errors: List[str] = []
+    # Each distinct agent id or weight text is parsed once per file; a text
+    # that fails to parse is not kept, so each of its lines gets its error.
+    ids: Dict[str, int] = {}
+    weights: Dict[str, Fraction] = {}
+
+    def agent_id(field: str) -> int:
+        agent = ids.get(field)
+        if agent is None:
+            agent = ids[field] = _number(int, field)
+        return agent
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.partition("#")[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
         try:
             if kind in ("node", "source", "param") and len(fields) > 2:
@@ -82,7 +88,7 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
             if kind in ("node", "source"):
                 if len(fields) < 2:
                     raise ValueError(f"{kind} needs an agent id")
-                agent = _number(int, fields[1])
+                agent = agent_id(fields[1])
                 if agent < 0:
                     raise ValueError("agent ids must be non-negative")
             if kind == "node":
@@ -94,20 +100,23 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
             elif kind == "edge":
                 if len(fields) < 3:
                     raise ValueError("edge needs two agent ids")
-                a, b = _number(int, fields[1]), _number(int, fields[2])
+                a, b = agent_id(fields[1]), agent_id(fields[2])
                 attrs: Dict[str, str] = {}
                 for extra in fields[3:]:
-                    name, _, value = extra.partition("=")
+                    name, sep, value = extra.partition("=")
                     # anti is a bare flag; weight and flip take a value.
-                    if extra not in ("anti", f"weight={value}", f"flip={value}"):
+                    if not (name in ("weight", "flip") if sep else name == "anti"):
                         raise ValueError(f"unknown edge attribute {extra!r}")
                     if name in attrs:
                         raise ValueError(f"repeated edge attribute {name!r}")
                     attrs[name] = value
                 # The endpoints correct an anti link, so the flag is dropped.
-                weight = _number(Fraction, attrs.get("weight", "1"))
+                weight_text = attrs.get("weight", "1")
+                weight = weights.get(weight_text)
+                if weight is None:
+                    weight = weights[weight_text] = _number(Fraction, weight_text)
                 flip = _number(float, attrs.get("flip", "0"))
-                edge = WeightedEdge(a, b, weight=weight, flip_prob=flip)
+                edge = WeightedEdge(a, b, weight, flip)
                 if a == b:
                     raise ValueError(f"self-loop at agent {a}")
                 key = edge.key

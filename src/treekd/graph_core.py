@@ -8,11 +8,11 @@ rationals so tie-breaking and brute-force comparisons are reproducible.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, KeysView, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, KeysView, List, Mapping, Sequence, Set, Tuple
 
 EdgeKey = Tuple[int, int]
 Adjacency = Mapping[int, Tuple[int, ...]]
@@ -29,17 +29,15 @@ class DisconnectedGraphError(Exception):
         super().__init__(f"security graph is disconnected: components {parts}")
 
 
-class _EdgeFields(NamedTuple):
-    a: int
-    b: int
-    weight: Fraction
-    flip_prob: float
+_EdgeFields = namedtuple("_EdgeFields", "a b weight flip_prob")
 
 
 class WeightedEdge(_EdgeFields):
     """An undirected edge carrying a resource cost and a noise model.
 
-    flip_prob is the per-position probability of a bit mismatch on this link.
+    a <= b (int) are its endpoints, weight (Fraction) its cost, and
+    flip_prob (float) the per-position probability of a bit mismatch on
+    this link.
     """
 
     __slots__ = ()
@@ -47,12 +45,14 @@ class WeightedEdge(_EdgeFields):
     def __new__(cls, a: int, b: int, weight=Fraction(1), flip_prob: float = 0.0):
         if a < 0 or b < 0:
             raise ValueError("agent ids must be non-negative")
-        weight = Fraction(weight)
-        if weight < 0:
+        if type(weight) is not Fraction:
+            weight = Fraction(weight)
+        if weight.numerator < 0:  # a Fraction's denominator is positive
             raise ValueError("edge weight must be non-negative")
         if not (0.0 <= flip_prob < 0.5):
             raise ValueError("flip_prob must lie in [0, 0.5)")
-        return super().__new__(cls, min(a, b), max(a, b), weight, flip_prob)
+        # tuple.__new__ skips the namedtuple's Python-level __new__.
+        return tuple.__new__(cls, (min(a, b), max(a, b), weight, flip_prob))
 
     @property
     def key(self) -> EdgeKey:

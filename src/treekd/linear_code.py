@@ -10,7 +10,8 @@ exact within the guaranteed radius t and a defined miscorrection beyond it.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from collections import namedtuple
+from typing import Tuple
 
 from .bits import BitString
 from .rng import SeededRng
@@ -20,13 +21,10 @@ class NotACodewordError(Exception):
     """index_of was handed a word outside the code."""
 
 
-class LinearCode(NamedTuple):
-    """A t-error-correcting [m,k] code over GF(2), held as its codeword table."""
-
-    m: int
-    k: int
-    t: int
-    codewords: Tuple[BitString, ...]  # all 2^k codewords in index order
+LinearCode = namedtuple("LinearCode", "m k t codewords")
+LinearCode.__doc__ = """A t-error-correcting [m,k] code over GF(2), held as its codeword
+table: m, k and t (int), and codewords (Tuple[BitString, ...]), all 2^k
+codewords in index order."""
 
 
 def _systematic_code(m: int, k: int, t: int, a_rows) -> LinearCode:

@@ -10,9 +10,10 @@ own copy and decodes, and the shared key is the codeword's index.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .bits import BitString
 from .channel_sim import Transcript, broadcast, simulate_pairwise_kd
@@ -28,7 +29,7 @@ from .transcript_io import format_payload
 class ProtocolConfig(RunSpec):
     """A run's parameters, as parse_config checked them, and their tree.
 
-    A subclass, since a NamedTuple has no instance dict to cache the tree in.
+    A subclass, since a namedtuple has no instance dict to cache the tree in.
     """
 
     @cached_property
@@ -47,11 +48,11 @@ class ProtocolConfig(RunSpec):
         return announcement_layout(self.tree)
 
 
-class KeyResult(NamedTuple):
-    status: str  # "completed" | "aborted"
-    key_indices: Optional[Dict[int, int]]
-    mismatch: Mapping[int, Fraction]
-    transcript: Transcript
+KeyResult = namedtuple("KeyResult", "status key_indices mismatch transcript")
+KeyResult.__doc__ = """One block's outcome: status (str, "completed" or "aborted"),
+key_indices (Optional[Dict[int, int]], each agent's key index; None when
+aborted), mismatch (Mapping[int, Fraction], each agent's check mismatch)
+and transcript (Transcript)."""
 
 
 def code_efficiency(n: int, k: int, m: int) -> Fraction:

@@ -21,20 +21,18 @@ digits, and every number is read back only in the form it is written in.
 
 from __future__ import annotations
 
-import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from .bits import BitString
 from .channel_sim import Transcript
 from .graph_core import EdgeKey
 
 
-class BroadcastMessage(NamedTuple):
-    seq: int
-    sender: int
-    kind: str
-    payload: Any
+BroadcastMessage = namedtuple("BroadcastMessage", "seq sender kind payload")
+BroadcastMessage.__doc__ = """One transcript line as parsed: seq and sender (int), kind (str)
+and payload (its kind's parsed value)."""
 
 
 class ParsedTranscript(Transcript):
@@ -66,27 +64,50 @@ def transcript_lines(t: Transcript) -> List[str]:
     return t.lines
 
 
-_ITEM = r"\((?:0|[1-9][0-9]*),(?:0|[1-9][0-9]*)\):[01]"
-_ANNOUNCEMENT = re.compile(rf"{_ITEM}(?:,{_ITEM})*")
-# Only run on a payload that _ANNOUNCEMENT has matched.
-_EDGE_BIT = re.compile(r"\((\d+),(\d+)\):([01])")
-_NUMBER = re.compile(r"0|[1-9][0-9]*")
+_BITS = {"0": 0, "1": 1}
 
 
 def _count(text: str, what: str) -> int:
     """text as a non-negative int, read only as str() writes one: int()
     alone also reads '00', '+1', '0_1' and digits such as '\u0662'."""
-    if not _NUMBER.fullmatch(text):
+    if not (text.isdigit() and text.isascii() and (text[0] != "0" or text == "0")):
         raise ValueError(f"{what} {text!r} is not a canonical ASCII number")
     return int(text)
+
+
+def _announcement(text: str) -> Dict[EdgeKey, int]:
+    """text as an announcement, read only as format_payload writes one:
+    one or more ``(a,b):bit`` items, comma-separated, a and b canonical.
+
+    Split at every comma, the text alternates ``(a`` and ``b):bit`` pieces,
+    as each item holds one comma and one comma joins two items.  Each
+    number gets _count's checks inline, as a call per number would cost
+    more than the checks.
+    """
+    pieces = text.split(",")
+    if len(pieces) % 2 or not text.isascii():
+        raise ValueError(f"malformed announcement payload {text!r}")
+    record: Dict[EdgeKey, int] = {}
+    for left, right in zip(pieces[::2], pieces[1::2]):
+        a = left[1:]
+        b, close, bit = right.partition("):")
+        if not (left[:1] == "(" and close and bit in _BITS
+                and a.isdigit() and (a[0] != "0" or a == "0")
+                and b.isdigit() and (b[0] != "0" or b == "0")):
+            raise ValueError(f"malformed announcement payload {text!r}")
+        record[int(a), int(b)] = _BITS[bit]
+    if len(record) != len(pieces) // 2:
+        raise ValueError(f"announcement repeats an edge: {text!r}")
+    return record
 
 
 def _mismatch(text: str) -> Fraction:
     """text as an abort mismatch, read only as str() writes a Fraction in
     [0, 1]: Fraction() alone also reads '2/4', '0.5', '+1/7', '1_0/7',
-    '-1/7' and non-ASCII digits."""
+    '-1/7' and non-ASCII digits.  A text with an exponent is never one, and
+    Fraction() would build 10**exponent for it: 1e9999999 takes seconds."""
     try:
-        value = Fraction(text)
+        value = None if "e" in text or "E" in text else Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"abort mismatch {text!r} has a zero denominator") from None
     except ValueError:
@@ -98,15 +119,7 @@ def _mismatch(text: str) -> Fraction:
 
 def _parse_payload(kind: str, text: str):
     if kind == "announcement":
-        if not _ANNOUNCEMENT.fullmatch(text):
-            raise ValueError(f"malformed announcement payload {text!r}")
-        items = _EDGE_BIT.findall(text)
-        record: Dict[EdgeKey, int] = {
-            (int(a), int(b)): int(bit) for a, b, bit in items
-        }
-        if len(record) != len(items):
-            raise ValueError(f"announcement repeats an edge: {text!r}")
-        return record
+        return _announcement(text)
     if kind == "terminal_choice":
         return _count(text, "terminal choice")
     if kind == "check_positions":
@@ -136,7 +149,9 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     terminal_choice must close every run of announcements, each agent
     announces at most once per round, and a block's rounds come before
     its other messages: once a block has carried any other message, a
-    later announcement or terminal_choice in it is an error.  Each
+    later announcement or terminal_choice in it is an error.  An abort or
+    code_broadcast is the block's outcome, so no message may follow it in
+    its block.  Each
     terminal_choice closes one of its block's rounds: the open round's
     announcements by sender, its own sender, and the terminal it names.
 
@@ -151,7 +166,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     numbers: Dict[str, int] = {}  # seq or sender text -> its value
     open_round = 0  # first line of a round; only a terminal_choice may follow it
     pending: Dict[int, Dict[EdgeKey, int]] = {}  # the open round's records by sender
-    rounds_done = False  # the block has carried a message past its rounds
+    phase = "rounds"  # how far the block has got: "rounds", "checks", "outcome"
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -180,14 +195,16 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             if seq == 0:
                 current = ParsedTranscript()
                 transcripts.append(current)
-                rounds_done = False
+                phase = "rounds"
             if current is None:
                 raise ValueError(f"stream starts at seq {seq}")
             if seq != len(current.lines):
                 raise ValueError(f"expected seq {len(current.lines)}, got {seq}")
-            if rounds_done and kind in ("announcement", "terminal_choice"):
+            if phase != "rounds" and kind in ("announcement", "terminal_choice"):
                 raise ValueError(f"{kind} after the block's rounds")
-            # tuple.__new__ skips the NamedTuple's Python-level __new__.
+            if phase == "outcome":
+                raise ValueError(f"{kind} after the block's outcome")
+            # tuple.__new__ skips the namedtuple's Python-level __new__.
             message = tuple.__new__(BroadcastMessage, (seq, sender, kind, payload))
             current.messages.append(message)
             current.lines.append(line)
@@ -200,7 +217,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             if kind == "terminal_choice":
                 current.rounds.append((pending, sender, payload))
             else:
-                rounds_done = True
+                phase = "outcome" if kind in ("abort", "code_broadcast") else "checks"
             open_round = 0
             pending = {}
     if open_round:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from hypothesis import strategies as st
 from scipy import stats
 
 from treekd.bits import BitString
@@ -358,3 +359,20 @@ def reference_block(
             decoded, _ = coset_leader_decode(code, masked ^ bits)
             keys[agent] = code.codewords.index(decoded)
     return "completed", keys, mismatch, lines
+
+
+def mutate(text, edits):
+    """text with each (position, deleted count, inserted text) edit applied
+    in turn, the position taken modulo the text's length plus one."""
+    for position, deleted, inserted in edits:
+        i = position % (len(text) + 1)
+        text = text[:i] + inserted + text[i + deleted:]
+    return text
+
+
+def edits(alphabet):
+    """One to six edits, each inserting at most three characters."""
+    return st.lists(
+        st.tuples(st.integers(0, 10**4), st.integers(0, 3), st.text(alphabet, max_size=3)),
+        min_size=1, max_size=6,
+    )

@@ -3,10 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import edits, mutate
 import treekd
 from treekd import protocol
 from treekd.cli import (
@@ -44,6 +48,15 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+FUZZ_CONFIGS = [
+    PATH3 + "param blocks=2\nparam delta=0.3\n",
+    "# tree\nnode 0\nnode 1\nnode 2\nnode 3\nsource 1\nsource 3\n"
+    "edge 0 1 weight=3/2 flip=0.01\nedge 1 2 weight=0.5 anti\n"
+    "edge 2 3 weight=3/2 flip=0.02  # comment\nedge 0 3 weight=7\n"
+    "param leader=1\nparam code=repetition3\nparam seed=4\nparam epsilon=0.1\n",
+]
 
 
 class TestParseConfig:
@@ -145,6 +158,55 @@ class TestParseConfig:
             assert f"error: {message}" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "extra, errors",
+        [
+            ("edge 0 1 weight\n", ["line 4: unknown edge attribute 'weight'"]),
+            ("edge 0 1 flip=\n", ["line 4: could not convert string to float: ''"]),
+            ("edge 0 1 anti=1\n", ["line 4: unknown edge attribute 'anti=1'"]),
+            ("edge 0 1 weight=2=3\n", ["line 4: Invalid literal for Fraction: '2=3'"]),
+            # A text that fails to parse is parsed again on each of its lines.
+            ("edge 0 1 weight=1/0\nedge 0 1 weight=1/0\n",
+             ["line 4: weight has a zero denominator",
+              "line 5: weight has a zero denominator"]),
+            ("edge 0 1_0\nedge 1 1_0\n",
+             ["line 4: '1_0' is not a plain ASCII number",
+              "line 5: '1_0' is not a plain ASCII number"]),
+        ],
+        ids=["weight-without-value", "flip-empty-value", "anti-with-value",
+             "weight-value-with-equals", "zero-denominator-on-two-lines",
+             "bad-agent-id-on-two-lines"],
+    )
+    def test_edge_field_errors(self, extra, errors):
+        # Each agent id and weight text is parsed once per file; every line
+        # still gets the error it got when each line was parsed on its own.
+        with pytest.raises(ConfigError) as err:
+            parse_config("node 0\nnode 1\nsource 0\n" + extra)
+        assert err.value.errors == errors
+
+    def test_repeated_texts_give_equal_values(self):
+        spec = parse_config(
+            "node 0\nnode 1\nnode 2\nnode 3\nsource 1\nsource 2\n"
+            "edge 0 1 weight=3/2\nedge 1 2 weight=0.5\nedge 2 3 weight=3/2\n"
+        )
+        assert [(e.key, e.weight) for e in spec.graph.edges] == [
+            ((0, 1), Fraction(3, 2)), ((1, 2), Fraction(1, 2)), ((2, 3), Fraction(3, 2)),
+        ]
+        assert all(type(e.weight) is Fraction for e in spec.graph.edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.sampled_from(FUZZ_CONFIGS),
+        changes=edits("0123456789 -_/.=#\n\tabdefgilnoprstwx+\u0662\u00b2"),
+    )
+    def test_mutated_config_raises_only_config_error(self, base, changes):
+        # A config that does not parse is a ConfigError, never any other
+        # exception: the CLI turns only that into a line-numbered error.
+        try:
+            parse_config(mutate(base, changes))
+        except ConfigError as exc:
+            assert exc.errors
+
     def test_records_may_name_nodes_declared_later(self):
         spec = parse_config("source 0\nedge 0 1\nnode 0\nnode 1\n")
         assert spec.graph.n == 2
@@ -200,6 +262,24 @@ class TestPlan:
             "  edge 1 2 weight=2\n"
             "total weight: 3\n"
             "terminal agents: 0,2\n"
+        )
+
+    def test_fractional_and_repeated_weights(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "frac.cfg",
+            "node 0\nnode 1\nnode 2\nnode 3\nsource 1\nsource 2\n"
+            "edge 0 1 weight=3/2\nedge 1 2 weight=0.5\nedge 2 3 weight=3/2\n",
+        )
+        assert main(["plan", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "agents: 4\n"
+            "minimum spanning security tree:\n"
+            "  edge 1 2 weight=1/2\n"
+            "  edge 0 1 weight=3/2\n"
+            "  edge 2 3 weight=3/2\n"
+            "total weight: 7/2\n"
+            "terminal agents: 0,3\n"
         )
 
     def test_star_hub_sole_non_terminal(self, tmp_path, capsys):
@@ -383,6 +463,9 @@ class TestAnalyze:
              "transcript line 3: abort mismatch '+1/7' is not a canonical fraction"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:1_0/7,2:0\n",
              "transcript line 3: abort mismatch '1_0/7' is not a canonical fraction"),
+            # Fraction() alone would first build 10**99999999, for minutes.
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:1e99999999,2:0\n",
+             "transcript line 3: abort mismatch '1e99999999' is not a canonical fraction"),
             # Read as a dict, the second value would silently replace the first.
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,1:1/7\n",
              "transcript line 3: abort names agent 1 twice"),
@@ -420,6 +503,20 @@ class TestAnalyze:
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,2:0\n"
              "3 0 terminal_choice 2\n",
              "transcript line 4: terminal_choice after the block's rounds"),
+            # An abort or code_broadcast is the block's outcome: nothing
+            # follows it until the next block's seq 0.
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 code_broadcast 1111000\n"
+             "3 0 code_broadcast 0000000\n",
+             "transcript line 4: code_broadcast after the block's outcome"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 code_broadcast 1111000\n"
+             "3 2 check_values 0000000\n",
+             "transcript line 4: check_values after the block's outcome"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 code_broadcast 1111000\n"
+             "3 0 abort 1:0,2:0\n",
+             "transcript line 4: abort after the block's outcome"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,2:0\n"
+             "3 0 check_positions 0\n",
+             "transcript line 4: check_positions after the block's outcome"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
@@ -433,14 +530,16 @@ class TestAnalyze:
              "abort-mismatch-not-lowest-terms", "abort-mismatch-negative",
              "abort-mismatch-above-1", "abort-mismatch-arabic-indic-digit",
              "abort-mismatch-decimal", "abort-mismatch-plus-sign",
-             "abort-mismatch-underscore", "abort-agent-twice",
+             "abort-mismatch-underscore", "abort-mismatch-exponent", "abort-agent-twice",
              "abort-item-three-fields", "abort-item-no-mismatch",
              "abort-item-after-trailing-comma", "abort-agent-letter",
              "abort-agent-empty", "seq-letter", "sender-letter",
              "check-position-empty", "terminal-choice-empty",
              "terminal-choice-not-an-agent", "terminal-choice-from-non-leader",
              "terminal-choice-from-default-leader-under-leader-2",
-             "announcement-after-check-phase", "terminal-choice-after-abort"],
+             "announcement-after-check-phase", "terminal-choice-after-abort",
+             "code-broadcast-after-code-broadcast", "check-values-after-code-broadcast",
+             "abort-after-code-broadcast", "check-positions-after-abort"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message

@@ -42,8 +42,18 @@ class TestWeightedEdge:
         assert e.key == (1, 3)
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
-            WeightedEdge(0, 1, weight=Fraction(-1))
+        for weight in (Fraction(-1), Fraction(-1, 3), -1, "-1/3"):
+            with pytest.raises(ValueError, match="non-negative"):
+                WeightedEdge(0, 1, weight=weight)
+
+    def test_weight_is_a_fraction_kept_as_given(self):
+        # A Fraction is kept as it is; any other weight becomes one.
+        weight = Fraction(3, 2)
+        assert WeightedEdge(0, 1, weight).weight is weight
+        for other in (1.5, "3/2", Fraction(3, 2)):
+            edge = WeightedEdge(0, 1, other)
+            assert type(edge.weight) is Fraction and edge.weight == weight
+        assert type(WeightedEdge(0, 1, 2).weight) is Fraction
 
     def test_rejects_flip_prob_at_half(self):
         with pytest.raises(ValueError):

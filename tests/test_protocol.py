@@ -39,7 +39,7 @@ from treekd.protocol import (
     summarize,
 )
 from treekd.rng import SeededRng
-from treekd.transcript_io import parse_transcript, transcript_lines
+from treekd.transcript_io import BroadcastMessage, parse_transcript, transcript_lines
 
 
 class TestSelectCheckPositions:
@@ -378,6 +378,46 @@ class TestSummarize:
         assert (completed, agreed) == (2, 1)
         # Block order, then agent order within a block.
         assert mismatches == tuple(Fraction(i, 7) for i in range(6))
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "record, fields",
+        [
+            (config_io.RunSpec,
+             ("graph", "leader", "code", "blocks", "delta", "epsilon", "seed")),
+            (WeightedEdge, ("a", "b", "weight", "flip_prob")),
+            (linear_code.LinearCode, ("m", "k", "t", "codewords")),
+            (KeyResult, ("status", "key_indices", "mismatch", "transcript")),
+            (BroadcastMessage, ("seq", "sender", "kind", "payload")),
+        ],
+        ids=["RunSpec", "WeightedEdge", "LinearCode", "KeyResult", "BroadcastMessage"],
+    )
+    def test_fields_make_and_replace(self, record, fields):
+        # Field order is positional construction; _make and _replace give
+        # the record's own type, and its docstring names every field.
+        assert record._fields == fields
+        values = tuple(range(len(fields)))
+        made = record._make(values)
+        assert type(made) is record and made == values
+        replaced = made._replace(**{fields[-1]: "x"})
+        assert type(replaced) is record and replaced == values[:-1] + ("x",)
+        assert all(re.search(rf"\b{name}\b", record.__doc__) for name in fields)
+
+    def test_keywords_and_positions_build_the_same_record(self):
+        by_name = KeyResult(status="aborted", key_indices=None, mismatch={}, transcript=None)
+        assert by_name == KeyResult("aborted", None, {}, None)
+        assert by_name.status == "aborted" and by_name.key_indices is None
+
+    def test_protocol_config_caches_its_tree(self):
+        spec = parse_config("node 0\nnode 1\nnode 2\nsource 1\nedge 0 1\nedge 1 2\n")
+        config = ProtocolConfig._make(spec)
+        assert type(config) is ProtocolConfig and config == spec
+        assert config.tree is config.tree
+        assert config.announcers is config.announcers
+        other = config._replace(seed=5)
+        assert type(other) is ProtocolConfig and other.seed == 5
+        assert other.tree is not config.tree and other.tree.edges == config.tree.edges
 
 
 class TestTreeBuiltOnce:

@@ -1,19 +1,102 @@
 import random
+import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree_edges
+from conftest import edits, mutate, random_tree_edges
 from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge
 from treekd.linear_code import hamming_7_4
 from treekd.protocol import ProtocolConfig, run_blocks
 from treekd.transcript_io import (
+    _count,
     _parse_payload,
     format_payload,
     parse_transcript,
     transcript_lines,
 )
+
+# The regular expressions the parser once checked numbers and announcements
+# with, kept as the oracle of the str-method checks that replaced them.
+_ITEM = r"\((?:0|[1-9][0-9]*),(?:0|[1-9][0-9]*)\):[01]"
+ANNOUNCEMENT = re.compile(rf"{_ITEM}(?:,{_ITEM})*")
+EDGE_BIT = re.compile(r"\((\d+),(\d+)\):([01])")  # run only on a fullmatched text
+NUMBER = re.compile(r"0|[1-9][0-9]*")
+
+
+def pattern_count(text, what):
+    if not NUMBER.fullmatch(text):
+        raise ValueError(f"{what} {text!r} is not a canonical ASCII number")
+    return int(text)
+
+
+def pattern_announcement(text):
+    if not ANNOUNCEMENT.fullmatch(text):
+        raise ValueError(f"malformed announcement payload {text!r}")
+    items = EDGE_BIT.findall(text)
+    record = {(int(a), int(b)): int(bit) for a, b, bit in items}
+    if len(record) != len(items):
+        raise ValueError(f"announcement repeats an edge: {text!r}")
+    return record
+
+
+def outcome(parse, *args):
+    """repr of what parse(*args) returns, or the message it raises."""
+    try:
+        return repr(parse(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# Digits, the announcement punctuation, a space, an Arabic-Indic two and a
+# superscript two: str.isdigit() is true for both of those last two.
+ALPHABET = "0123456789(),:\u0662\u00b2 "
+NUMBERS = st.sampled_from(["0", "1", "2", "7", "10", "23"])
+NUMBERISH = st.one_of(
+    NUMBERS,
+    st.sampled_from(["01", "00", "\u0662", "\u00b2", " 1", ""]),
+    st.text(ALPHABET, max_size=3),
+)
+# Few numbers, so some announcements repeat an edge.
+ANNOUNCEMENTS = st.lists(
+    st.builds("({},{}):{}".format, NUMBERS, NUMBERS, st.sampled_from("01")),
+    min_size=1, max_size=4,
+).map(",".join)
+TEXTS = st.one_of(
+    st.text(ALPHABET, max_size=24),
+    NUMBERISH,
+    ANNOUNCEMENTS,
+    st.builds(mutate, ANNOUNCEMENTS, edits(ALPHABET)),
+)
+
+
+class TestChecksMatchThePatterns:
+    """_count and the announcement check accept exactly the texts the old
+    patterns fullmatch, and fail on each other text with the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(NUMBERISH, st.text(ALPHABET, max_size=6)))
+    @example("0")
+    @example("10")
+    @example("01")
+    @example("\u0662")
+    @example("\u00b2")
+    def test_count(self, text):
+        assert outcome(_count, text, "seq") == outcome(pattern_count, text, "seq")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=TEXTS)
+    @example("(0,1):0,(1,2):1")
+    @example("(0,1):0,(0,1):1")
+    @example("(0,1):0,")
+    @example("(0,1):0,(1,2):1,(3,\u00b2):0")
+    @example("(10,2):1")
+    @example("(0,1):1)")
+    def test_announcement(self, text):
+        assert outcome(_parse_payload, "announcement", text) == outcome(
+            pattern_announcement, text
+        )
 
 
 class TestParseOncePerDistinctText:
@@ -117,3 +200,41 @@ class TestParsedRounds:
             assert rounds_from_transcript(block) is block.rounds
         if flip == 0.3 and n > 2:
             assert "aborted" in {result.status for result in results}
+
+
+def honest_transcript(n, seed, flip, delta):
+    """Four blocks of an honest run on a random n-agent tree, as text."""
+    edges = [
+        WeightedEdge(e.a, e.b, flip_prob=flip)
+        for e in random_tree_edges(n, random.Random(seed))
+    ]
+    config = ProtocolConfig(
+        graph=SecurityGraph(n, edges, range(n)), leader=seed % n,
+        code=hamming_7_4(), blocks=4, delta=delta, epsilon=0.05, seed=seed,
+    )
+    lines = []
+    for i, result in enumerate(run_blocks(config)):
+        lines.append(f"# block {i}")
+        lines.extend(transcript_lines(result.transcript))
+    return "\n".join(lines) + "\n"
+
+
+# One run whose four blocks complete, one whose four blocks abort.
+FUZZ_TRANSCRIPTS = [
+    honest_transcript(4, 1, 0.0, 0.3), honest_transcript(5, 2, 0.3, 0.1)
+]
+
+
+class TestMutatedTranscripts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.sampled_from(FUZZ_TRANSCRIPTS),
+        changes=edits("0123456789 (),:/#\n-+_.eE\u0662\u00b2abcdeiknorstu"),
+    )
+    def test_only_line_numbered_value_errors(self, base, changes):
+        # A transcript that does not parse is a ValueError naming its line,
+        # never any other exception: analyze turns only that into an error.
+        try:
+            parse_transcript(mutate(base, changes).splitlines())
+        except ValueError as exc:
+            assert str(exc).startswith("transcript line "), exc
