@@ -6,11 +6,12 @@ the edge's flip probability, and an eavesdropper learns nothing from this
 step.  An anti-correlated link is corrected by its endpoints (one of them
 complements its string), so the config parser accepts the ``anti`` flag
 and drops it, and the simulator hands out aligned strings.  Everything
-broadcast afterwards is on a block's public transcript: one text line
-per message, numbered 0, 1, 2, ... in the order they are broadcast,
-exactly as ``treekd run`` writes it.  A block's rounds are not sent line
-by line: subroutine.render_rounds writes all their lines at once, as the
-transcript's start, and ``broadcast`` appends each later message.
+broadcast afterwards is on a block's public transcript, a list of text
+lines, one per message, numbered 0, 1, 2, ... in the order they are
+broadcast, exactly as ``treekd run`` writes it.  A block's rounds are not
+sent line by line: subroutine.render_rounds writes all their lines at
+once, as the transcript's start, and ``broadcast`` appends each later
+message.
 """
 
 from __future__ import annotations
@@ -21,17 +22,10 @@ from .graph_core import WeightedEdge
 from .rng import SeededRng
 
 
-class Transcript:
-    """The ordered public record of every authenticated broadcast, as text."""
-
-    def __init__(self):
-        self.lines: List[str] = []
-
-
-def broadcast(t: Transcript, sender: int, kind: str, text: str) -> None:
-    """Append one message line, numbered 0, 1, 2, ... by its position; text
-    is the payload as transcript_io.format_payload renders it."""
-    t.lines.append(f"{len(t.lines)} {sender} {kind} {text}")
+def broadcast(t: List[str], sender: int, kind: str, text: str) -> None:
+    """Append one message line to transcript t, numbered 0, 1, 2, ... by its
+    position; text is the payload as transcript_io.format_payload renders it."""
+    t.append(f"{len(t)} {sender} {kind} {text}")
 
 
 def simulate_pairwise_kd(

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import config_io, eve_analysis, protocol, transcript_io
-from .config_io import ConfigError, RunSpec
+from .config_io import ConfigError
 from .graph_core import DisconnectedGraphError, SecurityGraph, WeightedEdge
 from .linear_code import LinearCode
 from .rng import SeededRng
@@ -29,14 +29,16 @@ def _key_hex(index: int, k: int) -> str:
     return f"{index:0{(k + 3) // 4}x}"
 
 
-def _protocol_config(spec: RunSpec) -> protocol.ProtocolConfig:
-    """The run's config, whose tree every command builds through this."""
+def _protocol_config(spec) -> protocol.ProtocolConfig:
+    """ProtocolConfig._make(spec), a fresh config with its own tree.  No
+    command calls it; benchmarks/run.py:140 and tests/test_layertrace.py:41
+    do."""
     return protocol.ProtocolConfig._make(spec)
 
 
-def cmd_plan(spec: RunSpec, out=None) -> int:
-    tree = _protocol_config(spec).tree
-    print(f"agents: {spec.graph.n}", file=out)
+def cmd_plan(config: protocol.ProtocolConfig, out=None) -> int:
+    tree = config.tree
+    print(f"agents: {config.graph.n}", file=out)
     print("minimum spanning security tree:", file=out)
     for e in tree.edges:
         print(f"  edge {e.a} {e.b} weight={e.weight}", file=out)
@@ -60,8 +62,7 @@ def _summary_lines(results, code: LinearCode) -> List[str]:
     return lines
 
 
-def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
-    config = _protocol_config(spec)
+def cmd_run(config: protocol.ProtocolConfig, out_dir: Optional[Path], out=None) -> int:
     results = protocol.run_blocks(config)
     code = config.code
     completed, agreed, _ = protocol.summarize(results)
@@ -108,7 +109,7 @@ def cmd_run(spec: RunSpec, out_dir: Optional[Path], out=None) -> int:
 
 
 def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
-    config = _protocol_config(config_io.load_config(config_path))
+    config = config_io.load_config(config_path)
     tree, leader = config.tree, config.leader
     blocks = transcript_io.parse_transcript(
         transcript_path.read_text().splitlines()
@@ -147,21 +148,21 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
 
 
 def cmd_sweep(
-    spec: RunSpec,
+    config: protocol.ProtocolConfig,
     flips: Sequence[float],
     out_dir: Optional[Path],
     out=None,
 ) -> int:
-    bound = protocol.failure_bound(spec.delta, spec.epsilon, spec.code.m)
+    bound = protocol.failure_bound(config.delta, config.epsilon, config.code.m)
     rows = ["flip_prob\tabort_rate\tagreement_rate\tmean_check_mismatch\tfailure_bound"]
     for i, flip in enumerate(flips):
-        edges = [WeightedEdge(e.a, e.b, e.weight, flip) for e in spec.graph.edges]
-        config = _protocol_config(spec._replace(
-            graph=SecurityGraph(spec.graph.n, edges, spec.graph.sources),
-            seed=SeededRng(spec.seed).substream("sweep", i).seed,
-        ))
-        completed, agreed, fracs = protocol.summarize(protocol.run_blocks(config))
-        abort_rate = 1.0 - completed / config.blocks
+        edges = [WeightedEdge(e.a, e.b, e.weight, flip) for e in config.graph.edges]
+        step = config._replace(
+            graph=SecurityGraph(config.graph.n, edges, config.graph.sources),
+            seed=SeededRng(config.seed).substream("sweep", i).seed,
+        )
+        completed, agreed, fracs = protocol.summarize(protocol.run_blocks(step))
+        abort_rate = 1.0 - completed / step.blocks
         agreement_rate = agreed / completed if completed else 0.0
         mismatches = [float(frac) for frac in fracs]
         mean_mismatch = sum(mismatches) / len(mismatches) if mismatches else 0.0
@@ -217,14 +218,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args.transcript, args.config)
 
-        spec = config_io.load_config(args.config)
+        config = config_io.load_config(args.config)
         if args.command == "plan":
-            return cmd_plan(spec)
+            return cmd_plan(config)
 
         if args.seed is not None:
-            spec = spec._replace(seed=args.seed)
+            config = config._replace(seed=args.seed)
         if args.command == "run":
-            return cmd_run(spec, args.out)
+            return cmd_run(config, args.out)
 
         # The one command left is sweep.
         if args.flip_steps < 2:
@@ -238,7 +239,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.flip_min + span * i / (args.flip_steps - 1)
             for i in range(args.flip_steps)
         ]
-        return cmd_sweep(spec, flips, args.out)
+        return cmd_sweep(config, flips, args.out)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)

@@ -19,13 +19,13 @@ then the graph as a whole; only connectivity is left to the tree.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 from .graph_core import SecurityGraph, WeightedEdge, validate_graph
 from .linear_code import code_by_name
+from .protocol import ProtocolConfig
 
 DEFAULTS = {
     "code": "hamming7_4",
@@ -43,12 +43,6 @@ class ConfigError(Exception):
     def __init__(self, errors: List[str]):
         self.errors = list(errors)
         super().__init__("\n".join(self.errors))
-
-
-RunSpec = namedtuple("RunSpec", "graph leader code blocks delta epsilon seed")
-RunSpec.__doc__ = """A run config as parse_config checked it: graph (SecurityGraph),
-leader (int), code (LinearCode), blocks (int), delta (float),
-epsilon (float) and seed (int)."""
 
 
 def _number(kind, text: str):
@@ -114,6 +108,9 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
                 weight_text = attrs.get("weight", "1")
                 weight = weights.get(weight_text)
                 if weight is None:
+                    # Fraction() would build 10**exponent: 1e9999999 takes seconds.
+                    if "e" in weight_text or "E" in weight_text:
+                        raise ValueError(f"weight {weight_text!r} has an exponent")
                     weight = weights[weight_text] = _number(Fraction, weight_text)
                 flip = _number(float, attrs.get("flip", "0"))
                 edge = WeightedEdge(a, b, weight, flip)
@@ -163,8 +160,9 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
     return graph, params, errors
 
 
-def parse_config(text: str) -> RunSpec:
-    """Parse a run config; collects every line and param error before failing.
+def parse_config(text: str) -> ProtocolConfig:
+    """The ProtocolConfig that every command runs, parsed from a run config's
+    text; collects every line and param error before failing.
 
     Each source and edge record is checked against the declared nodes, the
     declared sources and the earlier edges here, with its line.  Once those
@@ -216,7 +214,7 @@ def parse_config(text: str) -> RunSpec:
         errors.extend(validate_graph(graph))
     if errors:
         raise ConfigError(errors)
-    return RunSpec(
+    return ProtocolConfig(
         graph=graph,
         leader=leader,
         code=code,
@@ -227,7 +225,7 @@ def parse_config(text: str) -> RunSpec:
     )
 
 
-def load_config(path: Path) -> RunSpec:
+def load_config(path: Path) -> ProtocolConfig:
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
     return parse_config(path.read_text())

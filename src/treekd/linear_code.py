@@ -93,8 +93,13 @@ def code_by_name(name: str) -> LinearCode:
     if name == "hamming7_4":
         return hamming_7_4()
     if name.startswith("repetition"):
+        digits = name[len("repetition"):]
         try:
-            return repetition_code(int(name[len("repetition"):]))
+            # Only as str(m) writes m: int() alone also reads '+3', '03',
+            # '0_3' and '\u0663'.
+            if not (digits.isascii() and digits.isdigit() and str(int(digits)) == digits):
+                raise ValueError(f"length {digits!r} is not a canonical ASCII number")
+            return repetition_code(int(digits))
         except ValueError as exc:
             raise ValueError(f"bad repetition code name {name!r}: {exc}") from exc
     raise ValueError(f"unknown code name {name!r}")

@@ -16,8 +16,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .bits import BitString
-from .channel_sim import Transcript, broadcast, simulate_pairwise_kd
-from .config_io import RunSpec
+from .channel_sim import broadcast, simulate_pairwise_kd
 from .graph_core import EdgeKey, SpanningTree, mst_kruskal
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
 from .rng import SeededRng
@@ -26,10 +25,13 @@ from .subroutine import render_rounds, subroutine_round
 from .transcript_io import format_payload
 
 
-class ProtocolConfig(RunSpec):
-    """A run's parameters, as parse_config checked them, and their tree.
+class ProtocolConfig(namedtuple("ProtocolConfig", "graph leader code blocks delta epsilon seed")):
+    """A run config as parse_config checked it: graph (SecurityGraph),
+    leader (int), code (LinearCode), blocks (int), delta (float),
+    epsilon (float) and seed (int); and its tree, built on first use.
 
-    A subclass, since a namedtuple has no instance dict to cache the tree in.
+    A subclass, since a namedtuple has no instance dict to cache the tree
+    in; _replace makes a new config, which builds its own tree.
     """
 
     @cached_property
@@ -52,7 +54,7 @@ KeyResult = namedtuple("KeyResult", "status key_indices mismatch transcript")
 KeyResult.__doc__ = """One block's outcome: status (str, "completed" or "aborted"),
 key_indices (Optional[Dict[int, int]], each agent's key index; None when
 aborted), mismatch (Mapping[int, Fraction], each agent's check mismatch)
-and transcript (Transcript)."""
+and transcript (List[str], its lines)."""
 
 
 def code_efficiency(n: int, k: int, m: int) -> Fraction:
@@ -104,7 +106,7 @@ def reconcile(
     codebits: Mapping[int, BitString],
     code: LinearCode,
     rng: SeededRng,
-    transcript: Transcript,
+    transcript: List[str],
     leader: int,
 ) -> Dict[int, int]:
     """Code-based reconciliation: the leader broadcasts c XOR its code bits
@@ -124,7 +126,7 @@ def reconcile(
 
 def run_rounds(
     config: ProtocolConfig, rng: SeededRng, positions: int
-) -> Tuple[List[int], Transcript]:
+) -> Tuple[List[int], List[str]]:
     """Steps 1-3: pairwise KD on the tree and `positions` subroutine rounds,
     drawn from the block's stream `rng`.
 
@@ -160,8 +162,7 @@ def run_rounds(
         agent: {key: words[key][side] ^ mask for key, side in sides}
         for (agent, _, sides), mask in zip(layout, mask_words)
     }
-    transcript = Transcript()
-    transcript.lines = render_rounds(layout, masked, chosen, leader)
+    transcript = render_rounds(layout, masked, chosen, leader)
     own = {e.key: words[e.key][int(leader == e.b)] for e in tree.incident_edges(leader)}
     assignment = reconstruct_assignment(leader, own, masked, tree)
     base = parity[leader]

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Tuple
 
 from .bits import BitString
-from .channel_sim import Transcript
 from .graph_core import EdgeKey
 
 
@@ -35,10 +34,10 @@ BroadcastMessage.__doc__ = """One transcript line as parsed: seq and sender (int
 and payload (its kind's parsed value)."""
 
 
-class ParsedTranscript(Transcript):
-    """A block read back from text: its lines, the message each carries,
-    and its rounds as the parser checked them, one (announcements by
-    sender, the choice's sender, chosen terminal) triple per
+class ParsedTranscript(list):
+    """A block read back from text: the list of its lines, the message each
+    carries, and its rounds as the parser checked them, one (announcements
+    by sender, the choice's sender, chosen terminal) triple per
     terminal_choice."""
 
     def __init__(self):
@@ -60,8 +59,9 @@ def format_payload(kind: str, payload) -> str:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def transcript_lines(t: Transcript) -> List[str]:
-    return t.lines
+def transcript_lines(t: List[str]) -> List[str]:
+    """A block transcript's lines: the transcript itself, a list of them."""
+    return t
 
 
 _BITS = {"0": 0, "1": 1}
@@ -198,8 +198,8 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                 phase = "rounds"
             if current is None:
                 raise ValueError(f"stream starts at seq {seq}")
-            if seq != len(current.lines):
-                raise ValueError(f"expected seq {len(current.lines)}, got {seq}")
+            if seq != len(current):
+                raise ValueError(f"expected seq {len(current)}, got {seq}")
             if phase != "rounds" and kind in ("announcement", "terminal_choice"):
                 raise ValueError(f"{kind} after the block's rounds")
             if phase == "outcome":
@@ -207,7 +207,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             # tuple.__new__ skips the namedtuple's Python-level __new__.
             message = tuple.__new__(BroadcastMessage, (seq, sender, kind, payload))
             current.messages.append(message)
-            current.lines.append(line)
+            current.append(line)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
         if kind == "announcement":

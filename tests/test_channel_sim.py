@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treekd.bits import BitString
-from treekd.channel_sim import Transcript, broadcast, simulate_pairwise_kd
+from treekd.channel_sim import broadcast, simulate_pairwise_kd
 from treekd.graph_core import WeightedEdge
 from treekd.rng import SeededRng
 
@@ -57,15 +57,15 @@ class TestSimulatePairwiseKd:
 
 class TestTranscript:
     def test_append_from_empty(self):
-        t = Transcript()
+        t = []
         broadcast(t, 0, "terminal_choice", "1")
-        assert t.lines == ["0 0 terminal_choice 1"]
+        assert t == ["0 0 terminal_choice 1"]
 
     def test_append_order_preserved(self):
-        t = Transcript()
+        t = []
         for i in range(3):
             broadcast(t, i, "terminal_choice", str(i))
-        assert t.lines == [f"{i} {i} terminal_choice {i}" for i in range(3)]
+        assert t == [f"{i} {i} terminal_choice {i}" for i in range(3)]
 
 
 class TestBitString:

@@ -129,6 +129,25 @@ class TestParseConfig:
              "line 4: '\u0661\u0660' is not a plain ASCII number"),
             ("edge 0 1 flip=0_0.1\n", "line 4: '0_0.1' is not a plain ASCII number"),
             ("param delta=0_0.2\n", "line 4: param delta must be a number, got '0_0.2'"),
+            ("edge 0 1 weight=1e3\n", "line 4: weight '1e3' has an exponent"),
+            ("edge 0 1 weight=1E-3\n", "line 4: weight '1E-3' has an exponent"),
+            # Fraction() alone would build 10**9999999 for seconds first.
+            ("edge 0 1 weight=1e9999999\n", "line 4: weight '1e9999999' has an exponent"),
+            ("param code=repetition+3\n",
+             "line 4: bad repetition code name 'repetition+3': "
+             "length '+3' is not a canonical ASCII number"),
+            ("param code=repetition03\n",
+             "line 4: bad repetition code name 'repetition03': "
+             "length '03' is not a canonical ASCII number"),
+            ("param code=repetition0_3\n",
+             "line 4: bad repetition code name 'repetition0_3': "
+             "length '0_3' is not a canonical ASCII number"),
+            ("param code=repetition\u0663\n",
+             "line 4: bad repetition code name 'repetition\u0663': "
+             "length '\u0663' is not a canonical ASCII number"),
+            ("param code=repetition\n",
+             "line 4: bad repetition code name 'repetition': "
+             "length '' is not a canonical ASCII number"),
         ],
         ids=["zero-denominator", "epsilon-nan", "epsilon-inf", "epsilon-zero",
              "node-extra-field", "source-extra-field", "param-extra-field",
@@ -142,7 +161,10 @@ class TestParseConfig:
              "node-negative-id", "source-negative-id", "node-arabic-indic-digit", "param-blocks-underscore",
              "param-seed-arabic-indic-digit", "param-leader-plus-sign",
              "edge-weight-arabic-indic-digits", "edge-flip-underscore",
-             "param-delta-underscore"],
+             "param-delta-underscore", "edge-weight-exponent", "edge-weight-upper-exponent",
+             "edge-weight-huge-exponent", "param-code-repetition-plus-sign",
+             "param-code-repetition-leading-zero", "param-code-repetition-underscore",
+             "param-code-repetition-arabic-indic-digit", "param-code-repetition-no-length"],
     )
     def test_bad_number_exits_1_with_error(self, tmp_path, capsys, extra, message):
         # Each case is exactly one error: a value that fails to convert

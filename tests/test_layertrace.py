@@ -51,5 +51,5 @@ def test_every_target_resolves_and_one_block_is_traced():
     assert counts["subroutine.reconstruct_assignment.calls"] == 1
     # render_rounds writes the rounds' lines, announcements and terminal
     # choices; every later line is one broadcast.
-    broadcast_lines = len(result.transcript.lines) - rounds * (len(config.announcers) + 1)
+    broadcast_lines = len(result.transcript) - rounds * (len(config.announcers) + 1)
     assert counts["channel_sim.broadcast.calls"] == broadcast_lines

@@ -20,8 +20,8 @@ from conftest import (
 from treekd import cli, config_io, graph_core, linear_code, protocol, subroutine
 from treekd import rng as rng_module
 from treekd.bits import BitString
-from treekd.channel_sim import Transcript, simulate_pairwise_kd
-from treekd.config_io import ConfigError, parse_config
+from treekd.channel_sim import simulate_pairwise_kd
+from treekd.config_io import ConfigError, load_config, parse_config
 from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge, terminal_agents
 from treekd.linear_code import hamming_7_4, repetition_code
@@ -107,7 +107,7 @@ class TestReconcile:
         code = hamming_7_4()
         v = BitString.from_text("1011001")
         indices = reconcile(
-            {j: v for j in range(4)}, code, SeededRng(3), Transcript(), leader=0
+            {j: v for j in range(4)}, code, SeededRng(3), [], leader=0
         )
         assert len(set(indices.values())) == 1
 
@@ -129,7 +129,7 @@ class TestReconcile:
                     3: v ^ singles[p3],
                 }
                 indices = reconcile(
-                    agent_bits, code, SeededRng(index), Transcript(), leader=0
+                    agent_bits, code, SeededRng(index), [], leader=0
                 )
                 assert len(set(indices.values())) == 1
 
@@ -138,7 +138,7 @@ class TestReconcile:
         v = BitString.from_text("0000000")
         bad = v ^ BitString.from_text("1100000")
         indices = reconcile(
-            {0: v, 1: bad}, code, SeededRng(0), Transcript(), leader=0
+            {0: v, 1: bad}, code, SeededRng(0), [], leader=0
         )
         assert indices[1] != indices[0]  # outside radius t=1
 
@@ -172,7 +172,7 @@ class TestLeaderIsAnyKey:
 
         monkeypatch.setattr(protocol, "decode_to_codeword", decode)
         drawn = SeededRng(5).generator().randrange(1 << code.k)
-        transcript = Transcript()
+        transcript = []
         indices = reconcile(
             {0: near, 1: v, 2: near, 3: v}, code, SeededRng(5), transcript, leader=1
         )
@@ -187,7 +187,7 @@ class TestLeaderIsAnyKey:
         v = BitString.from_text("0000000")
         far = v ^ BitString.from_text("1100000")  # outside the radius
         indices = reconcile(
-            {0: v, 1: far, 2: far, 3: v}, code, SeededRng(0), Transcript(), leader=0
+            {0: v, 1: far, 2: far, 3: v}, code, SeededRng(0), [], leader=0
         )
         assert indices[1] == indices[2] != indices[0] == indices[3]
 
@@ -301,7 +301,7 @@ class TestRunBlock:
         def keys_with(strings):
             codebits = {a: s.take(code_positions) for a, s in strings.items()}
             return reconcile(
-                codebits, config.code, rng.substream("code"), Transcript(), leader=0
+                codebits, config.code, rng.substream("code"), [], leader=0
             )
 
         perturbed = {
@@ -368,11 +368,11 @@ class TestSummarize:
     def test_counts_and_mismatch_order(self):
         results = [
             KeyResult("completed", {0: 5, 1: 5, 2: 5},
-                      {1: Fraction(0), 2: Fraction(1, 7)}, Transcript()),
+                      {1: Fraction(0), 2: Fraction(1, 7)}, []),
             KeyResult("completed", {0: 3, 1: 3, 2: 4},
-                      {1: Fraction(2, 7), 2: Fraction(3, 7)}, Transcript()),
+                      {1: Fraction(2, 7), 2: Fraction(3, 7)}, []),
             KeyResult("aborted", None,
-                      {1: Fraction(4, 7), 2: Fraction(5, 7)}, Transcript()),
+                      {1: Fraction(4, 7), 2: Fraction(5, 7)}, []),
         ]
         completed, agreed, mismatches = summarize(results)
         assert (completed, agreed) == (2, 1)
@@ -384,14 +384,14 @@ class TestRecords:
     @pytest.mark.parametrize(
         "record, fields",
         [
-            (config_io.RunSpec,
+            (ProtocolConfig,
              ("graph", "leader", "code", "blocks", "delta", "epsilon", "seed")),
             (WeightedEdge, ("a", "b", "weight", "flip_prob")),
             (linear_code.LinearCode, ("m", "k", "t", "codewords")),
             (KeyResult, ("status", "key_indices", "mismatch", "transcript")),
             (BroadcastMessage, ("seq", "sender", "kind", "payload")),
         ],
-        ids=["RunSpec", "WeightedEdge", "LinearCode", "KeyResult", "BroadcastMessage"],
+        ids=["ProtocolConfig", "WeightedEdge", "LinearCode", "KeyResult", "BroadcastMessage"],
     )
     def test_fields_make_and_replace(self, record, fields):
         # Field order is positional construction; _make and _replace give
@@ -410,14 +410,50 @@ class TestRecords:
         assert by_name.status == "aborted" and by_name.key_indices is None
 
     def test_protocol_config_caches_its_tree(self):
-        spec = parse_config("node 0\nnode 1\nnode 2\nsource 1\nedge 0 1\nedge 1 2\n")
-        config = ProtocolConfig._make(spec)
-        assert type(config) is ProtocolConfig and config == spec
+        config = parse_config("node 0\nnode 1\nnode 2\nsource 1\nedge 0 1\nedge 1 2\n")
+        assert type(config) is ProtocolConfig
         assert config.tree is config.tree
         assert config.announcers is config.announcers
         other = config._replace(seed=5)
         assert type(other) is ProtocolConfig and other.seed == 5
         assert other.tree is not config.tree and other.tree.edges == config.tree.edges
+
+    def test_sweep_steps_and_seed_override_build_their_own_tree(self, tmp_path, monkeypatch):
+        # parse_config returns the config every command runs.  A sweep step
+        # (its graph replaced) and --seed (its seed replaced) are new
+        # configs: each builds its own tree and layout, and the loaded
+        # config's cached tree is not reused.
+        text = "node 0\nnode 1\nnode 2\nsource 1\nedge 0 1 flip=0.01\nedge 1 2\n"
+        path = tmp_path / "path3.cfg"
+        path.write_text(text + "param blocks=1\n")
+        loaded, ran = [], []
+
+        def load(config_path):
+            config = load_config(config_path)
+            assert type(config) is ProtocolConfig
+            loaded.append((config, config.tree, config.announcers))
+            return config
+
+        def run_blocks_of(config):
+            ran.append((config, config.tree, config.announcers))
+            return run_blocks(config)
+
+        monkeypatch.setattr(config_io, "load_config", load)
+        monkeypatch.setattr(protocol, "run_blocks", run_blocks_of)
+        assert cli.main(["sweep", "--config", str(path), "--flip-min", "0",
+                         "--flip-max", "0.2", "--flip-steps", "3"]) == cli.EXIT_OK
+        assert cli.main(["run", "--config", str(path), "--seed", "7"]) == cli.EXIT_OK
+        assert len(loaded) == 2 and len(ran) == 4
+        for (config, tree, layout), (step, step_tree, step_layout) in zip(
+            [loaded[0]] * 3 + [loaded[1]], ran
+        ):
+            assert type(step) is ProtocolConfig and step is not config
+            assert step_tree is not tree and step_layout is not layout
+            assert step_layout == layout
+            assert [e.key for e in step_tree.edges] == [e.key for e in tree.edges]
+        flips_by_step = [[e.flip_prob for e in tree.edges] for _, tree, _ in ran]
+        assert flips_by_step == [[0.0] * 2, [0.1] * 2, [0.2] * 2, [0.01, 0.0]]
+        assert ran[-1][0].seed == 7 and loaded[1][0].seed == 0
 
 
 class TestTreeBuiltOnce:
