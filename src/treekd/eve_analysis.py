@@ -54,11 +54,8 @@ def secret_entropy(count: int) -> float:
 
 
 def rounds_from_transcript(transcript: ParsedTranscript) -> List[Tuple[dict, int, int]]:
-    """A block transcript's (announcements, chooser, chosen terminal) rounds,
-    as parse_transcript grouped them.
-
-    A round is the run of announcements up to and including one
-    terminal_choice, as visible on the wire; check/code/abort messages after
-    the rounds are not part of the eavesdropper's round analysis.
-    """
+    """A block's (announcements by sender, chooser, chosen terminal) rounds,
+    as parse_transcript grouped them, each announcement a read-only view.
+    A round is the run of announcements its terminal_choice closes; the
+    check, code and abort messages after the rounds are not part of it."""
     return transcript.rounds

@@ -27,9 +27,8 @@ table: m, k and t (int), and codewords (Tuple[BitString, ...]), all 2^k
 codewords in index order."""
 
 
-def _systematic_code(m: int, k: int, t: int, a_rows) -> LinearCode:
-    """The code G = [I_k | A] from the k x (m-k) block A, tabulated once."""
-    rows = [BitString.from_bits(row).value for row in a_rows]
+def _systematic_code(m: int, k: int, t: int, rows: Tuple[int, ...]) -> LinearCode:
+    """The code G = [I_k | A] from A's k rows, each an (m-k)-bit int, tabulated once."""
     table = []
     for index in range(1 << k):
         parity = 0
@@ -42,15 +41,14 @@ def _systematic_code(m: int, k: int, t: int, a_rows) -> LinearCode:
 
 def hamming_7_4() -> LinearCode:
     """The [7,4] Hamming code, t = 1, systematic convention."""
-    a = ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
-    return _systematic_code(7, 4, 1, a)
+    return _systematic_code(7, 4, 1, (0b110, 0b101, 0b011, 0b111))
 
 
 def repetition_code(m: int) -> LinearCode:
     """The [m,1] repetition code, t = (m-1)/2; m must be odd."""
     if m < 1 or m % 2 == 0:
         raise ValueError("repetition length must be odd and positive")
-    return _systematic_code(m, 1, (m - 1) // 2, ((1,) * (m - 1),))
+    return _systematic_code(m, 1, (m - 1) // 2, ((1 << (m - 1)) - 1,))
 
 
 def decode_to_codeword(

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .bits import BitString
 from .graph_core import EdgeKey
@@ -38,12 +40,21 @@ class ParsedTranscript(list):
     """A block read back from text: the list of its lines, the message each
     carries, and its rounds as the parser checked them, one (announcements
     by sender, the choice's sender, chosen terminal) triple per
-    terminal_choice."""
+    terminal_choice, each announcement the parser's shared read-only view."""
 
-    def __init__(self):
+    def __init__(self, tails: Dict[str, tuple]):
         super().__init__()
-        self.messages: List[BroadcastMessage] = []
-        self.rounds: List[Tuple[Dict[int, Dict[EdgeKey, int]], int, int]] = []
+        self._tails = tails  # text after a seq -> (sender, kind, payload)
+        self.rounds: List[Tuple[Dict[int, Mapping[EdgeKey, int]], int, int]] = []
+
+    @cached_property
+    def messages(self) -> List[BroadcastMessage]:
+        """Each line's message, built on first read, each with its own dict."""
+        entries = [self._tails[line.partition(" ")[2]] for line in self]
+        return [
+            BroadcastMessage(seq, sender, kind, dict(p) if type(p) is MappingProxyType else p)
+            for seq, (sender, kind, p) in enumerate(entries)
+        ]
 
 
 def format_payload(kind: str, payload) -> str:
@@ -151,40 +162,38 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     its other messages: once a block has carried any other message, a
     later announcement or terminal_choice in it is an error.  An abort or
     code_broadcast is the block's outcome, so no message may follow it in
-    its block.  Each
-    terminal_choice closes one of its block's rounds: the open round's
-    announcements by sender, its own sender, and the terminal it names.
+    its block.  Each terminal_choice closes one of its block's rounds: the
+    open round's announcements by sender, its own sender, and the terminal
+    it names.
 
-    Each distinct seq or sender text, and each distinct payload text of a
-    kind, is parsed once per call, as a transcript repeats few texts many
-    times; every message still gets its own copy of a dict payload, so no
-    two messages share one.
+    Each line's seq is checked on that line; the text after it, which few
+    distinct texts fill, is parsed once per text per call into a (sender,
+    kind, payload) table whose dict payloads are read-only shared views.
     """
     transcripts: List[ParsedTranscript] = []
     current: ParsedTranscript | None = None
-    parsed: Dict[Tuple[str, str], Any] = {}  # (kind, text) -> its payload
-    numbers: Dict[str, int] = {}  # seq or sender text -> its value
+    tails: Dict[str, tuple] = {}  # text after a seq -> (sender, kind, payload)
+    seqs: Dict[str, int] = {}  # seq text -> its value
     open_round = 0  # first line of a round; only a terminal_choice may follow it
-    pending: Dict[int, Dict[EdgeKey, int]] = {}  # the open round's records by sender
+    pending: Dict[int, Mapping[EdgeKey, int]] = {}  # the open round's records by sender
     phase = "rounds"  # how far the block has got: "rounds", "checks", "outcome"
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         try:
-            seq_s, sender_s, kind, payload_text = (line.split(" ", 3) + [""])[:4]
-            seq = numbers.get(seq_s)
+            seq_s, _, tail = line.partition(" ")
+            entry = tails.get(tail)
+            if entry is None:  # split the line whole: a short one fails before its seq
+                _, sender_s, kind, text = (line.split(" ", 3) + [""])[:4]
+                _count(seq_s, "seq")
+                sender, payload = _count(sender_s, "sender"), _parse_payload(kind, text)
+                view = MappingProxyType(payload) if type(payload) is dict else payload
+                entry = tails[tail] = (sender, kind, view)
+            sender, kind, payload = entry
+            seq = seqs.get(seq_s)
             if seq is None:
-                seq = numbers[seq_s] = _count(seq_s, "seq")
-            sender = numbers.get(sender_s)
-            if sender is None:
-                sender = numbers[sender_s] = _count(sender_s, "sender")
-            key = (kind, payload_text)
-            payload = parsed.get(key)
-            if payload is None:
-                payload = parsed[key] = _parse_payload(kind, payload_text)
-            elif isinstance(payload, dict):
-                payload = dict(payload)
+                seq = seqs[seq_s] = _count(seq_s, "seq")
             if open_round and (seq == 0 or kind not in ("announcement", "terminal_choice")):
                 raise ValueError(f"round from line {open_round} has no terminal_choice")
             if kind == "announcement" and sender in pending:
@@ -193,7 +202,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                     f"from agent {sender}"
                 )
             if seq == 0:
-                current = ParsedTranscript()
+                current = ParsedTranscript(tails)
                 transcripts.append(current)
                 phase = "rounds"
             if current is None:
@@ -204,22 +213,17 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                 raise ValueError(f"{kind} after the block's rounds")
             if phase == "outcome":
                 raise ValueError(f"{kind} after the block's outcome")
-            # tuple.__new__ skips the namedtuple's Python-level __new__.
-            message = tuple.__new__(BroadcastMessage, (seq, sender, kind, payload))
-            current.messages.append(message)
             current.append(line)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
         if kind == "announcement":
             open_round = open_round or lineno
             pending[sender] = payload
-        else:
-            if kind == "terminal_choice":
-                current.rounds.append((pending, sender, payload))
-            else:
-                phase = "outcome" if kind in ("abort", "code_broadcast") else "checks"
-            open_round = 0
-            pending = {}
+        elif kind == "terminal_choice":
+            current.rounds.append((pending, sender, payload))
+            open_round, pending = 0, {}
+        else:  # no round is open here: the checks above would have raised
+            phase = "outcome" if kind in ("abort", "code_broadcast") else "checks"
     if open_round:
         raise ValueError(f"transcript line {open_round}: round has no terminal_choice")
     return transcripts

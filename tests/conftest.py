@@ -36,7 +36,7 @@ from treekd.transcript_io import ParsedTranscript, format_payload, parse_transcr
 # A [6,3] code with a weight-2 codeword (001100), so some words have two
 # nearest codewords and the decoder's tie rule decides: no named code has
 # such words.
-TIED_6_3 = _systematic_code(6, 3, 0, ((1, 1, 0), (0, 1, 1), (1, 0, 0)))
+TIED_6_3 = _systematic_code(6, 3, 0, (0b110, 0b011, 0b100))
 
 
 # A degree-5 announcer (agent 2) next to a degree-2 one (agent 5).

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, product
 
 import pytest
@@ -221,6 +222,15 @@ class TestCodeByName:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             code_by_name("golay23")
+
+    def test_long_repetition_builds_in_linear_time(self):
+        # Growing the A row one bit at a time made this build quadratic in m.
+        start = time.perf_counter()
+        code = code_by_name("repetition1000001")
+        assert time.perf_counter() - start < 0.5
+        m = 1000001
+        assert (code.m, code.k, code.t) == (m, 1, 500000)
+        assert code.codewords == (BitString(0, m), BitString((1 << m) - 1, m))
 
     def test_repetition17_corrects_8_errors(self):
         code = code_by_name("repetition17")

@@ -1,6 +1,7 @@
 import random
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -123,14 +124,10 @@ class TestParseOncePerDistinctText:
             for line in transcript_lines(result.transcript)
         ]
         blocks = parse_transcript(lines)
-        messages = [m for block in blocks for m in block.messages]
         assert [line for block in blocks for line in transcript_lines(block)] == lines
-        assert len(messages) == len(lines)
-        for message, line in zip(messages, lines):
-            text = (line.split(" ", 3) + [""])[3]
-            assert message.payload == _parse_payload(message.kind, text)
-            rendered = format_payload(message.kind, message.payload)
-            assert f"{message.seq} {message.sender} {message.kind} {rendered}" == line
+        for block in blocks:
+            assert_messages_read_as_their_lines(block)
+        messages = [m for block in blocks for m in block.messages]
         dicts = [m.payload for m in messages if isinstance(m.payload, dict)]
         assert len({id(d) for d in dicts}) == len(dicts)
 
@@ -152,6 +149,54 @@ class TestParseOncePerDistinctText:
             original = dict(first)
             rest[0].clear()
             assert first == original and all(p == original for p in rest[1:])
+
+
+class TestSharedPayloadViews:
+    """The rounds hold the parser's one read-only view per distinct text;
+    messages are built, each with its own dict, only when first read."""
+
+    LINES = [
+        "0 1 announcement (0,1):1,(1,2):0",
+        "1 0 terminal_choice 0",
+        "2 1 announcement (0,1):1,(1,2):0",
+        "3 0 terminal_choice 2",
+    ]
+
+    def test_round_payloads_are_shared_read_only_views(self):
+        (block,) = parse_transcript(self.LINES)
+        (first, _, _), (second, _, _) = block.rounds
+        assert first[1] is second[1]
+        with pytest.raises(TypeError):
+            first[1][0, 1] = 0
+        assert first[1] == {(0, 1): 1, (1, 2): 0}
+
+    def test_messages_are_built_on_first_read(self):
+        (block,) = parse_transcript(self.LINES)
+        assert "messages" not in block.__dict__
+        messages = block.messages
+        assert block.__dict__["messages"] is messages and block.messages is messages
+        assert [m.seq for m in messages] == [0, 1, 2, 3]
+        messages[0].payload[0, 1] = 0
+        ((announcements, _, _), _) = block.rounds
+        assert announcements[1] == {(0, 1): 1, (1, 2): 0} == messages[2].payload
+
+
+def assert_messages_read_as_their_lines(block):
+    """Each of block's messages equals a fresh parse of its own line and
+    renders back to that line, and block's rounds regroup from its
+    messages: a table of texts keyed on the wrong text fails here."""
+    assert len(block.messages) == len(block)
+    for message, line in zip(block.messages, block):
+        *head, text = (line.split(" ", 3) + [""])[:4]
+        assert message.payload == _parse_payload(message.kind, text)
+        if message.kind == "abort" and text:
+            # Read in any order, written in agent order.
+            text = ",".join(sorted(text.split(","), key=lambda item: int(item.split(":")[0])))
+        rendered = format_payload(message.kind, message.payload)
+        assert f"{message.seq} {message.sender} {message.kind} {rendered}" == " ".join(
+            head + [text]
+        )
+    assert block.rounds == regroup(block.messages)
 
 
 def regroup(messages):
@@ -225,16 +270,26 @@ FUZZ_TRANSCRIPTS = [
 ]
 
 
+# The first terminal_choice's sender, rewritten: that line's text after its
+# seq is new, while its kind and payload repeat on later lines.
+SENDER_SWAP = [(FUZZ_TRANSCRIPTS[0].index(" terminal_choice") - 1, 1, "0")]
+
+
 class TestMutatedTranscripts:
     @settings(max_examples=200, deadline=None)
     @given(
         base=st.sampled_from(FUZZ_TRANSCRIPTS),
         changes=edits("0123456789 (),:/#\n-+_.eE\u0662\u00b2abcdeiknorstu"),
     )
+    @example(base=FUZZ_TRANSCRIPTS[0], changes=SENDER_SWAP)
     def test_only_line_numbered_value_errors(self, base, changes):
         # A transcript that does not parse is a ValueError naming its line,
         # never any other exception: analyze turns only that into an error.
+        # One that parses reads as its lines, line by line.
         try:
-            parse_transcript(mutate(base, changes).splitlines())
+            blocks = parse_transcript(mutate(base, changes).splitlines())
         except ValueError as exc:
             assert str(exc).startswith("transcript line "), exc
+            return
+        for block in blocks:
+            assert_messages_read_as_their_lines(block)
