@@ -1,16 +1,15 @@
-"""Fixed-length bit strings over {0,1} with XOR algebra."""
+"""Fixed-length bit strings: the bit payloads a transcript carries."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
-
 
 class BitString:
-    """An immutable sequence of bits, index 0 first, held as one int.
+    """An immutable bit string, index 0 first, held as one int: a
+    check_values or code_broadcast payload, as the engine broadcasts it
+    and the parser reads it back.
 
     ``value`` is big-endian: bit i of the string is bit ``len - 1 - i`` of
-    the int, so the int's binary digits read as the string and comparing
-    two equal-length values compares the strings lexicographically.
+    the int, so the int's binary digits read as the string.
     """
 
     __slots__ = ("value", "_length")
@@ -22,16 +21,6 @@ class BitString:
         self._length = length
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        value = length = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value = value << 1 | int(b)
-            length += 1
-        return cls(value, length)
-
-    @classmethod
     def from_text(cls, text: str) -> "BitString":
         if text.strip("01"):
             raise ValueError("bits must be 0 or 1")
@@ -39,16 +28,6 @@ class BitString:
 
     def __len__(self) -> int:
         return self._length
-
-    def __getitem__(self, i: int) -> int:
-        n = self._length
-        if not -n <= i < n:
-            raise IndexError("BitString index out of range")
-        return self.value >> (n - 1 - i % n) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        value = self.value
-        return (value >> shift & 1 for shift in range(self._length - 1, -1, -1))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -59,24 +38,6 @@ class BitString:
 
     def __hash__(self) -> int:
         return hash((self.value, self._length))
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if self._length != other._length:
-            raise ValueError("length mismatch in XOR")
-        return BitString(self.value ^ other.value, self._length)
-
-    def hamming(self, other: "BitString") -> int:
-        if self._length != other._length:
-            raise ValueError("length mismatch in Hamming distance")
-        return (self.value ^ other.value).bit_count()
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def take(self, positions: Sequence[int]) -> "BitString":
-        """The sub-string at the given positions, in the given order."""
-        text = str(self)
-        return BitString.from_text("".join([text[i] for i in positions]))
 
     def __str__(self) -> str:
         return format(self.value, f"0{self._length}b") if self._length else ""

@@ -1,7 +1,8 @@
 """Binary [m,k] block codes with nearest-codeword decoding.
 
 Generator convention: systematic, G = [I_k | A], rows over GF(2); a code
-is held as its codeword table, built once from A.  A codeword's index is
+is held as its codeword table, built once from A.  Words and codewords are
+m-bit ints, position 0 in the most significant bit.  A codeword's index is
 the integer whose k-bit big-endian representation is the message, i.e. the
 first k codeword bits.  The named codes have at most 16 codewords, so
 decoding compares the word with every one of them and keeps the nearest:
@@ -13,7 +14,6 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Tuple
 
-from .bits import BitString
 from .rng import SeededRng
 
 
@@ -23,8 +23,8 @@ class NotACodewordError(Exception):
 
 LinearCode = namedtuple("LinearCode", "m k t codewords")
 LinearCode.__doc__ = """A t-error-correcting [m,k] code over GF(2), held as its codeword
-table: m, k and t (int), and codewords (Tuple[BitString, ...]), all 2^k
-codewords in index order."""
+table: m, k and t (int), and codewords (Tuple[int, ...]), all 2^k
+codewords in index order, each an m-bit int."""
 
 
 def _systematic_code(m: int, k: int, t: int, rows: Tuple[int, ...]) -> LinearCode:
@@ -35,7 +35,7 @@ def _systematic_code(m: int, k: int, t: int, rows: Tuple[int, ...]) -> LinearCod
         for i, row in enumerate(rows):
             if index >> (k - 1 - i) & 1:
                 parity ^= row
-        table.append(BitString(index << (m - k) | parity, m))
+        table.append(index << (m - k) | parity)
     return LinearCode(m=m, k=k, t=t, codewords=tuple(table))
 
 
@@ -51,36 +51,28 @@ def repetition_code(m: int) -> LinearCode:
     return _systematic_code(m, 1, (m - 1) // 2, ((1 << (m - 1)) - 1,))
 
 
-def decode_to_codeword(
-    code: LinearCode, word: BitString
-) -> Tuple[BitString, BitString]:
-    """Return (nearest codeword, estimated error), error = word XOR codeword.
+def decode_to_codeword(code: LinearCode, word: int) -> Tuple[int, int]:
+    """Return (nearest codeword, estimated error), error = word XOR codeword,
+    for an m-bit word.
 
     The error has minimum weight; among equal weights it is the one whose
     set positions come first, i.e. the largest as a big-endian integer.
     """
-    if len(word) != code.m:
-        raise ValueError(f"word length {len(word)} != m={code.m}")
-    value = word.value
-    nearest = code.codewords[value >> (code.m - code.k)]
-    if nearest.value == value:  # error 0 is the unique minimum
-        return nearest, BitString(0, code.m)
-    error = max(
-        (value ^ c.value for c in code.codewords), key=lambda e: (-e.bit_count(), e)
-    )
-    return BitString(value ^ error, code.m), BitString(error, code.m)
+    if word < 0 or word >> code.m:
+        raise ValueError(f"word {word} does not fit in m={code.m} bits")
+    error = max((word ^ c for c in code.codewords), key=lambda e: (-e.bit_count(), e))
+    return word ^ error, error
 
 
-def index_of(code: LinearCode, codeword: BitString) -> int:
+def index_of(code: LinearCode, codeword: int) -> int:
     """The unique index i with code.codewords[i] == codeword: its first k bits."""
-    if len(codeword) == code.m:
-        index = codeword.value >> (code.m - code.k)
-        if code.codewords[index] == codeword:
-            return index
+    index = codeword >> (code.m - code.k)
+    if 0 <= index < len(code.codewords) and code.codewords[index] == codeword:
+        return index
     raise NotACodewordError(f"{codeword} is not a codeword")
 
 
-def random_codeword(code: LinearCode, rng: SeededRng) -> Tuple[int, BitString]:
+def random_codeword(code: LinearCode, rng: SeededRng) -> Tuple[int, int]:
     """A uniformly random (index, codeword) pair."""
     index = rng.generator().randrange(1 << code.k)
     return index, code.codewords[index]

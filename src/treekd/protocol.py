@@ -95,15 +95,16 @@ def decide_abort(
     """
     limit = Fraction(str(delta))
     reference = check_values[leader]
-    m = len(reference)
+    m, value = len(reference), reference.value
     mismatch = {
-        agent: Fraction(reference.hamming(bits), m) for agent, bits in check_values.items()
+        agent: Fraction((value ^ bits.value).bit_count(), m)
+        for agent, bits in check_values.items()
     }
     return any(frac > limit for frac in mismatch.values()), mismatch
 
 
 def reconcile(
-    codebits: Mapping[int, BitString],
+    codebits: Mapping[int, int],
     code: LinearCode,
     rng: SeededRng,
     transcript: List[str],
@@ -112,11 +113,11 @@ def reconcile(
     """Code-based reconciliation: the leader broadcasts c XOR its code bits
     for a random codeword c, and every key, the leader too, decodes that
     XOR its own bits and outputs the codeword's index; the leader decodes
-    c itself, so it gets the index it drew.
+    c itself, so it gets the index it drew.  Code bits are m-bit words.
     """
     _, codeword = random_codeword(code, rng)
     masked = codeword ^ codebits[leader]
-    text = format_payload("code_broadcast", masked)
+    text = format_payload("code_broadcast", BitString(masked, code.m))
     broadcast(transcript, leader, "code_broadcast", text)
     return {
         agent: index_of(code, decode_to_codeword(code, masked ^ bits)[0])
@@ -176,7 +177,8 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
 
     Agents with one word share everything after the rounds, so the block
     splits, checks and decodes one holder per distinct word, the leader for
-    its own, and maps the results back to every agent in agent order.
+    its own, and maps the results back to every agent in agent order,
+    splitting a word's bit text into its check payload and its code word.
 
     A completed block's key is the codeword index each agent decoded; for
     these systematic codes the key bits are the index's k bits.
@@ -187,12 +189,16 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
     holder = {word: agent for agent, word in enumerate(words)}
     holder[words[leader]] = leader
     held = [holder[word] for word in words]
-    strings = {agent: BitString(word, 2 * m) for word, agent in holder.items()}
 
     check_positions = select_check_positions(rng.substream("check"), 2 * m)
     text = format_payload("check_positions", check_positions)
     broadcast(transcript, leader, "check_positions", text)
-    checks = {agent: bits.take(check_positions) for agent, bits in strings.items()}
+    code_positions = sorted(set(range(2 * m)).difference(check_positions))
+    checks, codes = {}, {}
+    for word, agent in holder.items():
+        bits = format(word, f"0{2 * m}b")
+        checks[agent] = BitString.from_text("".join([bits[i] for i in check_positions]))
+        codes[agent] = int("".join([bits[i] for i in code_positions]), 2)
     texts = {agent: format_payload("check_values", bits) for agent, bits in checks.items()}
     for agent, h in enumerate(held):
         broadcast(transcript, agent, "check_values", texts[h])
@@ -202,8 +208,6 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
         broadcast(transcript, leader, "abort", format_payload("abort", mismatch))
         return KeyResult("aborted", None, mismatch, transcript)
 
-    code_positions = sorted(set(range(2 * m)).difference(check_positions))
-    codes = {agent: bits.take(code_positions) for agent, bits in strings.items()}
     keys = reconcile(codes, config.code, rng.substream("code"), transcript, leader)
     indices = {agent: keys[h] for agent, h in enumerate(held)}
     return KeyResult("completed", indices, mismatch, transcript)

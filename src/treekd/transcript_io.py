@@ -7,13 +7,13 @@ Payload text per kind:
 - announcement:      ``(a,b):bit`` pairs, comma-separated, each edge once, in
                      the order recorded (ascending edge key from the engine)
 - terminal_choice:   the chosen agent id
-- check_positions:   sorted position indices, comma-separated
+- check_positions:   strictly ascending position indices, comma-separated
 - check_values:      the m check bits as 0/1 characters, index 0 first
 - code_broadcast:    the m broadcast bits as 0/1 characters
-- abort:             ``agent:mismatch`` pairs, comma-separated, each agent
-                     once, each mismatch an exact rational in [0, 1] as
-                     ``str(Fraction)`` writes it: ``0``, ``1`` or ``p/q`` in
-                     lowest terms
+- abort:             ``agent:mismatch`` pairs, comma-separated, agents in
+                     strictly ascending order, each mismatch an exact
+                     rational in [0, 1] as ``str(Fraction)`` writes it:
+                     ``0``, ``1`` or ``p/q`` in lowest terms
 
 Every seq, agent id and position is written ``0|[1-9][0-9]*`` in ASCII
 digits, and every number is read back only in the form it is written in.
@@ -134,7 +134,10 @@ def _parse_payload(kind: str, text: str):
     if kind == "terminal_choice":
         return _count(text, "terminal choice")
     if kind == "check_positions":
-        return tuple(_count(x, "check position") for x in text.split(",")) if text else ()
+        positions = [_count(x, "check position") for x in text.split(",")] if text else []
+        if any(a >= b for a, b in zip(positions, positions[1:])):
+            raise ValueError(f"check positions {text!r} are not strictly ascending")
+        return tuple(positions)
     if kind in ("check_values", "code_broadcast"):
         return BitString.from_text(text)
     if kind == "abort":
@@ -147,6 +150,8 @@ def _parse_payload(kind: str, text: str):
             if agent in out:
                 raise ValueError(f"abort names agent {agent} twice")
             out[agent] = _mismatch(fields[1])
+        if list(out) != sorted(out):  # out names each agent once
+            raise ValueError(f"abort agents {text!r} are not strictly ascending")
         return out
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -184,9 +189,10 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
         try:
             seq_s, _, tail = line.partition(" ")
             entry = tails.get(tail)
-            if entry is None:  # split the line whole: a short one fails before its seq
-                _, sender_s, kind, text = (line.split(" ", 3) + [""])[:4]
+            if entry is None:  # checked in field order: seq, sender, kind and payload
                 _count(seq_s, "seq")
+                sender_s, _, rest = tail.partition(" ")
+                kind, _, text = rest.partition(" ")
                 sender, payload = _count(sender_s, "sender"), _parse_payload(kind, text)
                 view = MappingProxyType(payload) if type(payload) is dict else payload
                 entry = tails[tail] = (sender, kind, view)

@@ -6,7 +6,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 from scipy import stats
@@ -37,6 +37,20 @@ from treekd.transcript_io import ParsedTranscript, format_payload, parse_transcr
 # nearest codewords and the decoder's tie rule decides: no named code has
 # such words.
 TIED_6_3 = _systematic_code(6, 3, 0, (0b110, 0b011, 0b100))
+
+
+def word_of(bits: Iterable[int]) -> int:
+    """The int word of a bit sequence, index 0 in the most significant bit,
+    as the engine and the codes hold bits."""
+    word = 0
+    for bit in bits:
+        word = word << 1 | bit
+    return word
+
+
+def bits_of(word: int, length: int) -> List[int]:
+    """The length bits of an int word, index 0 first: word_of's inverse."""
+    return [word >> (length - 1 - i) & 1 for i in range(length)]
 
 
 # A degree-5 announcer (agent 2) next to a degree-2 one (agent 5).
@@ -225,22 +239,17 @@ def brute_force_entropy(
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
 
 
-def coset_leader_decode(
-    code: LinearCode, word: BitString
-) -> Tuple[BitString, BitString]:
+def coset_leader_decode(code: LinearCode, word: int) -> Tuple[int, int]:
     """(codeword, error) for the first error pattern, by weight and then
-    ``combinations`` order, that turns word into a codeword: the coset-leader
-    rule of a syndrome table, and the reference for decode_to_codeword."""
-    codewords = {int(str(codeword), 2) for codeword in code.codewords}
-    value = int(str(word), 2)
+    ``combinations`` order, that turns the m-bit word into a codeword: the
+    coset-leader rule of a syndrome table, and the reference for
+    decode_to_codeword."""
+    codewords = set(code.codewords)
     for weight in range(code.m + 1):
         for positions in combinations(range(code.m), weight):
             error = sum(1 << (code.m - 1 - p) for p in positions)
-            if value ^ error in codewords:
-                return (
-                    BitString.from_text(f"{value ^ error:0{code.m}b}"),
-                    BitString.from_text(f"{error:0{code.m}b}"),
-                )
+            if word ^ error in codewords:
+                return word ^ error, error
 
 
 def parsed_round(
@@ -263,7 +272,7 @@ def parsed_round(
 
 def reference_rounds(
     config, block_index: int, positions: int
-) -> Tuple[Dict[int, BitString], List[str]]:
+) -> Tuple[Dict[int, int], List[str]]:
     """The rounds of a block one at a time, as the paper runs them: the
     reference for protocol.run_rounds.
 
@@ -272,14 +281,14 @@ def reference_rounds(
     then the leader draws the terminal from the sorted terminals.  Every
     agent reconstructs every round from its own bits at that position, so
     no word layout, mask word or path parity is involved.  Returns each
-    agent's secret string and the transcript lines.
+    agent's secret string, as an int word, and the transcript lines.
     """
     tree, leader = config.tree, config.leader
     rng = SeededRng(config.seed).substream("block", block_index)
     copies = {}
     for e in tree.edges:
         words = simulate_pairwise_kd(e, positions, rng.substream("edge", e.a, e.b))
-        copies[e.key] = tuple(BitString(word, positions) for word in words)
+        copies[e.key] = tuple(bits_of(word, positions) for word in words)
     terminals = terminal_agents(tree)
 
     def own(agent: int, r: int) -> Dict[EdgeKey, int]:
@@ -307,7 +316,7 @@ def reference_rounds(
         for agent in range(tree.n):
             assignment = reconstruct_assignment(agent, own(agent, r), announcements, tree)
             bits[agent].append(assignment[key])
-    return {agent: BitString.from_bits(b) for agent, b in bits.items()}, lines
+    return {agent: word_of(b) for agent, b in bits.items()}, lines
 
 
 def reference_block(
@@ -327,7 +336,7 @@ def reference_block(
     Returns (status, key indices, mismatches, transcript lines).
     """
     code, leader, m = config.code, config.leader, config.code.m
-    strings, lines = reference_rounds(config, block_index, 2 * m)
+    words, lines = reference_rounds(config, block_index, 2 * m)
     rng = SeededRng(config.seed).substream("block", block_index)
 
     def send(sender: int, kind: str, payload) -> None:
@@ -337,10 +346,11 @@ def reference_block(
     send(leader, "check_positions", check)
     rest = [i for i in range(2 * m) if i not in check]
     checks, codebits = {}, {}
-    for agent, bits in strings.items():
-        checks[agent] = BitString.from_bits(bits[i] for i in check)
-        codebits[agent] = BitString.from_bits(bits[i] for i in rest)
-        send(agent, "check_values", checks[agent])
+    for agent, word in words.items():
+        bits = bits_of(word, 2 * m)
+        checks[agent] = [bits[i] for i in check]
+        codebits[agent] = word_of(bits[i] for i in rest)
+        send(agent, "check_values", BitString(word_of(checks[agent]), m))
     mismatch = {
         agent: Fraction(sum(x != y for x, y in zip(bits, checks[leader])), m)
         for agent, bits in checks.items()
@@ -352,7 +362,7 @@ def reference_block(
 
     index = rng.substream("code").generator().randrange(1 << code.k)
     masked = code.codewords[index] ^ codebits[leader]
-    send(leader, "code_broadcast", masked)
+    send(leader, "code_broadcast", BitString(masked, m))
     keys = {leader: index}
     for agent, bits in codebits.items():
         if agent != leader:

@@ -24,7 +24,6 @@ from conftest import (
 from treekd.channel_sim import simulate_pairwise_kd
 from treekd.cli import EXIT_DISCONNECTED, EXIT_OK, cmd_run, main
 from treekd.config_io import parse_config
-from treekd.bits import BitString
 from treekd.eve_analysis import consistent_configurations, secret_entropy
 from treekd.graph_core import (
     SecurityGraph,
@@ -176,9 +175,7 @@ def test_criterion_5_reconciliation_exhaustive():
     # Exhaustive: 16 codewords x 8^3 error placements for n = 4 (8 = no
     # error or one of 7 single-bit positions per non-leader agent).
     code = hamming_7_4()
-    errors = [BitString.from_text("0000000")] + [
-        BitString.from_bits(1 if i == p else 0 for i in range(7)) for p in range(7)
-    ]
+    errors = [0b0000000] + [1 << (6 - p) for p in range(7)]
     cases = 0
     for index in range(16):
         codeword = code.codewords[index]
@@ -240,10 +237,10 @@ def test_criterion_7_failure_bound():
     for b in range(blocks):
         rng = root.substream("mcblock", b)
         word_a, word_b = simulate_pairwise_kd(edge, 2 * m, rng)
-        mismatches = BitString(word_a ^ word_b, 2 * m)
+        mismatches = word_a ^ word_b
         check = set(select_check_positions(rng.substream("check"), 2 * m))
-        check_errors = sum(mismatches[i] for i in check)
-        code_errors = mismatches.weight() - check_errors
+        check_errors = sum(mismatches >> (2 * m - 1 - i) & 1 for i in check)
+        code_errors = mismatches.bit_count() - check_errors
         if check_errors <= delta * m and code_errors > (delta + eps) * m:
             hits += 1
     frequency = hits / blocks

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import word_of
 from treekd.bits import BitString
 from treekd.channel_sim import broadcast, simulate_pairwise_kd
 from treekd.graph_core import WeightedEdge
@@ -20,7 +21,7 @@ class TestSimulatePairwiseKd:
     def test_mismatch_rate_concentrates_at_flip_prob(self):
         edge = WeightedEdge(0, 1, flip_prob=0.05)
         word_a, word_b = simulate_pairwise_kd(edge, 10**5, SeededRng(20))
-        rate = BitString(word_a, 10**5).hamming(BitString(word_b, 10**5)) / 10**5
+        rate = (word_a ^ word_b).bit_count() / 10**5
         assert abs(rate - 0.05) <= 0.005
 
     def test_determinism(self):
@@ -46,8 +47,8 @@ class TestSimulatePairwiseKd:
         word_a, word_b = simulate_pairwise_kd(edge, length, fast)
         bits = [slow.getrandbits(1) for _ in range(length)]
         noise = [int(slow.random() < flip) for _ in range(length)]
-        assert BitString(word_a, length) == BitString.from_bits(bits)
-        assert BitString(word_a ^ word_b, length) == BitString.from_bits(noise)
+        assert word_a == word_of(bits)
+        assert word_a ^ word_b == word_of(noise)
         assert fast.generator().random() == slow.random()
 
     def test_rejects_zero_length(self):
@@ -69,31 +70,9 @@ class TestTranscript:
 
 
 class TestBitString:
-    def test_xor_and_complement(self):
-        a = BitString.from_text("0110")
-        b = BitString.from_text("0011")
-        assert str(a ^ b) == "0101"
-        assert str(a ^ BitString.from_text("1111")) == "1001"
-
-    def test_hamming_and_weight(self):
-        a = BitString.from_text("10110")
-        assert a.weight() == 3
-        assert a.hamming(BitString.from_text("00000")) == 3
-
-    def test_take(self):
-        a = BitString.from_text("10110")
-        assert str(a.take([0, 2, 4])) == "110"
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=32))
-    def test_xor_involution(self, bits):
-        a = BitString.from_bits(bits)
-        assert (a ^ a) == BitString.from_text("0" * len(bits))
-        ones = BitString.from_text("1" * len(bits))
-        assert (a ^ ones) ^ ones == a
-
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            BitString.from_bits([0, 2])
+            BitString.from_text("02")
 
 
 class TestSeededRng:

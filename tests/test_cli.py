@@ -491,6 +491,14 @@ class TestAnalyze:
             # Read as a dict, the second value would silently replace the first.
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,1:1/7\n",
              "transcript line 3: abort names agent 1 twice"),
+            # Positions and abort agents are read only in the ascending
+            # order format_payload writes them in.
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 check_positions 3,1,1\n",
+             "transcript line 3: check positions '3,1,1' are not strictly ascending"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 check_positions 1,1\n",
+             "transcript line 3: check positions '1,1' are not strictly ascending"),
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 2:0,1:1/7\n",
+             "transcript line 3: abort agents '2:0,1:1/7' are not strictly ascending"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:2:3\n",
              "transcript line 3: malformed abort item '1:2:3'"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1\n",
@@ -506,6 +514,10 @@ class TestAnalyze:
              "transcript line 1: seq 'x' is not a canonical ASCII number"),
             (PATH3, "0 x announcement (0,1):0,(1,2):1\n1 0 terminal_choice 0\n",
              "transcript line 1: sender 'x' is not a canonical ASCII number"),
+            # A short line's error names its first bad field, in field order.
+            (PATH3, "00\n", "transcript line 1: seq '00' is not a canonical ASCII number"),
+            (PATH3, "0\n", "transcript line 1: sender '' is not a canonical ASCII number"),
+            (PATH3, "0 1\n", "transcript line 1: unknown kind ''"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 check_positions 1,,2\n",
              "transcript line 3: check position '' is not a canonical ASCII number"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice\n",
@@ -553,9 +565,12 @@ class TestAnalyze:
              "abort-mismatch-above-1", "abort-mismatch-arabic-indic-digit",
              "abort-mismatch-decimal", "abort-mismatch-plus-sign",
              "abort-mismatch-underscore", "abort-mismatch-exponent", "abort-agent-twice",
-             "abort-item-three-fields", "abort-item-no-mismatch",
+             "check-positions-descending", "check-positions-repeated",
+             "abort-agents-descending", "abort-item-three-fields", "abort-item-no-mismatch",
              "abort-item-after-trailing-comma", "abort-agent-letter",
              "abort-agent-empty", "seq-letter", "sender-letter",
+             "short-line-seq-only-not-canonical", "short-line-seq-only",
+             "short-line-no-kind",
              "check-position-empty", "terminal-choice-empty",
              "terminal-choice-not-an-agent", "terminal-choice-from-non-leader",
              "terminal-choice-from-default-leader-under-leader-2",

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TIED_6_3, coset_leader_decode
-from treekd.bits import BitString
+from conftest import TIED_6_3, coset_leader_decode, word_of
 from treekd.linear_code import (
     NotACodewordError,
     code_by_name,
@@ -40,20 +39,20 @@ class TestCodewordTable:
             product_bits = [
                 sum(message[i] * g[i][j] for i in range(code.k)) % 2 for j in range(code.m)
             ]
-            assert str(codeword) == "".join(map(str, product_bits))
+            assert codeword == word_of(product_bits)
 
     @pytest.mark.parametrize("code, a_rows", TABULATED)
     def test_index_of_rejects_wrong_lengths_and_non_codewords(self, code, a_rows):
         # The last codeword has all k message bits set, so a first-k-bits
-        # read of the longer word would index past the table.
+        # read of the longer word would index past the table's end, and of
+        # a negative word below its start.
         last = code.codewords[-1]
-        with pytest.raises(NotACodewordError):
-            index_of(code, BitString(last.value >> 1, code.m - 1))
-        with pytest.raises(NotACodewordError):
-            index_of(code, BitString(last.value << 1 | 1, code.m + 1))
+        for word in (last << 1 | 1, -1, -(2 << code.m)):
+            with pytest.raises(NotACodewordError):
+                index_of(code, word)
         if code.m > code.k:  # flipping a parity bit leaves the code
             with pytest.raises(NotACodewordError):
-                index_of(code, last ^ BitString(1, code.m))
+                index_of(code, last ^ 1)
 
 
 class TestHamming74:
@@ -64,10 +63,10 @@ class TestHamming74:
 
     def test_zero_maps_to_zero(self):
         zero = hamming_7_4().codewords[0]
-        assert zero == BitString.from_text("0000000")
+        assert zero == 0b0000000
 
     def test_minimum_nonzero_weight_is_3(self):
-        weights = [c.weight() for c in hamming_7_4().codewords if c.weight()]
+        weights = [c.bit_count() for c in hamming_7_4().codewords if c]
         assert min(weights) == 3
 
 
@@ -75,7 +74,7 @@ class TestRepetition:
     def test_m3(self):
         code = repetition_code(3)
         assert (code.m, code.k, code.t) == (3, 1, 1)
-        assert {str(c) for c in code.codewords} == {"000", "111"}
+        assert set(code.codewords) == {0b000, 0b111}
 
     def test_m1_identity(self):
         code = repetition_code(1)
@@ -83,10 +82,10 @@ class TestRepetition:
 
     def test_majority_vote(self):
         code = repetition_code(3)
-        cw, err = decode_to_codeword(code, BitString.from_text("110"))
-        assert str(cw) == "111" and str(err) == "001"
-        cw, _ = decode_to_codeword(code, BitString.from_text("101"))
-        assert str(cw) == "111"
+        cw, err = decode_to_codeword(code, 0b110)
+        assert cw == 0b111 and err == 0b001
+        cw, _ = decode_to_codeword(code, 0b101)
+        assert cw == 0b111
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +112,7 @@ class TestDecode:
         for cw in code.codewords:
             decoded, err = decode_to_codeword(code, cw)
             assert decoded == cw
-            assert err.weight() == 0
+            assert err == 0
 
     def test_all_single_flips_corrected(self):
         # 16 codewords x 7 positions = 112 exhaustive cases
@@ -121,7 +120,7 @@ class TestDecode:
         cases = 0
         for cw in code.codewords:
             for pos in range(7):
-                flip = BitString.from_bits(1 if i == pos else 0 for i in range(7))
+                flip = word_of(1 if i == pos else 0 for i in range(7))
                 decoded, err = decode_to_codeword(code, cw ^ flip)
                 assert decoded == cw
                 assert err == flip
@@ -133,16 +132,14 @@ class TestDecode:
             for cw in code.codewords:
                 for w in range(code.t + 1):
                     for positions in combinations(range(code.m), w):
-                        e = BitString.from_bits(
-                            1 if i in positions else 0 for i in range(code.m)
-                        )
+                        e = word_of(1 if i in positions else 0 for i in range(code.m))
                         decoded, _ = decode_to_codeword(code, cw ^ e)
                         assert decoded == cw
 
     def test_decoded_word_is_a_codeword(self):
         code = hamming_7_4()
         for value in range(1 << code.m):
-            word = BitString.from_bits((value >> i) & 1 for i in range(code.m))
+            word = word_of((value >> i) & 1 for i in range(code.m))
             decoded, _ = decode_to_codeword(code, word)
             index_of(code, decoded)  # raises NotACodewordError otherwise
 
@@ -154,26 +151,31 @@ class TestDecode:
     )
     def test_matches_coset_leader_oracle_on_every_word(self, code):
         for value in range(1 << code.m):
-            word = BitString.from_text(f"{value:0{code.m}b}")
-            assert decode_to_codeword(code, word) == coset_leader_decode(code, word)
+            assert decode_to_codeword(code, value) == coset_leader_decode(code, value)
+
+    @pytest.mark.parametrize("code, a_rows", TABULATED)
+    def test_rejects_words_outside_m_bits(self, code, a_rows):
+        for word in (-1, -(1 << code.m), 1 << code.m, (1 << code.m + 1) - 1):
+            with pytest.raises(ValueError, match=f"does not fit in m={code.m} bits"):
+                decode_to_codeword(code, word)
 
     def test_tie_goes_to_earliest_error(self):
         # 001000 and 000100 are each at distance 1 from 000000 and 001100.
-        for word, codeword in (("001000", "000000"), ("000100", "001100")):
-            decoded, err = decode_to_codeword(TIED_6_3, BitString.from_text(word))
-            assert (str(decoded), str(err)) == (codeword, "001000")
+        for word, codeword in ((0b001000, 0b000000), (0b000100, 0b001100)):
+            decoded, err = decode_to_codeword(TIED_6_3, word)
+            assert (decoded, err) == (codeword, 0b001000)
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.sampled_from([13, 15]), data=st.data())
     def test_matches_coset_leader_oracle_on_long_repetition(self, m, data):
         code = repetition_code(m)
-        word = BitString.from_bits(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+        word = word_of(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
         assert decode_to_codeword(code, word) == coset_leader_decode(code, word)
 
     def test_weight_two_miscorrects_to_some_codeword(self):
         code = hamming_7_4()
         cw = code.codewords[5]
-        e = BitString.from_text("1100000")
+        e = 0b1100000
         decoded, _ = decode_to_codeword(code, cw ^ e)
         assert decoded != cw  # beyond radius: defined miscorrection
         index_of(code, decoded)  # still a valid codeword
@@ -186,11 +188,11 @@ class TestIndexing:
                 assert index_of(code, code.codewords[i]) == i
 
     def test_zero_codeword_is_index_zero(self):
-        assert index_of(hamming_7_4(), BitString.from_text("0000000")) == 0
+        assert index_of(hamming_7_4(), 0b0000000) == 0
 
     def test_non_codeword_rejected(self):
         with pytest.raises(NotACodewordError):
-            index_of(hamming_7_4(), BitString.from_text("1000000"))
+            index_of(hamming_7_4(), 0b1000000)
 
 
 class TestRandomCodeword:
@@ -230,7 +232,7 @@ class TestCodeByName:
         assert time.perf_counter() - start < 0.5
         m = 1000001
         assert (code.m, code.k, code.t) == (m, 1, 500000)
-        assert code.codewords == (BitString(0, m), BitString((1 << m) - 1, m))
+        assert code.codewords == (0, (1 << m) - 1)
 
     def test_repetition17_corrects_8_errors(self):
         code = code_by_name("repetition17")
@@ -239,7 +241,7 @@ class TestCodeByName:
         for cw in (zeros, ones):
             for w in range(9):
                 for e in ("1" * w + "0" * (17 - w), "0" * (17 - w) + "1" * w):
-                    decoded, _ = decode_to_codeword(code, cw ^ BitString.from_text(e))
+                    decoded, _ = decode_to_codeword(code, cw ^ int(e, 2))
                     assert decoded == cw
-        nine = BitString.from_text("1" * 9 + "0" * 8)
+        nine = int("1" * 9 + "0" * 8, 2)
         assert decode_to_codeword(code, zeros ^ nine)[0] == ones

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import re
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 from conftest import (
     HUB7,
     TIED_6_3,
+    bits_of,
     path_config,
     random_tree_edges,
     reference_block,
     reference_rounds,
+    word_of,
 )
 from treekd import cli, config_io, graph_core, linear_code, protocol, subroutine
 from treekd import rng as rng_module
@@ -76,7 +79,7 @@ class TestDecideAbort:
     def test_excess_mismatch_aborts(self):
         m = 10
         delta = 0.2
-        bad = BitString.from_bits([1, 1, 1] + [0] * 7)  # 3 > ceil(0.2*10)
+        bad = BitString.from_text("111" + "0" * 7)  # 3 > ceil(0.2*10)
         values = {0: BitString.from_text("0" * m), 1: bad}
         abort, _ = decide_abort(values, leader=0, delta=delta)
         assert abort
@@ -101,11 +104,30 @@ class TestDecideAbort:
         assert mismatch[1] == Fraction(wrong, m)
         assert abort == aborts
 
+    def test_parsed_check_values_give_the_engine_verdict(self, tmp_path):
+        # parse_transcript reads each check_values payload back as the type
+        # the engine broadcasts, so decide_abort on a run transcript's
+        # blocks gives the engine's verdict and fractions.
+        config = path_config(n=5, flip=0.05, delta=0.3, seed=17, blocks=50, leader=2)
+        cli.cmd_run(config, tmp_path, out=io.StringIO())
+        blocks = parse_transcript((tmp_path / "transcript.log").read_text().splitlines())
+        results = run_blocks(config)
+        assert len(blocks) == len(results) == 50
+        for block, result in zip(blocks, results):
+            values = {
+                msg.sender: msg.payload for msg in block.messages if msg.kind == "check_values"
+            }
+            abort, fractions = decide_abort(values, config.leader, config.delta)
+            assert abort == (result.status == "aborted")
+            assert fractions.pop(config.leader) == 0
+            assert fractions == result.mismatch
+        assert 0 < sum(r.status == "aborted" for r in results) < 50
+
 
 class TestReconcile:
     def test_zero_errors_all_agree(self):
         code = hamming_7_4()
-        v = BitString.from_text("1011001")
+        v = 0b1011001
         indices = reconcile(
             {j: v for j in range(4)}, code, SeededRng(3), [], leader=0
         )
@@ -115,12 +137,10 @@ class TestReconcile:
         # For every codeword and every placement of one single-bit error
         # per non-leader agent (n=4: 7^3 placements), all indices agree.
         code = hamming_7_4()
-        singles = [
-            BitString.from_bits(1 if i == p else 0 for i in range(7)) for p in range(7)
-        ]
+        singles = [1 << (6 - p) for p in range(7)]
         for index in range(16):
             rng = SeededRng(1000 + index).generator()
-            v = BitString.from_bits(rng.getrandbits(1) for _ in range(7))
+            v = word_of(rng.getrandbits(1) for _ in range(7))
             for p1, p2, p3 in product(range(7), repeat=3):
                 agent_bits = {
                     0: v,
@@ -135,8 +155,8 @@ class TestReconcile:
 
     def test_weight_two_error_can_miscorrect(self):
         code = hamming_7_4()
-        v = BitString.from_text("0000000")
-        bad = v ^ BitString.from_text("1100000")
+        v = 0b0000000
+        bad = v ^ 0b1100000
         indices = reconcile(
             {0: v, 1: bad}, code, SeededRng(0), [], leader=0
         )
@@ -161,8 +181,8 @@ class TestLeaderIsAnyKey:
         self, monkeypatch
     ):
         code = hamming_7_4()
-        v = BitString.from_text("1011001")
-        near = v ^ BitString.from_text("0000100")  # within the code's radius
+        v = 0b1011001
+        near = v ^ 0b0000100  # within the code's radius
         inputs = []
         original = linear_code.decode_to_codeword
 
@@ -177,15 +197,15 @@ class TestLeaderIsAnyKey:
             {0: near, 1: v, 2: near, 3: v}, code, SeededRng(5), transcript, leader=1
         )
         masked = code.codewords[drawn] ^ v
-        assert transcript_lines(transcript) == [f"0 1 code_broadcast {masked}"]
+        assert transcript_lines(transcript) == [f"0 1 code_broadcast {masked:07b}"]
         assert len(inputs) == 4  # one decode per key, no cache
         assert inputs[1] == code.codewords[drawn]  # the leader decodes c
         assert indices == {0: drawn, 1: drawn, 2: drawn, 3: drawn}
 
     def test_reconcile_gives_equal_code_bits_one_index(self):
         code = hamming_7_4()
-        v = BitString.from_text("0000000")
-        far = v ^ BitString.from_text("1100000")  # outside the radius
+        v = 0b0000000
+        far = v ^ 0b1100000  # outside the radius
         indices = reconcile(
             {0: v, 1: far, 2: far, 3: v}, code, SeededRng(0), [], leader=0
         )
@@ -294,20 +314,18 @@ class TestRunBlock:
         m = config.code.m
         rng = SeededRng(config.seed).substream("block", 0)
         words, _ = run_rounds(config, rng, 2 * m)
-        strings = {a: BitString(w, 2 * m) for a, w in enumerate(words)}
+        strings = {a: bits_of(w, 2 * m) for a, w in enumerate(words)}
         check = set(select_check_positions(rng.substream("check"), 2 * m))
         code_positions = [i for i in range(2 * m) if i not in check]
 
         def keys_with(strings):
-            codebits = {a: s.take(code_positions) for a, s in strings.items()}
+            codebits = {a: word_of(s[i] for i in code_positions) for a, s in strings.items()}
             return reconcile(
                 codebits, config.code, rng.substream("code"), [], leader=0
             )
 
         perturbed = {
-            a: BitString.from_bits(
-                b ^ 1 if i in check else b for i, b in enumerate(s)
-            )
+            a: [b ^ 1 if i in check else b for i, b in enumerate(s)]
             for a, s in strings.items()
         }
         assert keys_with(strings) == keys_with(perturbed)
@@ -324,12 +342,12 @@ class TestRunBlock:
             m = config.code.m
             rng = SeededRng(config.seed).substream("block", i)
             words, _ = run_rounds(config, rng, 2 * m)
-            strings = {a: BitString(w, 2 * m) for a, w in enumerate(words)}
+            strings = {a: bits_of(w, 2 * m) for a, w in enumerate(words)}
             check = set(select_check_positions(rng.substream("check"), 2 * m))
             code_positions = [p for p in range(2 * m) if p not in check]
-            leader_bits = strings[0].take(code_positions)
+            leader_bits = [strings[0][p] for p in code_positions]
             weights = [
-                strings[a].take(code_positions).hamming(leader_bits)
+                sum(strings[a][p] != b for p, b in zip(code_positions, leader_bits))
                 for a in range(1, 4)
             ]
             if max(weights) <= config.code.t:
@@ -593,24 +611,26 @@ class TestOneReconstructionPerBlock:
 
 class TestOncePerDistinctString:
     """At low noise most agents hold the same string, and run_block splits
-    and decodes one holder's string per distinct word, not once per agent."""
+    and decodes one holder's string per distinct word, not once per agent:
+    each split builds one check_values payload, and the block one more
+    payload, its code_broadcast."""
 
     def counted_block(self, monkeypatch, config):
         calls = Counter()
         original_decode = linear_code.decode_to_codeword
-        original_take = BitString.take
+        original_init = BitString.__init__
 
         def decode(code, word):
             calls["decode"] += 1
             return original_decode(code, word)
 
-        def take(bits, positions):
-            calls["take"] += 1
-            return original_take(bits, positions)
+        def init(bits, value, length):
+            calls["payload"] += 1
+            original_init(bits, value, length)
 
         for module in (linear_code, protocol):
             monkeypatch.setattr(module, "decode_to_codeword", decode)
-        monkeypatch.setattr(BitString, "take", take)
+        monkeypatch.setattr(BitString, "__init__", init)
         result = run_block(config)
         monkeypatch.undo()
         return result, calls
@@ -629,7 +649,7 @@ class TestOncePerDistinctString:
         result, calls = self.counted_block(monkeypatch, self.tree_config(0.0, 4))
         assert result.status == "completed"
         assert len(set(result.key_indices.values())) == 1
-        assert calls == {"decode": 1, "take": 2}
+        assert calls == {"decode": 1, "payload": 2}
 
     def test_only_streams_that_draw_are_seeded(self, monkeypatch):
         # One Mersenne Twister per edge session, round, check draw and code
@@ -670,7 +690,7 @@ class TestOncePerDistinctString:
         check = set(select_check_positions(rng.substream("check"), 2 * m))
         code_positions = [p for p in range(2 * m) if p not in check]
         distinct = {
-            BitString(w, 2 * m).take(code_positions)
+            word_of(bits_of(w, 2 * m)[p] for p in code_positions)
             for agent, w in enumerate(words)
             if agent != config.leader
         }
@@ -719,7 +739,7 @@ class TestReferenceRounds:
         words, transcript = run_rounds(
             config, SeededRng(seed).substream("block", block_index), positions
         )
-        strings = {a: BitString(w, positions) for a, w in enumerate(words)}
+        strings = dict(enumerate(words))
         want_strings, want_lines = reference_rounds(config, block_index, positions)
         assert transcript_lines(transcript) == want_lines
         assert strings == want_strings

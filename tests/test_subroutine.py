@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HUB7, parsed_round, random_tree_edges
+from conftest import HUB7, bits_of, parsed_round, random_tree_edges
 from treekd import protocol
-from treekd.bits import BitString
 from treekd.channel_sim import simulate_pairwise_kd
 from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, SpanningTree, WeightedEdge, terminal_agents
@@ -258,14 +257,14 @@ class TestSubroutineRound:
 
         def recording(edge, length, edge_rng):
             words = simulate_pairwise_kd(edge, length, edge_rng)
-            pairs[edge.key] = tuple(BitString(word, length) for word in words)
+            pairs[edge.key] = tuple(bits_of(word, length) for word in words)
             return words
 
         with mock.patch.object(protocol, "simulate_pairwise_kd", recording):
             words, engine_transcript = protocol.run_rounds(
                 config, SeededRng(config.seed).substream("block", 0), positions
             )
-        strings = {a: BitString(w, positions) for a, w in enumerate(words)}
+        strings = {a: bits_of(w, positions) for a, w in enumerate(words)}
         tree = config.tree
         (transcript,) = parse_transcript(transcript_lines(engine_transcript))
         rounds = rounds_from_transcript(transcript)
