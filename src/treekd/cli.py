@@ -38,13 +38,16 @@ def _protocol_config(spec) -> protocol.ProtocolConfig:
 
 def cmd_plan(config: protocol.ProtocolConfig, out=None) -> int:
     tree = config.tree
-    print(f"agents: {config.graph.n}", file=out)
-    print("minimum spanning security tree:", file=out)
-    for e in tree.edges:
-        print(f"  edge {e.a} {e.b} weight={e.weight}", file=out)
-    print(f"total weight: {tree.total_weight}", file=out)
-    terminals = ",".join(map(str, tree.terminals))
-    print(f"terminal agents: {terminals}", file=out)
+    try:
+        total = str(tree.total_weight)
+    except ValueError:  # Python's limit on int-to-text conversion
+        raise ValueError(
+            f"total weight has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    lines = [f"agents: {config.graph.n}", "minimum spanning security tree:"]
+    lines += [f"  edge {e.a} {e.b} weight={e.weight}" for e in tree.edges]
+    lines += [f"total weight: {total}", f"terminal agents: {','.join(map(str, tree.terminals))}"]
+    print("\n".join(lines), file=out)
     return EXIT_OK
 
 
@@ -112,7 +115,7 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
     config = config_io.load_config(config_path)
     tree, leader = config.tree, config.leader
     blocks = transcript_io.parse_transcript(
-        transcript_path.read_text().splitlines()
+        config_io.read_text(transcript_path, "transcript line").splitlines()
     )
     ok = True
     round_total = 0

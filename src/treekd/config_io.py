@@ -12,8 +12,9 @@ edge and an edge with no endpoint in the source set.
 A run config is the same graph format plus ``param key=value`` lines
 (keys: leader, code, blocks, delta, epsilon, seed), each optional, so a
 graph file with no ``param`` lines is a valid run config.  parse_config
-is the one check of the run parameters and of the graph, each record and
-then the graph as a whole; only connectivity is left to the tree.
+is the one check of the run parameters and of the graph, in one pass:
+each record on its line, a param converted and range-checked like any
+other, then the graph as a whole; only connectivity is left to the tree.
 """
 
 from __future__ import annotations
@@ -24,17 +25,10 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from .graph_core import SecurityGraph, WeightedEdge, validate_graph
-from .linear_code import code_by_name
+from .linear_code import code_by_name, hamming_7_4
 from .protocol import ProtocolConfig
 
-DEFAULTS = {
-    "code": "hamming7_4",
-    "delta": "0.05",
-    "epsilon": "0.05",
-    "leader": "0",
-    "blocks": "10",
-    "seed": "0",
-}
+DEFAULTS = dict(code=hamming_7_4(), delta=0.05, epsilon=0.05, leader=0, blocks=10, seed=0)
 
 
 class ConfigError(Exception):
@@ -54,12 +48,39 @@ def _number(kind, text: str):
     return kind(text)
 
 
-def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], List[str]]:
+def _param(key: str, text: str):
+    """The value of ``param key=text``, of its default's type and in range."""
+    if key == "code":
+        return code_by_name(text)
+    if key not in DEFAULTS:
+        raise ValueError(f"unknown param key {key!r}")
+    kind = type(DEFAULTS[key])
+    try:
+        value = _number(kind, text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"param {key} must be {noun}, got {text!r}") from None
+    if key == "delta" and not 0.0 < value < 1.0:
+        raise ValueError(f"param delta={value} out of range: delta - delta^2 must be positive")
+    if key == "epsilon" and not 0.0 < value < math.inf:
+        raise ValueError(f"param epsilon={value} must be finite and positive")
+    if key == "blocks" and value < 1:
+        raise ValueError(f"param blocks={value} must be >= 1")
+    return value
+
+
+def parse_config(text: str) -> ProtocolConfig:
+    """The ProtocolConfig that every command runs, parsed from a run config's
+    text.  Every error is collected before failing: the line-numbered ones
+    in line order, then a gap in the node ids; once those are clear,
+    validate_graph's whole-graph rules.  Connectivity is mst_kruskal's, when
+    ProtocolConfig.tree builds the tree."""
     nodes: Dict[int, int] = {}  # agent id -> its line
     sources: List[Tuple[int, int]] = []  # (line, agent id)
     edges: Dict[Tuple[int, int], Tuple[int, WeightedEdge]] = {}  # key -> (line, edge)
-    params: Dict[str, Tuple[int, str]] = {}
-    errors: List[str] = []
+    param_lines: Dict[str, int] = {}
+    params: Dict[str, object] = {}  # key -> its checked value
+    errors: List[Tuple[int, str]] = []  # (line, message)
     # Each distinct agent id or weight text is parsed once per file; a text
     # that fails to parse is not kept, so each of its lines gets its error.
     ids: Dict[str, int] = {}
@@ -124,108 +145,59 @@ def _parse_lines(text: str) -> Tuple[SecurityGraph, Dict[str, Tuple[int, str]], 
                 if len(fields) < 2 or "=" not in fields[1]:
                     raise ValueError("param needs key=value")
                 key, value = fields[1].split("=", 1)
-                if key in params:
-                    raise ValueError(f"param {key} already set on line {params[key][0]}")
-                params[key] = (lineno, value)
+                if key in param_lines:
+                    raise ValueError(f"param {key} already set on line {param_lines[key]}")
+                param_lines[key] = lineno
+                params[key] = _param(key, value)
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
         except ValueError as exc:
-            errors.append(f"line {lineno}: {exc}")
+            errors.append((lineno, str(exc)))
         except ZeroDivisionError:
-            errors.append(f"line {lineno}: weight has a zero denominator")
+            errors.append((lineno, "weight has a zero denominator"))
 
     # Nodes may be declared after the records that name them, so sources
     # and edge endpoints are checked once every line is read.  An edge
     # needs an endpoint among the sources that name declared agents; with
     # none, the error is the undeclared source or the empty source set.
-    late = [
-        (line, f"source {s} is not a valid agent id")
-        for line, s in sources
-        if s not in nodes
-    ]
+    errors.extend(
+        (line, f"source {s} is not a valid agent id") for line, s in sources if s not in nodes
+    )
     declared = {s for _, s in sources if s in nodes}
     for (a, b), (line, _) in edges.items():
         if b not in nodes or a not in nodes:
             missing = b if b not in nodes else a
-            late.append((line, f"edge {(a, b)} references unknown agent {missing}"))
+            errors.append((line, f"edge {(a, b)} references unknown agent {missing}"))
         elif declared and a not in declared and b not in declared:
-            late.append((line, f"edge {(a, b)} has no endpoint in the source set"))
-    errors.extend(f"line {line}: {message}" for line, message in sorted(late))
-    if sorted(nodes) != list(range(len(nodes))):
-        errors.append("node ids must be dense 0..n-1, each declared once")
+            errors.append((line, f"edge {(a, b)} has no endpoint in the source set"))
     n = len(nodes)
+    leader = params.get("leader", 0)
+    if n and not 0 <= leader < n:
+        errors.append((param_lines["leader"], f"param leader={leader} is not an agent id"))
+    messages = [f"line {line}: {message}" for line, message in sorted(errors)]
+    if sorted(nodes) != list(range(n)):
+        messages.append("node ids must be dense 0..n-1, each declared once")
     graph = SecurityGraph(
         n=n, edges=[e for _, e in edges.values()], sources=[s for _, s in sources]
     )
-    return graph, params, errors
+    if not messages:
+        messages.extend(validate_graph(graph))
+    if messages:
+        raise ConfigError(messages)
+    return ProtocolConfig(graph=graph, **{**DEFAULTS, **params})
 
 
-def parse_config(text: str) -> ProtocolConfig:
-    """The ProtocolConfig that every command runs, parsed from a run config's
-    text; collects every line and param error before failing.
-
-    Each source and edge record is checked against the declared nodes, the
-    declared sources and the earlier edges here, with its line.  Once those
-    and the params are clear, validate_graph's whole-graph rules (agent
-    count, an empty source set) are the errors; connectivity is
-    mst_kruskal's, when ProtocolConfig.tree builds the tree.
-    """
-    graph, params, errors = _parse_lines(text)
-
-    def fail(key: str, message: str) -> None:
-        """Record an error, naming the line when the file set the param."""
-        errors.append(f"line {params[key][0]}: {message}" if key in params else message)
-
-    merged = dict(DEFAULTS)
-    for key, (_line, value) in params.items():
-        if key not in DEFAULTS:
-            fail(key, f"unknown param key {key!r}")
-            continue
-        merged[key] = value
-
-    def convert(key: str, kind, noun: str):
-        """The param as kind, or None (with an error) when it does not convert."""
-        try:
-            return _number(kind, merged[key])
-        except ValueError:
-            fail(key, f"param {key} must be {noun}, got {merged[key]!r}")
-            return None
-
-    leader = convert("leader", int, "an integer")
-    blocks = convert("blocks", int, "an integer")
-    seed = convert("seed", int, "an integer")
-    delta = convert("delta", float, "a number")
-    epsilon = convert("epsilon", float, "a number")
-    code = None
+def read_text(path: Path, line: str = "line") -> str:
+    """path's text as UTF-8; a byte that is not is a ConfigError naming its line."""
+    data = path.read_bytes()
     try:
-        code = code_by_name(merged["code"])
-    except ValueError as exc:
-        fail("code", str(exc))
-    if delta is not None and not 0.0 < delta < 1.0:
-        fail("delta", f"param delta={delta} out of range: delta - delta^2 must be positive")
-    if epsilon is not None and not 0.0 < epsilon < math.inf:
-        fail("epsilon", f"param epsilon={epsilon} must be finite and positive")
-    if blocks is not None and blocks < 1:
-        fail("blocks", f"param blocks={blocks} must be >= 1")
-    if leader is not None and graph.n and not (0 <= leader < graph.n):
-        fail("leader", f"param leader={leader} is not an agent id")
-
-    if not errors:
-        errors.extend(validate_graph(graph))
-    if errors:
-        raise ConfigError(errors)
-    return ProtocolConfig(
-        graph=graph,
-        leader=leader,
-        code=code,
-        blocks=blocks,
-        delta=delta,
-        epsilon=epsilon,
-        seed=seed,
-    )
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        number = len((data[: exc.start].decode() + "x").splitlines())
+        raise ConfigError([f"{line} {number}: byte 0x{data[exc.start]:02x} is not UTF-8 text"])
 
 
 def load_config(path: Path) -> ProtocolConfig:
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
-    return parse_config(path.read_text())
+    return parse_config(read_text(path))

@@ -7,7 +7,6 @@ rationals so tie-breaking and brute-force comparisons are reproducible.
 
 from __future__ import annotations
 
-import math
 from collections import deque, namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -175,12 +174,10 @@ def connected_components(g: SecurityGraph) -> List[Set[int]]:
 
 def mst_kruskal(g: SecurityGraph) -> SpanningTree:
     """Minimum spanning tree; equal weights break ties by input edge index."""
-    # Sort on exact ints, each weight scaled to the common denominator, not
-    # on Fractions; the stable sort keeps input order within equal weights.
-    scale = math.lcm(*(e.weight.denominator for e in g.edges))
-    ordered = sorted(
-        g.edges, key=lambda e: e.weight.numerator * (scale // e.weight.denominator)
-    )
+    # Sort on the exact Fraction weights, not on ints scaled to the lcm of
+    # the denominators, which grows toward their product; the stable sort
+    # keeps input order within equal weights.
+    ordered = sorted(g.edges, key=lambda e: e.weight)
     uf = _UnionFind(g.n)
     chosen: List[WeightedEdge] = []
     for e in ordered:

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import random
 import re
 import subprocess
 import sys
@@ -46,7 +47,10 @@ edge 2 3 weight=1
 
 def write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     return p
 
 
@@ -224,10 +228,16 @@ class TestParseConfig:
     def test_mutated_config_raises_only_config_error(self, base, changes):
         # A config that does not parse is a ConfigError, never any other
         # exception: the CLI turns only that into a line-numbered error.
+        # Its line-numbered errors come in line order, then those of no line.
         try:
             parse_config(mutate(base, changes))
         except ConfigError as exc:
             assert exc.errors
+            lines = [
+                int(m[1]) if (m := re.match(r"line (\d+): ", e)) else float("inf")
+                for e in exc.errors
+            ]
+            assert lines == sorted(lines), exc.errors
 
     def test_records_may_name_nodes_declared_later(self):
         spec = parse_config("source 0\nedge 0 1\nnode 0\nnode 1\n")
@@ -245,6 +255,17 @@ class TestParseConfig:
             "line 4: edge (0, 1) references unknown agent 1",
             "line 6: edge (1, 2) references unknown agent 1",
             "node ids must be dense 0..n-1, each declared once",
+        ]
+
+    def test_errors_come_in_line_order(self):
+        # An endpoint check made once every line is read, a param's range
+        # check and a record error, each listed by its line.
+        with pytest.raises(ConfigError) as err:
+            parse_config("node 0\nnode 1\nsource 0\nedge 0 5\nparam blocks=0\nvertex 3\n")
+        assert err.value.errors == [
+            "line 4: edge (0, 5) references unknown agent 5",
+            "line 5: param blocks=0 must be >= 1",
+            "line 6: unknown record kind 'vertex'",
         ]
 
     def test_edge_without_source_and_bad_param_reported_together(self):
@@ -319,6 +340,21 @@ class TestPlan:
         assert main(["plan", "--config", str(cfg)]) == EXIT_DISCONNECTED
         err = capsys.readouterr().err
         assert "{0,1}" in err and "{2,3}" in err
+
+    def test_total_weight_too_long_to_print_leaves_stdout_empty(self, tmp_path, capsys):
+        # Six weights with 1000-digit denominators sum to a total whose
+        # denominator has more digits than Python turns into text.
+        rng = random.Random(7)
+        cfg = write(tmp_path, "big.cfg", "".join(f"node {v}\n" for v in range(7))
+                    + "source 0\n" + "".join(
+                        f"edge 0 {v} weight=1/{rng.randrange(10**999, 10**1000)}\n"
+                        for v in range(1, 7)))
+        assert main(["plan", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: total weight has more than {sys.get_int_max_str_digits()} digits\n"
+        )
 
     def test_run_options_rejected(self, tmp_path, capsys):
         # plan neither writes files nor draws randomness.
@@ -551,6 +587,8 @@ class TestAnalyze:
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,2:0\n"
              "3 0 check_positions 0\n",
              "transcript line 4: check_positions after the block's outcome"),
+            (PATH3, ANNOUNCE.encode() + b"1 0 terminal_choice \xff\n",
+             "transcript line 2: byte 0xff is not UTF-8 text"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
@@ -576,7 +614,8 @@ class TestAnalyze:
              "terminal-choice-from-default-leader-under-leader-2",
              "announcement-after-check-phase", "terminal-choice-after-abort",
              "code-broadcast-after-code-broadcast", "check-values-after-code-broadcast",
-             "abort-after-code-broadcast", "check-positions-after-abort"],
+             "abort-after-code-broadcast", "check-positions-after-abort",
+             "not-utf8-transcript"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message
@@ -638,10 +677,12 @@ class TestGraphErrors:
              ["line 6: edge (1, 2) has no endpoint in the source set"]),
             (DISCONNECTED, EXIT_DISCONNECTED,
              ["security graph is disconnected: components {0,1}; {2,3}"]),
+            (b"node 0\nnode 1\nsource 0\r\nedge 0 1 weight=\xff\n", EXIT_CONFIG,
+             ["line 4: byte 0xff is not UTF-8 text"]),
         ],
         ids=["empty-config", "one-agent", "unknown-agent", "self-loop",
              "duplicate-edge", "source-not-agent", "edge-without-source",
-             "disconnected"],
+             "disconnected", "not-utf8-config"],
     )
     def test_violation_exits_with_errors_on_stderr(
         self, tmp_path, capsys, command, graph, status, errors
@@ -652,7 +693,7 @@ class TestGraphErrors:
         assert main([command, "--config", str(cfg), *extra]) == status
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {e}" for e in errors]
-        assert "error:" not in captured.out
+        assert captured.out == ""
         assert "Traceback" not in captured.err
 
 

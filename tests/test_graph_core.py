@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,22 @@ class TestMst:
             expected = brute_force_mst_weight(g)
             assert mst_kruskal(g).total_weight == expected
             assert mst_prim(g, rng.randrange(8)).total_weight == expected
+
+    def test_large_distinct_denominators_sort_in_time(self):
+        # A sort key scaled to the lcm of the denominators grows toward
+        # their product: 299 distinct 1000-digit ones took about 3 s.
+        rng = random.Random(5)
+        pairs = [(a, b) for a in range(25) for b in range(a + 1, 25)][:299]
+        edges = [
+            WeightedEdge(a, b, Fraction(rng.randrange(1, 10**6), rng.randrange(10**999, 10**1000)))
+            for a, b in pairs
+        ]
+        assert len({e.weight.denominator for e in edges}) == 299
+        g = SecurityGraph(25, edges, sources=range(25))
+        start = time.perf_counter()
+        tree = mst_kruskal(g)
+        assert time.perf_counter() - start < 0.5
+        assert tree.total_weight == mst_prim(g).total_weight
 
     def test_kruskal_prim_weight_agreement(self):
         rng = random.Random(7)

@@ -70,6 +70,18 @@ MUTANTS = (
     ("parser-abort-agents-order-check-dropped", "src/treekd/transcript_io.py",
      "if list(out) != sorted(out):",
      "if False:"),
+    ("config-blocks-range-check-dropped", "src/treekd/config_io.py",
+     'if key == "blocks" and value < 1:',
+     "if False:"),
+    ("config-repeated-param-check-dropped", "src/treekd/config_io.py",
+     "if key in param_lines:",
+     "if False:"),
+    ("config-error-sort-dropped", "src/treekd/config_io.py",
+     "for line, message in sorted(errors)]",
+     "for line, message in errors]"),
+    ("config-leader-range-check-dropped", "src/treekd/config_io.py",
+     "if n and not 0 <= leader < n:",
+     "if False:"),
 )
 
 
