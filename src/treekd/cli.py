@@ -114,9 +114,8 @@ def cmd_run(config: protocol.ProtocolConfig, out_dir: Optional[Path], out=None) 
 def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
     config = config_io.load_config(config_path)
     tree, leader = config.tree, config.leader
-    blocks = transcript_io.parse_transcript(
-        config_io.read_text(transcript_path, "transcript line").splitlines()
-    )
+    text = config_io.read_text(transcript_path, "transcript line")
+    blocks = transcript_io.parse_transcript(config_io.text_lines(text))
     ok = True
     round_total = 0
     for b, transcript in enumerate(blocks):

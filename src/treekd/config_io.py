@@ -1,6 +1,7 @@
 """Line-based graph and run-configuration text format.
 
-One record per line; ``#`` starts a comment.  Graph records:
+One record per line, a line ended only by LF, CRLF or CR (text_lines);
+``#`` starts a comment that runs to the line's end.  Graph records:
 
     node <id>
     source <id>
@@ -37,6 +38,16 @@ class ConfigError(Exception):
     def __init__(self, errors: List[str]):
         self.errors = list(errors)
         super().__init__("\n".join(self.errors))
+
+
+def text_lines(text: str) -> List[str]:
+    """The lines of a config or transcript, ended only by LF, CRLF or CR:
+    str.splitlines() also ends one at VT, FF, FS, GS, RS, NEL, LS and PS,
+    which would end a # comment early and read the record after it."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _number(kind, text: str):
@@ -92,7 +103,7 @@ def parse_config(text: str) -> ProtocolConfig:
             agent = ids[field] = _number(int, field)
         return agent
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         fields = raw.partition("#")[0].split()
         if not fields:
             continue
@@ -193,7 +204,7 @@ def read_text(path: Path, line: str = "line") -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        number = len((data[: exc.start].decode() + "x").splitlines())
+        number = len(text_lines(data[: exc.start].decode() + "x"))
         raise ConfigError([f"{line} {number}: byte 0x{data[exc.start]:02x} is not UTF-8 text"])
 
 

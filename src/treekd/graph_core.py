@@ -161,19 +161,9 @@ def validate_graph(g: SecurityGraph) -> Tuple[str, ...]:
     return tuple(violations)
 
 
-def connected_components(g: SecurityGraph) -> List[Set[int]]:
-    """Vertex sets of the components, ordered by their smallest vertex."""
-    uf = _UnionFind(g.n)
-    for e in g.edges:
-        uf.union(e.a, e.b)
-    components: Dict[int, Set[int]] = {}
-    for v in range(g.n):
-        components.setdefault(uf.find(v), set()).add(v)
-    return list(components.values())
-
-
 def mst_kruskal(g: SecurityGraph) -> SpanningTree:
-    """Minimum spanning tree; equal weights break ties by input edge index."""
+    """Minimum spanning tree; equal weights break ties by input edge index.
+    A disconnected graph raises DisconnectedGraphError with its components."""
     # Sort on the exact Fraction weights, not on ints scaled to the lcm of
     # the denominators, which grows toward their product; the stable sort
     # keeps input order within equal weights.
@@ -186,7 +176,11 @@ def mst_kruskal(g: SecurityGraph) -> SpanningTree:
             if len(chosen) == g.n - 1:
                 break
     if len(chosen) != g.n - 1:
-        raise DisconnectedGraphError(connected_components(g))
+        # Every edge is unioned: list uf's components by smallest vertex.
+        components: Dict[int, Set[int]] = {}
+        for v in range(g.n):
+            components.setdefault(uf.find(v), set()).add(v)
+        raise DisconnectedGraphError(list(components.values()))
     return SpanningTree(g.n, chosen)
 
 

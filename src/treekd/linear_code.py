@@ -17,10 +17,6 @@ from typing import Tuple
 from .rng import SeededRng
 
 
-class NotACodewordError(Exception):
-    """index_of was handed a word outside the code."""
-
-
 LinearCode = namedtuple("LinearCode", "m k t codewords")
 LinearCode.__doc__ = """A t-error-correcting [m,k] code over GF(2), held as its codeword
 table: m, k and t (int), and codewords (Tuple[int, ...]), all 2^k
@@ -69,7 +65,7 @@ def index_of(code: LinearCode, codeword: int) -> int:
     index = codeword >> (code.m - code.k)
     if 0 <= index < len(code.codewords) and code.codewords[index] == codeword:
         return index
-    raise NotACodewordError(f"{codeword} is not a codeword")
+    raise ValueError(f"{codeword} is not a codeword")
 
 
 def random_codeword(code: LinearCode, rng: SeededRng) -> Tuple[int, int]:

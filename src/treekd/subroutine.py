@@ -33,10 +33,6 @@ from .rng import SeededRng
 from .transcript_io import format_payload
 
 
-class MissingAnnouncementError(Exception):
-    """A non-terminal agent's announcement is absent from the round."""
-
-
 def reconstruct_assignment(
     agent: int,
     own_bits: Mapping[EdgeKey, int],
@@ -55,9 +51,7 @@ def reconstruct_assignment(
     terminals = terminal_agents(tree)
     for v in range(tree.n):
         if v not in terminals and v not in announcements:
-            raise MissingAnnouncementError(
-                f"no announcement from non-terminal agent {v}"
-            )
+            raise ValueError(f"no announcement from non-terminal agent {v}")
 
     adj = tree.adjacency()
     assignment: Dict[EdgeKey, int] = dict(own_bits)

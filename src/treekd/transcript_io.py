@@ -1,7 +1,8 @@
 """Plain-text transcript log rendering and parsing.
 
 One line per message: ``<seq> <sender> <kind> <payload>``, where seq is the
-message's position in its block.  Lines starting with ``#`` are comments.
+message's position in its block.  Lines starting with ``#`` are comments;
+as in a config, only LF, CRLF or CR ends a line (config_io.text_lines).
 Payload text per kind:
 
 - announcement:      ``(a,b):bit`` pairs, comma-separated, each edge once, in

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from hypothesis import strategies as st
 from scipy import stats
@@ -19,7 +20,6 @@ from treekd.graph_core import (
     SecurityGraph,
     SpanningTree,
     WeightedEdge,
-    connected_components,
     terminal_agents,
 )
 from treekd.linear_code import LinearCode, _systematic_code, hamming_7_4
@@ -127,6 +127,30 @@ def brute_force_mst_weight(g: SecurityGraph) -> Optional[Fraction]:
     return best
 
 
+def bfs_components(g: SecurityGraph) -> List[Set[int]]:
+    """The vertex sets of g's components by breadth-first search, listed by
+    smallest vertex: the connectivity oracle, which shares no union-find
+    with graph_core.mst_kruskal."""
+    neighbours: Dict[int, List[int]] = {v: [] for v in range(g.n)}
+    for e in g.edges:
+        neighbours[e.a].append(e.b)
+        neighbours[e.b].append(e.a)
+    components: List[Set[int]] = []
+    seen: Set[int] = set()
+    for start in range(g.n):
+        if start in seen:
+            continue
+        component, queue = {start}, deque([start])
+        while queue:
+            for v in neighbours[queue.popleft()]:
+                if v not in component:
+                    component.add(v)
+                    queue.append(v)
+        seen |= component
+        components.append(component)
+    return components
+
+
 def mst_prim(g: SecurityGraph, root: int = 0) -> SpanningTree:
     """Prim's algorithm grown from root, equal weights broken by input edge
     index as in Kruskal: the oracle for graph_core.mst_kruskal."""
@@ -136,7 +160,7 @@ def mst_prim(g: SecurityGraph, root: int = 0) -> SpanningTree:
     while len(in_tree) < g.n:
         crossing = [e for e in g.edges if (e.a in in_tree) != (e.b in in_tree)]
         if not crossing:
-            raise DisconnectedGraphError(connected_components(g))
+            raise DisconnectedGraphError(bfs_components(g))
         e = min(crossing, key=lambda c: (c.weight, index[c]))
         chosen.append(e)
         in_tree.update((e.a, e.b))

@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 from conftest import (
+    bfs_components,
     brute_force_configurations,
     brute_force_mst_weight,
     chi_square_uniformity,
@@ -29,7 +30,6 @@ from treekd.graph_core import (
     SecurityGraph,
     SpanningTree,
     WeightedEdge,
-    connected_components,
     mst_kruskal,
 )
 from treekd.linear_code import (
@@ -133,7 +133,7 @@ def test_criterion_3_spanning_tree_necessity_sufficiency(tmp_path):
         cfg = tmp_path / f"g{subset_bits}.cfg"
         cfg.write_text("\n".join(lines) + "\n")
         rc = main(["plan", "--config", str(cfg)])
-        if len(connected_components(graph)) == 1:
+        if len(bfs_components(graph)) == 1:
             assert rc == EXIT_OK
             result = run_block(
                 ProtocolConfig(

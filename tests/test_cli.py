@@ -152,6 +152,9 @@ class TestParseConfig:
             ("param code=repetition\n",
              "line 4: bad repetition code name 'repetition': "
              "length '' is not a canonical ASCII number"),
+            # U+2028 does not end the comment, so the param stays in it.
+            ("# note\u2028param leader=5\nvertex 3\n",
+             "line 5: unknown record kind 'vertex'"),
         ],
         ids=["zero-denominator", "epsilon-nan", "epsilon-inf", "epsilon-zero",
              "node-extra-field", "source-extra-field", "param-extra-field",
@@ -168,7 +171,8 @@ class TestParseConfig:
              "param-delta-underscore", "edge-weight-exponent", "edge-weight-upper-exponent",
              "edge-weight-huge-exponent", "param-code-repetition-plus-sign",
              "param-code-repetition-leading-zero", "param-code-repetition-underscore",
-             "param-code-repetition-arabic-indic-digit", "param-code-repetition-no-length"],
+             "param-code-repetition-arabic-indic-digit", "param-code-repetition-no-length",
+             "comment-hides-param-after-ls"],
     )
     def test_bad_number_exits_1_with_error(self, tmp_path, capsys, extra, message):
         # Each case is exactly one error: a value that fails to convert
@@ -334,6 +338,28 @@ class TestPlan:
         )
         assert main(["plan", "--config", str(cfg)]) == EXIT_OK
         assert "terminal agents: 1,2,3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"],
+    )
+    def test_comment_runs_to_the_line_break(self, tmp_path, capsys, brk):
+        # str.splitlines() ends a line at brk too, which would bring the
+        # commented-out weight-0 edge into the tree.
+        text = "node 0\nnode 1\nnode 2\nsource 0\nsource 1\nedge 0 1\nedge 1 2\n"
+        cfg = write(tmp_path, "c.cfg", text + f"# old link, removed:{brk}edge 0 2 weight=0\n")
+        assert main(["plan", "--config", str(cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "  edge 0 1 weight=1\n  edge 1 2 weight=1\ntotal weight: 2\n" in out
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_each_line_break_ends_a_record(self, tmp_path, capsys, end):
+        lines = ["node 0", "node 1", "node 2", "source 0", "source 1",
+                 "edge 0 1", "edge 1 2", "edge 0 2 weight=0  # kept", ""]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(end.join(lines).encode())
+        assert main(["plan", "--config", str(cfg)]) == EXIT_OK
+        assert "total weight: 1\n" in capsys.readouterr().out
 
     def test_disconnected_names_components(self, tmp_path, capsys):
         cfg = write(tmp_path, "disc.cfg", DISCONNECTED)
@@ -589,6 +615,16 @@ class TestAnalyze:
              "transcript line 4: check_positions after the block's outcome"),
             (PATH3, ANNOUNCE.encode() + b"1 0 terminal_choice \xff\n",
              "transcript line 2: byte 0xff is not UTF-8 text"),
+            # Only LF, CRLF and CR end a line, so each comment below runs
+            # past its NEL, LS, FF or PS to the line's end.
+            (PATH3, "# block 0\x85" + ANNOUNCE + "1 0 terminal_choice 0\n",
+             "transcript line 2: stream starts at seq 1"),
+            (PATH3, ANNOUNCE + "# end\u20281 0 terminal_choice 0\n",
+             "transcript line 1: round has no terminal_choice"),
+            (PATH3, "# a\x0cb\n" + ANNOUNCE + "2 0 terminal_choice 0\n",
+             "transcript line 3: expected seq 1, got 2"),
+            (PATH3, "# a\u2029b\n".encode() + ANNOUNCE.encode() + b"1 0 terminal_choice \xff\n",
+             "transcript line 3: byte 0xff is not UTF-8 text"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
@@ -615,7 +651,9 @@ class TestAnalyze:
              "announcement-after-check-phase", "terminal-choice-after-abort",
              "code-broadcast-after-code-broadcast", "check-values-after-code-broadcast",
              "abort-after-code-broadcast", "check-positions-after-abort",
-             "not-utf8-transcript"],
+             "not-utf8-transcript", "comment-hides-announcement-after-nel",
+             "comment-hides-terminal-choice-after-ls", "comment-with-form-feed-keeps-line-numbers",
+             "not-utf8-transcript-after-ps-in-comment"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message
@@ -679,10 +717,18 @@ class TestGraphErrors:
              ["security graph is disconnected: components {0,1}; {2,3}"]),
             (b"node 0\nnode 1\nsource 0\r\nedge 0 1 weight=\xff\n", EXIT_CONFIG,
              ["line 4: byte 0xff is not UTF-8 text"]),
+            # A 7-line config: U+2028 leaves the param in its comment.
+            ("node 0\nnode 1\nnode 2\nsource 0\nedge 0 1\nedge 1 2\n"
+             "# note\u2028param leader=5\n", EXIT_CONFIG,
+             ["line 6: edge (1, 2) has no endpoint in the source set"]),
+            ("node 0\nnode 1\n# x\x85y\nsource 0\nedge 0 1 weight=\xff\n".encode("latin-1")
+             .replace(b"\x85", b"\xc2\x85"), EXIT_CONFIG,
+             ["line 5: byte 0xff is not UTF-8 text"]),
         ],
         ids=["empty-config", "one-agent", "unknown-agent", "self-loop",
              "duplicate-edge", "source-not-agent", "edge-without-source",
-             "disconnected", "not-utf8-config"],
+             "disconnected", "not-utf8-config", "comment-hides-param-after-ls",
+             "not-utf8-config-after-nel-in-comment"],
     )
     def test_violation_exits_with_errors_on_stderr(
         self, tmp_path, capsys, command, graph, status, errors

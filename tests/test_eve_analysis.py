@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,6 +221,41 @@ class TestSecretEntropy:
             (announcements, _, chosen), _ = honest_round(tree, rng, trial)
             count = consistent_configurations(announcements, tree)
             assert chosen in tree.terminal_keys and secret_entropy(count) == 1.0
+
+
+class TestLeakedEdgeBit:
+    """Negative control for the reduction: a round's secret bit is safe only
+    while its pairwise bits are.  An eavesdropper told one tree edge's true
+    bit at every position in S pins round r's secret bit exactly when r is
+    in S; every other round keeps two complementary configurations."""
+
+    @pytest.mark.parametrize("leak", ["some", "none", "all"])
+    def test_leaked_positions_fix_exactly_their_rounds(self, leak):
+        rng = random.Random(8080)
+        rounds = 6
+        for trial in range(25):
+            n = rng.randrange(3, 9)
+            tree = SpanningTree(n, random_tree_edges(n, rng))
+            edge = rng.choice(tree.edges).key
+            leaked = {
+                "some": {r for r in range(rounds) if rng.random() < 0.5},
+                "none": set(),
+                "all": set(range(rounds)),
+            }[leak]
+            for r in range(rounds):
+                (announcements, _, chosen), bits = honest_round(tree, rng, trial * rounds + r)
+                truth = {key: a for key, (a, _) in bits.items()}
+                left = [
+                    c for c in configurations(announcements, tree)
+                    if r not in leaked or c[edge] == truth[edge]
+                ]
+                if r in leaked:
+                    assert left == [truth]
+                    assert brute_force_entropy(left, chosen, tree) == 0.0
+                else:
+                    assert len(left) == 2 and truth in left
+                    assert all(left[0][key] != left[1][key] for key in truth)
+                    assert brute_force_entropy(left, chosen, tree) == 1.0
 
 
 class TestKeyUniformity:

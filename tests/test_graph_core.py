@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_mst_weight, mst_prim, random_connected_graph
+from conftest import bfs_components, brute_force_mst_weight, mst_prim, random_connected_graph
 from treekd.config_io import ConfigError, parse_config
 from treekd.graph_core import (
     DisconnectedGraphError,
     SecurityGraph,
     SpanningTree,
     WeightedEdge,
-    connected_components,
     mst_kruskal,
     terminal_agents,
     validate_graph,
@@ -91,17 +90,51 @@ class TestValidateGraph:
 
 
 class TestConnectivity:
+    """mst_kruskal reads a disconnected graph's components from its own
+    union-find; bfs_components is the oracle."""
+
     def test_path_connected(self):
-        assert connected_components(path_graph()) == [{0, 1, 2}]
+        g = path_graph()
+        assert bfs_components(g) == [{0, 1, 2}]
+        assert len(mst_kruskal(g).edges) == 2
 
     def test_isolated_vertex(self):
         g = SecurityGraph(3, [WeightedEdge(0, 1)], sources={0})
-        assert connected_components(g) == [{0, 1}, {2}]
+        with pytest.raises(DisconnectedGraphError) as err:
+            mst_kruskal(g)
+        assert err.value.components == bfs_components(g) == [{0, 1}, {2}]
+        assert str(err.value) == "security graph is disconnected: components {0,1}; {2}"
 
     def test_complete_graph(self):
         edges = [WeightedEdge(a, b) for a in range(4) for b in range(a + 1, 4)]
         g = SecurityGraph(4, edges, sources=range(4))
-        assert connected_components(g) == [{0, 1, 2, 3}]
+        assert bfs_components(g) == [{0, 1, 2, 3}]
+        assert len(mst_kruskal(g).edges) == 3
+
+    def test_components_match_bfs_on_random_graphs(self):
+        # Edge density varies per graph, so both connected graphs and
+        # graphs of several multi-vertex components are drawn.
+        rng = random.Random(5150)
+        connected = disconnected = 0
+        for _ in range(600):
+            n = rng.randrange(1, 12)
+            density = rng.random() * 0.6
+            edges = [
+                WeightedEdge(a, b, weight=rng.randrange(1, 4))
+                for a in range(n) for b in range(a + 1, n) if rng.random() < density
+            ]
+            rng.shuffle(edges)
+            g = SecurityGraph(n, edges, sources=range(n))
+            expected = bfs_components(g)
+            if len(expected) == 1:
+                assert len(mst_kruskal(g).edges) == n - 1
+                connected += 1
+            else:
+                with pytest.raises(DisconnectedGraphError) as err:
+                    mst_kruskal(g)
+                assert err.value.components == expected
+                disconnected += 1
+        assert connected > 150 and disconnected > 150
 
 
 class TestMst:

@@ -505,9 +505,10 @@ class TestTreeBuiltOnce:
 
     def test_cli_run_checks_its_graph_once(self, monkeypatch, tmp_path, capsys):
         # Count every binding of each function, so a check made from any
-        # module shows up.
+        # module shows up, and every union-find: a disconnected graph's
+        # components come from Kruskal's own, with no second pass.
         calls = Counter()
-        for name in ("validate_graph", "mst_kruskal", "connected_components"):
+        for name in ("validate_graph", "mst_kruskal"):
             original = getattr(graph_core, name)
 
             def counted(graph, _name=name, _original=original):
@@ -517,14 +518,26 @@ class TestTreeBuiltOnce:
             for module in (graph_core, config_io, protocol, cli):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
+        union_find = graph_core._UnionFind.__init__
+
+        def counted_union_find(self, n):
+            calls["_UnionFind"] += 1
+            union_find(self, n)
+
+        monkeypatch.setattr(graph_core._UnionFind, "__init__", counted_union_find)
         config = tmp_path / "run.cfg"
-        config.write_text(
-            "node 0\nnode 1\nnode 2\nnode 3\nsource 0\nsource 2\n"
-            "edge 0 1\nedge 1 2\nedge 2 3\nedge 0 3 weight=2\nparam blocks=3\n"
-        )
+        graph = "node 0\nnode 1\nnode 2\nnode 3\nsource 0\nsource 2\nedge 0 1\nedge 2 3\n"
+        config.write_text(graph + "edge 1 2\nedge 0 3 weight=2\nparam blocks=3\n")
         status = cli.main(["run", "--config", str(config)])
         assert status == cli.EXIT_OK, capsys.readouterr().err
-        assert calls == {"validate_graph": 1, "mst_kruskal": 1}
+        assert calls == {"validate_graph": 1, "mst_kruskal": 1, "_UnionFind": 1}
+        calls.clear()
+        config.write_text(graph)
+        assert cli.main(["run", "--config", str(config)]) == cli.EXIT_DISCONNECTED
+        assert capsys.readouterr().err == (
+            "error: security graph is disconnected: components {0,1}; {2,3}\n"
+        )
+        assert calls == {"validate_graph": 1, "mst_kruskal": 1, "_UnionFind": 1}
 
 
 class TestWordFormula:

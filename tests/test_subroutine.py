@@ -16,7 +16,6 @@ from treekd.linear_code import hamming_7_4
 from treekd.protocol import ProtocolConfig
 from treekd.rng import SeededRng
 from treekd.subroutine import (
-    MissingAnnouncementError,
     announcement_layout,
     random_efficiency,
     reconstruct_assignment,
@@ -93,7 +92,7 @@ class TestReconstruction:
 
     def test_missing_announcement_raises(self):
         tree = path_tree()
-        with pytest.raises(MissingAnnouncementError):
+        with pytest.raises(ValueError, match="no announcement from non-terminal agent 1"):
             reconstruct_assignment(0, {(0, 1): 0}, {}, tree)
 
     @settings(max_examples=100, deadline=None)

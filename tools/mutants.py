@@ -82,6 +82,27 @@ MUTANTS = (
     ("config-leader-range-check-dropped", "src/treekd/config_io.py",
      "if n and not 0 <= leader < n:",
      "if False:"),
+    ("kruskal-components-by-vertex", "src/treekd/graph_core.py",
+     "components.setdefault(uf.find(v), set()).add(v)",
+     "components.setdefault(v, set()).add(v)"),
+    ("line-split-at-unicode-boundaries", "src/treekd/config_io.py",
+     '    lines = text.replace("\\r\\n", "\\n").replace("\\r", "\\n").split("\\n")\n'
+     "    if not lines[-1]:\n"
+     "        lines.pop()\n"
+     "    return lines\n",
+     "    return text.splitlines()\n"),
+    ("run-rounds-leader-parity-dropped", "src/treekd/protocol.py",
+     "base = parity[leader]",
+     "base = 0"),
+    ("run-rounds-parity-b-copy-dropped", "src/treekd/protocol.py",
+     "parity[v] = parity[parent] ^ a ^ b",
+     "parity[v] = parity[parent] ^ a"),
+    ("run-rounds-leader-copy-sides-swapped", "src/treekd/protocol.py",
+     "words[e.key][int(leader == e.b)]",
+     "words[e.key][int(leader == e.a)]"),
+    ("eve-count-caps-record-degree-at-3", "src/treekd/eve_analysis.py",
+     "fixed += len(masked) - 1",
+     "fixed += min(len(masked), 3) - 1"),
 )
 
 
