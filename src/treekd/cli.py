@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import config_io, eve_analysis, protocol, transcript_io
 from .config_io import ConfigError
@@ -112,12 +112,22 @@ def cmd_run(config: protocol.ProtocolConfig, out_dir: Optional[Path], out=None) 
 
 
 def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
+    """Certify a transcript from what an eavesdropper sees: each round's
+    terminal_choice must come from the leader and name a terminal, and its
+    announcements must leave exactly two configurations.
+
+    Each distinct record is checked against the tree once per call, and
+    each distinct count's text is formatted once.  The report is written
+    once, after the last block certifies, so an error leaves stdout empty.
+    """
     config = config_io.load_config(config_path)
     tree, leader = config.tree, config.leader
     text = config_io.read_text(transcript_path, "transcript line")
     blocks = transcript_io.parse_transcript(config_io.text_lines(text))
+    checked: Dict[int, int] = {}  # id(record view) -> its constraints, -1 if invalid
+    verdicts: Dict[int, str] = {}  # count -> its report text
+    report: List[str] = []
     ok = True
-    round_total = 0
     for b, transcript in enumerate(blocks):
         rounds = eve_analysis.rounds_from_transcript(transcript)
         for r, (announcements, chooser, chosen) in enumerate(rounds):
@@ -128,24 +138,22 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
                 )
             if chosen not in tree.terminal_keys:
                 raise ValueError(f"block {b} round {r}: agent {chosen} is not terminal")
-            count = eve_analysis.consistent_configurations(announcements, tree)
-            entropy = eve_analysis.secret_entropy(count)
-            print(
-                f"block {b} round {r}: configurations={count} "
-                f"entropy={entropy:.6f}",
-                file=out,
-            )
+            count = eve_analysis.consistent_configurations(announcements, tree, checked)
+            verdict = verdicts.get(count)
+            if verdict is None:
+                entropy = eve_analysis.secret_entropy(count)
+                verdict = verdicts[count] = f"configurations={count} entropy={entropy:.6f}"
+            report.append(f"block {b} round {r}: {verdict}")
             if count != 2:
                 ok = False
-            round_total += 1
-    if not round_total:
+    if not report:
         raise ValueError("transcript has no rounds")
-    print(
-        f"{'PASS' if ok else 'FAIL'}: {round_total} rounds, "
+    report.append(
+        f"{'PASS' if ok else 'FAIL'}: {len(report)} rounds, "
         "two-configuration property "
-        f"{'holds' if ok else 'violated'}",
-        file=out,
+        f"{'holds' if ok else 'violated'}"
     )
+    print("\n".join(report), file=out)
     return EXIT_OK if ok else EXIT_CONFIG
 
 

@@ -9,7 +9,7 @@ Honest rounds must always leave exactly two complementary candidates.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .graph_core import EdgeKey, SpanningTree
 from .transcript_io import ParsedTranscript
@@ -18,6 +18,7 @@ from .transcript_io import ParsedTranscript
 def consistent_configurations(
     announcements: Mapping[int, Mapping[EdgeKey, int]],
     tree: SpanningTree,
+    checked: Optional[Dict[int, int]] = None,
 ) -> int:
     """Count the edge assignments an eavesdropper cannot rule out.
 
@@ -34,13 +35,25 @@ def consistent_configurations(
     announcement *value* is not structural: any per-agent record over the
     right edges still leaves exactly two complementary candidates, which
     is precisely the masking guarantee.
+
+    checked maps id(record) to the constraints the record fixes, or -1 for
+    an invalid one, so a caller that passes one table over many rounds
+    checks each record object once.  It may do so only while it holds
+    every record it has passed, each read-only and sent by one agent: the
+    parser's shared views are.
     """
+    if checked is None:
+        checked = {}
     fixed = 0
     for agent, masked in announcements.items():
-        incident = tree.incident_keys(agent)
-        if len(incident) <= 1 or masked.keys() != incident:
+        constraints = checked.get(id(masked))
+        if constraints is None:
+            incident = tree.incident_keys(agent)
+            valid = len(incident) > 1 and masked.keys() == incident
+            constraints = checked[id(masked)] = len(masked) - 1 if valid else -1
+        if constraints < 0:
             return 0
-        fixed += len(masked) - 1
+        fixed += constraints
     return 2 ** (tree.n - 1 - fixed)
 
 

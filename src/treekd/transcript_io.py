@@ -113,6 +113,26 @@ def _announcement(text: str) -> Dict[EdgeKey, int]:
     return record
 
 
+def _edge_bits(text: str, edge_lists: Dict[str, tuple]) -> Dict[EdgeKey, int]:
+    """text as an announcement, as _announcement reads it, given the edge
+    lists read so far: cleared payload -> (edge keys, bit offsets).
+
+    A valid payload has ``:`` only before a bit, so writing every ``:1``
+    as ``:0`` clears exactly its bits, and a text whose cleared form is
+    that of a valid payload differs from it only in bits: it is valid, over
+    the same edges, and only its bits need reading.
+    """
+    cleared = text.replace(":1", ":0")
+    known = edge_lists.get(cleared)
+    if known is None:
+        record = _announcement(text)
+        offsets = [i + 1 for i, c in enumerate(text) if c == ":"]
+        edge_lists[cleared] = (tuple(record), offsets)
+        return record
+    keys, offsets = known
+    return dict(zip(keys, [_BITS[text[i]] for i in offsets]))
+
+
 def _mismatch(text: str) -> Fraction:
     """text as an abort mismatch, read only as str() writes a Fraction in
     [0, 1]: Fraction() alone also reads '2/4', '0.5', '+1/7', '1_0/7',
@@ -157,6 +177,12 @@ def _parse_payload(kind: str, text: str):
     raise ValueError(f"unknown kind {kind!r}")
 
 
+_ROUND_KINDS = frozenset(("announcement", "terminal_choice"))
+_CHECK_KINDS = frozenset(("check_positions", "check_values", "code_broadcast", "abort"))
+_ANY_KIND = _ROUND_KINDS | _CHECK_KINDS
+_NO_KIND = frozenset()  # after a block's outcome
+
+
 def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     """Parse one or more concatenated block transcripts.
 
@@ -172,65 +198,85 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     open round's announcements by sender, its own sender, and the terminal
     it names.
 
-    Each line's seq is checked on that line; the text after it, which few
-    distinct texts fill, is parsed once per text per call into a (sender,
-    kind, payload) table whose dict payloads are read-only shared views.
+    Each distinct thing is read once per call.  Each line's seq is checked
+    first, once per distinct seq text.  The text after it, which few
+    distinct texts fill, is parsed once per text into a (sender, kind,
+    payload) table whose dict payloads are read-only shared views; each
+    sender text is read once, and each announcement's edge list once: its
+    payload with every ``:1`` written ``:0`` names the list, as a valid
+    payload has ``:`` only before a bit, so a payload whose cleared form
+    has parsed reads only its bits.  A line whose seq is the one expected
+    and whose kind the block's state admits is accepted on that one test;
+    any other line goes through the checks in the order above.
     """
     transcripts: List[ParsedTranscript] = []
     current: ParsedTranscript | None = None
     tails: Dict[str, tuple] = {}  # text after a seq -> (sender, kind, payload)
     seqs: Dict[str, int] = {}  # seq text -> its value
+    senders: Dict[str, int] = {}  # sender text -> its value
+    edge_lists: Dict[str, tuple] = {}  # cleared payload -> (edge keys, bit offsets)
+    expected = -1  # the seq the next line of the block must carry; -1 before a block
+    admits = _ANY_KIND  # the kinds the block's state takes without further checks
     open_round = 0  # first line of a round; only a terminal_choice may follow it
     pending: Dict[int, Mapping[EdgeKey, int]] = {}  # the open round's records by sender
-    phase = "rounds"  # how far the block has got: "rounds", "checks", "outcome"
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
         try:
             seq_s, _, tail = line.partition(" ")
-            entry = tails.get(tail)
-            if entry is None:  # checked in field order: seq, sender, kind and payload
-                _count(seq_s, "seq")
-                sender_s, _, rest = tail.partition(" ")
-                kind, _, text = rest.partition(" ")
-                sender, payload = _count(sender_s, "sender"), _parse_payload(kind, text)
-                view = MappingProxyType(payload) if type(payload) is dict else payload
-                entry = tails[tail] = (sender, kind, view)
-            sender, kind, payload = entry
             seq = seqs.get(seq_s)
             if seq is None:
                 seq = seqs[seq_s] = _count(seq_s, "seq")
-            if open_round and (seq == 0 or kind not in ("announcement", "terminal_choice")):
-                raise ValueError(f"round from line {open_round} has no terminal_choice")
-            if kind == "announcement" and sender in pending:
-                raise ValueError(
-                    f"round from line {open_round} has a second announcement "
-                    f"from agent {sender}"
-                )
-            if seq == 0:
-                current = ParsedTranscript(tails)
-                transcripts.append(current)
-                phase = "rounds"
-            if current is None:
-                raise ValueError(f"stream starts at seq {seq}")
-            if seq != len(current):
-                raise ValueError(f"expected seq {len(current)}, got {seq}")
-            if phase != "rounds" and kind in ("announcement", "terminal_choice"):
-                raise ValueError(f"{kind} after the block's rounds")
-            if phase == "outcome":
-                raise ValueError(f"{kind} after the block's outcome")
+            entry = tails.get(tail)
+            if entry is None:  # checked in field order: sender, kind and payload
+                sender_s, _, rest = tail.partition(" ")
+                sender = senders.get(sender_s)
+                if sender is None:
+                    sender = senders[sender_s] = _count(sender_s, "sender")
+                kind, _, text = rest.partition(" ")
+                if kind == "announcement":
+                    payload = _edge_bits(text, edge_lists)
+                else:
+                    payload = _parse_payload(kind, text)
+                view = MappingProxyType(payload) if type(payload) is dict else payload
+                entry = tails[tail] = (sender, kind, view)
+            sender, kind, payload = entry
+            if seq != expected or kind not in admits or (
+                kind == "announcement" and sender in pending
+            ):
+                if open_round and (seq == 0 or kind not in _ROUND_KINDS):
+                    raise ValueError(f"round from line {open_round} has no terminal_choice")
+                if kind == "announcement" and sender in pending:
+                    raise ValueError(
+                        f"round from line {open_round} has a second announcement "
+                        f"from agent {sender}"
+                    )
+                if seq == 0:
+                    current = ParsedTranscript(tails)
+                    transcripts.append(current)
+                    expected, admits = 0, _ANY_KIND
+                if current is None:
+                    raise ValueError(f"stream starts at seq {seq}")
+                if seq != expected:
+                    raise ValueError(f"expected seq {expected}, got {seq}")
+                if kind in _ROUND_KINDS and kind not in admits:
+                    raise ValueError(f"{kind} after the block's rounds")
+                if admits is _NO_KIND:
+                    raise ValueError(f"{kind} after the block's outcome")
             current.append(line)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
+        expected += 1
         if kind == "announcement":
             open_round = open_round or lineno
             pending[sender] = payload
+            admits = _ROUND_KINDS
         elif kind == "terminal_choice":
             current.rounds.append((pending, sender, payload))
-            open_round, pending = 0, {}
+            open_round, pending, admits = 0, {}, _ANY_KIND
         else:  # no round is open here: the checks above would have raised
-            phase = "outcome" if kind in ("abort", "code_broadcast") else "checks"
+            admits = _NO_KIND if kind in ("abort", "code_broadcast") else _CHECK_KINDS
     if open_round:
         raise ValueError(f"transcript line {open_round}: round has no terminal_choice")
     return transcripts

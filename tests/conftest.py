@@ -7,6 +7,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from hypothesis import strategies as st
@@ -31,7 +32,13 @@ from treekd.subroutine import (
     render_rounds,
     subroutine_round,
 )
-from treekd.transcript_io import ParsedTranscript, format_payload, parse_transcript
+from treekd.transcript_io import (
+    ParsedTranscript,
+    _count,
+    _parse_payload,
+    format_payload,
+    parse_transcript,
+)
 
 # A [6,3] code with a weight-2 codeword (001100), so some words have two
 # nearest codewords and the decoder's tie rule decides: no named code has
@@ -410,3 +417,66 @@ def edits(alphabet):
         st.tuples(st.integers(0, 10**4), st.integers(0, 3), st.text(alphabet, max_size=3)),
         min_size=1, max_size=6,
     )
+
+
+def reference_parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
+    """parse_transcript as it was before its fast paths: every line goes
+    through every check in order, and every payload text, announcements
+    included, through _parse_payload.  The oracle for the parser's fast
+    paths: on any input both give the same blocks and rounds, or raise the
+    same error."""
+    transcripts: List[ParsedTranscript] = []
+    current: Optional[ParsedTranscript] = None
+    tails: Dict[str, tuple] = {}
+    open_round = 0
+    pending: Dict[int, Mapping[EdgeKey, int]] = {}
+    phase = "rounds"
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        try:
+            seq_s, _, tail = line.partition(" ")
+            entry = tails.get(tail)
+            if entry is None:
+                _count(seq_s, "seq")
+                sender_s, _, rest = tail.partition(" ")
+                kind, _, text = rest.partition(" ")
+                sender, payload = _count(sender_s, "sender"), _parse_payload(kind, text)
+                view = MappingProxyType(payload) if type(payload) is dict else payload
+                entry = tails[tail] = (sender, kind, view)
+            sender, kind, payload = entry
+            seq = _count(seq_s, "seq")
+            if open_round and (seq == 0 or kind not in ("announcement", "terminal_choice")):
+                raise ValueError(f"round from line {open_round} has no terminal_choice")
+            if kind == "announcement" and sender in pending:
+                raise ValueError(
+                    f"round from line {open_round} has a second announcement "
+                    f"from agent {sender}"
+                )
+            if seq == 0:
+                current = ParsedTranscript(tails)
+                transcripts.append(current)
+                phase = "rounds"
+            if current is None:
+                raise ValueError(f"stream starts at seq {seq}")
+            if seq != len(current):
+                raise ValueError(f"expected seq {len(current)}, got {seq}")
+            if phase != "rounds" and kind in ("announcement", "terminal_choice"):
+                raise ValueError(f"{kind} after the block's rounds")
+            if phase == "outcome":
+                raise ValueError(f"{kind} after the block's outcome")
+            current.append(line)
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"transcript line {lineno}: {exc}") from exc
+        if kind == "announcement":
+            open_round = open_round or lineno
+            pending[sender] = payload
+        elif kind == "terminal_choice":
+            current.rounds.append((pending, sender, payload))
+            open_round, pending = 0, {}
+        else:
+            phase = "outcome" if kind in ("abort", "code_broadcast") else "checks"
+    if open_round:
+        raise ValueError(f"transcript line {open_round}: round has no terminal_choice")
+    return transcripts

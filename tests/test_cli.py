@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edits, mutate
+from conftest import edits, mutate, reference_parse_transcript
 import treekd
 from treekd import protocol
 from treekd.cli import (
@@ -21,7 +21,8 @@ from treekd.cli import (
     EXIT_OK,
     main,
 )
-from treekd.config_io import ConfigError, parse_config
+from treekd.config_io import ConfigError, load_config, parse_config
+from treekd.eve_analysis import consistent_configurations
 from treekd.linear_code import hamming_7_4
 
 PATH3 = """\
@@ -586,6 +587,11 @@ class TestAnalyze:
              "transcript line 2: terminal choice '' is not a canonical ASCII number"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 7\n",
              "block 0 round 0: agent 7 is not terminal"),
+            # The report is written only once the last block certifies, so
+            # the certified round before the error prints nothing.
+            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n"
+             "2 1 announcement (0,1):1,(1,2):0\n3 0 terminal_choice 1\n",
+             "block 0 round 1: agent 1 is not terminal"),
             # The config names the leader (0 by default); only it chooses.
             (PATH3, ANNOUNCE + "1 2 terminal_choice 0\n",
              "block 0 round 0: terminal_choice from agent 2, not the leader 0"),
@@ -646,7 +652,8 @@ class TestAnalyze:
              "short-line-seq-only-not-canonical", "short-line-seq-only",
              "short-line-no-kind",
              "check-position-empty", "terminal-choice-empty",
-             "terminal-choice-not-an-agent", "terminal-choice-from-non-leader",
+             "terminal-choice-not-an-agent", "second-round-choice-not-terminal",
+             "terminal-choice-from-non-leader",
              "terminal-choice-from-default-leader-under-leader-2",
              "announcement-after-check-phase", "terminal-choice-after-abort",
              "code-broadcast-after-code-broadcast", "check-values-after-code-broadcast",
@@ -664,7 +671,91 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert rc == EXIT_CONFIG
         assert f"error: {message}" in captured.err
-        assert "PASS" not in captured.out
+        assert captured.out == ""
+
+    # Agent 1 announces over two edges and agent 2 over three; 0, 3 and 4
+    # are terminals, and 0 leads.
+    FORK5 = "".join(f"node {v}\n" for v in range(5)) + (
+        "source 1\nsource 2\nedge 0 1\nedge 1 2\nedge 2 3\nedge 2 4\n"
+    )
+    # Each round as its (sender, payload) records, honest or tampered.
+    FORK5_ROUNDS = {
+        "honest": [(1, "(0,1):0,(1,2):1"), (2, "(1,2):0,(2,3):1,(2,4):1")],
+        "honest-flipped": [(1, "(0,1):1,(1,2):0"), (2, "(1,2):0,(2,3):1,(2,4):1")],
+        "missing-announcer": [(1, "(0,1):0,(1,2):1")],
+        "terminal-announces": [
+            (1, "(0,1):0,(1,2):1"), (2, "(1,2):0,(2,3):1,(2,4):1"), (3, "(2,3):0"),
+        ],
+        "extra-edge": [(1, "(0,1):0,(1,2):1,(2,3):0"), (2, "(1,2):0,(2,3):1,(2,4):1")],
+        "missing-edge": [(1, "(0,1):0,(1,2):1"), (2, "(1,2):0,(2,3):1")],
+    }
+
+    def fork5_counts(self, tmp_path, capsys, blocks):
+        """analyze's per-round counts on a FORK5 log of the named rounds,
+        block by block, and each round's count by a fresh
+        consistent_configurations call on the oracle parser's rounds."""
+        lines = []
+        for b, names in enumerate(blocks):
+            lines.append(f"# block {b}")
+            seq = 0
+            for r, name in enumerate(names):
+                for sender, payload in self.FORK5_ROUNDS[name]:
+                    lines.append(f"{seq} {sender} announcement {payload}")
+                    seq += 1
+                lines.append(f"{seq} 0 terminal_choice {(3, 4)[r % 2]}")
+                seq += 1
+        cfg = write(tmp_path, "fork5.cfg", self.FORK5)
+        log = write(tmp_path, "fork5.log", "\n".join(lines) + "\n")
+        rc = main(["analyze", "--transcript", str(log), "--config", str(cfg)])
+        report = capsys.readouterr().out.splitlines()
+        tree = load_config(cfg).tree
+        fresh = [
+            consistent_configurations(announcements, tree)
+            for block in reference_parse_transcript(lines)
+            for announcements, _, _ in block.rounds
+        ]
+        assert len(report) == len(fresh) + 1
+        counts = []
+        for line, (b, r) in zip(report, [(b, r) for b, names in enumerate(blocks)
+                                          for r in range(len(names))]):
+            prefix, _, count = line.partition(": configurations=")
+            count, _, entropy = count.partition(" entropy=")
+            assert prefix == f"block {b} round {r}"
+            assert entropy == ("1.000000" if int(count) else "0.000000")
+            counts.append(int(count))
+        ok = all(count == 2 for count in fresh)
+        assert rc == (EXIT_OK if ok else EXIT_CONFIG)
+        assert report[-1].startswith(f"{'PASS' if ok else 'FAIL'}: {len(fresh)} rounds")
+        return counts, fresh
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            # One record text in rounds 0 and 2, and agent 2's records over
+            # three edges, then two, then three again.
+            [["honest", "missing-edge", "honest"]],
+            # Agent 1 over two edges, then three; agent 3 only in round 1.
+            [["honest-flipped", "extra-edge", "terminal-announces", "honest"]],
+            # The same texts in two blocks, an invalid record first.
+            [["missing-edge", "missing-announcer"], ["honest", "missing-edge"]],
+        ],
+        ids=["reused-text-and-changing-edge-set", "extra-edge-then-honest", "two-blocks"],
+    )
+    def test_counts_equal_a_fresh_count_per_round(self, tmp_path, capsys, blocks):
+        counts, fresh = self.fork5_counts(tmp_path, capsys, blocks)
+        assert counts == fresh
+        assert len(set(fresh)) > 1
+
+    def test_counts_on_random_round_sequences(self, tmp_path, capsys):
+        rng = random.Random(36)
+        names = sorted(self.FORK5_ROUNDS)
+        for _ in range(60):
+            blocks = [
+                [rng.choice(names) for _ in range(rng.randrange(1, 5))]
+                for _ in range(rng.randrange(1, 4))
+            ]
+            counts, fresh = self.fork5_counts(tmp_path, capsys, blocks)
+            assert counts == fresh, blocks
 
     def test_noisy_tree_of_21_agents_passes(self, tmp_path, capsys):
         noisy = "".join(f"node {v}\nsource {v}\n" for v in range(21)) + "".join(

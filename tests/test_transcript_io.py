@@ -2,16 +2,18 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import edits, mutate, random_tree_edges
+from conftest import edits, mutate, random_tree_edges, reference_parse_transcript
 from treekd.eve_analysis import rounds_from_transcript
 from treekd.graph_core import SecurityGraph, WeightedEdge
 from treekd.linear_code import hamming_7_4
 from treekd.protocol import ProtocolConfig, run_blocks
 from treekd.transcript_io import (
+    _announcement,
     _count,
+    _edge_bits,
     _parse_payload,
     format_payload,
     parse_transcript,
@@ -293,3 +295,97 @@ class TestMutatedTranscripts:
             return
         for block in blocks:
             assert_messages_read_as_their_lines(block)
+
+
+def parse_outcome(parse, text):
+    """repr of each block's lines, rounds and messages as parse reads text,
+    or the message it raises."""
+    try:
+        blocks = parse(text.splitlines())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return repr([(list(block), block.rounds, block.messages) for block in blocks])
+
+
+ANNOUNCE = "0 1 announcement (0,1):0,(1,2):1\n"
+
+
+class TestFastPathsMatchTheOracle:
+    """parse_transcript accepts a line on one test of its seq and kind and
+    reads an announcement's bits alone once its edge list has parsed; on any
+    input it must give what the parser without those paths gives
+    (conftest.reference_parse_transcript): the same blocks and rounds, or
+    the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.sampled_from(FUZZ_TRANSCRIPTS),
+        changes=edits("0123456789 (),:/#\n-+_.eE\u0662\u00b2abcdeiknorstu"),
+    )
+    @example(base=FUZZ_TRANSCRIPTS[0], changes=SENDER_SWAP)
+    def test_mutated_transcripts(self, base, changes):
+        text = mutate(base, changes)
+        assert parse_outcome(parse_transcript, text) == parse_outcome(
+            reference_parse_transcript, text
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # A second announcement from agent 1 whose seq is also wrong:
+            # the second announcement is named first.
+            ANNOUNCE + "2 1 announcement (0,1):1,(1,2):1\n",
+            # A new block while a round is open, from the same sender.
+            ANNOUNCE + "0 1 announcement (0,1):1,(1,2):1\n",
+            ANNOUNCE + "1 0 check_positions 0\n",
+            ANNOUNCE + "1 0 terminal_choice 0\n2 0 check_values 01\n"
+            "3 1 announcement (0,1):0,(1,2):1\n",
+            ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0\n3 0 check_values 01\n",
+            ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0\n0 0 terminal_choice 2\n",
+            ANNOUNCE + "1 0 terminal_choice 0\n3 0 terminal_choice 2\n",
+            # Bits change and the edge list stays: read from the bits alone.
+            ANNOUNCE + "1 0 terminal_choice 0\n2 1 announcement (0,1):1,(1,2):0\n"
+            "3 0 terminal_choice 2\n4 2 announcement (0,1):1,(1,2):1\n5 0 terminal_choice 0\n",
+            # Edge lists equal but for a node id's 1 and 0.
+            "0 2 announcement (1,2):0,(2,3):1\n1 0 terminal_choice 0\n"
+            "2 2 announcement (0,2):0,(2,3):1\n3 0 terminal_choice 0\n",
+            # Cleared forms that are not that of any parsed edge list.
+            ANNOUNCE + "1 0 terminal_choice 0\n2 1 announcement (0,1):10,(1,2):1\n",
+            ANNOUNCE + "1 0 terminal_choice 0\n2 1 announcement (0,1):1,(1,2):1,\n",
+            ANNOUNCE + "1 0 terminal_choice 0\n2 1 announcement (0,1):0,(0,1):1\n",
+        ],
+        ids=["second-announcement-before-seq-gap", "seq-0-in-open-round",
+             "check-in-open-round", "announcement-after-checks",
+             "check-after-outcome", "new-block-after-outcome", "seq-gap",
+             "same-edge-list-new-bits", "edge-lists-differ-in-a-1",
+             "bit-of-two-digits", "trailing-comma", "repeated-edge"],
+    )
+    def test_hand_written_cases(self, text):
+        assert parse_outcome(parse_transcript, text) == parse_outcome(
+            reference_parse_transcript, text
+        )
+
+
+class TestEdgeBits:
+    """_edge_bits, with its table primed by a valid payload, reads every text
+    as _announcement does, and reads a text only by its bits exactly when its
+    cleared form is the primer's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        primer=ANNOUNCEMENTS,
+        bits=st.lists(st.sampled_from("01"), min_size=4, max_size=4),
+        changes=st.one_of(st.just([]), edits(ALPHABET)),
+    )
+    @example(primer="(0,1):0,(1,2):1", bits=list("1011"), changes=[])
+    @example(primer="(0,1):0,(1,2):1", bits=list("1011"), changes=[(7, 0, "1")])
+    def test_matches_announcement_after_a_valid_primer(self, primer, bits, changes):
+        assume(not outcome(_announcement, primer).startswith("ValueError"))
+        items = primer.split(",")
+        text = ",".join(item[:-1] + bit for item, bit in zip(items, bits))
+        text = mutate(text, changes) if changes else text
+        table = {}
+        _edge_bits(primer, table)
+        assert outcome(_edge_bits, text, table) == outcome(_announcement, text)
+        same_list = text.replace(":1", ":0") == primer.replace(":1", ":0")
+        assert len(table) == (1 if same_list or "ValueError" in outcome(_announcement, text) else 2)

@@ -101,8 +101,52 @@ MUTANTS = (
      "words[e.key][int(leader == e.b)]",
      "words[e.key][int(leader == e.a)]"),
     ("eve-count-caps-record-degree-at-3", "src/treekd/eve_analysis.py",
-     "fixed += len(masked) - 1",
-     "fixed += min(len(masked), 3) - 1"),
+     "len(masked) - 1 if valid else -1",
+     "min(len(masked), 3) - 1 if valid else -1"),
+    ("eve-record-table-keyed-on-sender", "src/treekd/eve_analysis.py",
+     "constraints = checked.get(id(masked))\n"
+     "        if constraints is None:\n"
+     "            incident = tree.incident_keys(agent)\n"
+     "            valid = len(incident) > 1 and masked.keys() == incident\n"
+     "            constraints = checked[id(masked)] =",
+     "constraints = checked.get(agent)\n"
+     "        if constraints is None:\n"
+     "            incident = tree.incident_keys(agent)\n"
+     "            valid = len(incident) > 1 and masked.keys() == incident\n"
+     "            constraints = checked[agent] ="),
+    ("parser-fast-test-skips-second-announcement", "src/treekd/transcript_io.py",
+     "if seq != expected or kind not in admits or (\n"
+     '                kind == "announcement" and sender in pending\n'
+     "            ):",
+     "if seq != expected or kind not in admits:"),
+    ("parser-open-round-admits-check-positions", "src/treekd/transcript_io.py",
+     "            admits = _ROUND_KINDS\n",
+     '            admits = _ROUND_KINDS | {"check_positions"}\n'),
+    ("edge-bits-read-from-first-payload", "src/treekd/transcript_io.py",
+     "edge_lists[cleared] = (tuple(record), offsets)\n"
+     "        return record\n"
+     "    keys, offsets = known\n"
+     "    return dict(zip(keys, [_BITS[text[i]] for i in offsets]))",
+     "edge_lists[cleared] = (record, offsets)\n"
+     "        return record\n"
+     "    keys, offsets = known\n"
+     "    return dict(keys)"),
+    ("edge-list-key-clears-every-1", "src/treekd/transcript_io.py",
+     'cleared = text.replace(":1", ":0")',
+     'cleared = text.replace("1", "0")'),
+    ("analyze-verdict-text-keyed-on-pass", "src/treekd/cli.py",
+     "verdict = verdicts.get(count)\n"
+     "            if verdict is None:\n"
+     "                entropy = eve_analysis.secret_entropy(count)\n"
+     "                verdict = verdicts[count] =",
+     "verdict = verdicts.get(count == 2)\n"
+     "            if verdict is None:\n"
+     "                entropy = eve_analysis.secret_entropy(count)\n"
+     "                verdict = verdicts[count == 2] ="),
+    ("analyze-prints-rounds-before-an-error", "src/treekd/cli.py",
+     "            if chosen not in tree.terminal_keys:\n",
+     "            if chosen not in tree.terminal_keys:\n"
+     '                print("\\n".join(report), file=out)\n'),
 )
 
 
