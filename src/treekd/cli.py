@@ -37,16 +37,25 @@ def _protocol_config(spec) -> protocol.ProtocolConfig:
 
 
 def cmd_plan(config: protocol.ProtocolConfig, out=None) -> int:
+    """Print the tree and its exact total weight.  The sum stops once a
+    running total's denominator has more digits than Python writes as text
+    (sys.get_int_max_str_digits(), unless 0), even if a later weight would
+    cancel them, as each further exact addition costs time in its digits."""
     tree = config.tree
+    limit = sys.get_int_max_str_digits()
+    bound = 10**limit if limit else 0  # the least int of limit + 1 digits
+    total = Fraction(0)
     try:
-        total = str(tree.total_weight)
-    except ValueError:  # Python's limit on int-to-text conversion
-        raise ValueError(
-            f"total weight has more than {sys.get_int_max_str_digits()} digits"
-        ) from None
+        for e in tree.edges:
+            total += e.weight
+            if bound and total.denominator >= bound:
+                raise ValueError
+        text = str(total)
+    except ValueError:  # also Python's own limit on a long numerator
+        raise ValueError(f"total weight has more than {limit} digits") from None
     lines = [f"agents: {config.graph.n}", "minimum spanning security tree:"]
     lines += [f"  edge {e.a} {e.b} weight={e.weight}" for e in tree.edges]
-    lines += [f"total weight: {total}", f"terminal agents: {','.join(map(str, tree.terminals))}"]
+    lines += [f"total weight: {text}", f"terminal agents: {','.join(map(str, tree.terminals))}"]
     print("\n".join(lines), file=out)
     return EXIT_OK
 
@@ -111,10 +120,59 @@ def cmd_run(config: protocol.ProtocolConfig, out_dir: Optional[Path], out=None) 
     return EXIT_OK
 
 
+def _certify_block(b: int, transcript, config: protocol.ProtocolConfig) -> None:
+    """Raise ValueError unless block b holds what a run of config writes,
+    once its rounds have passed their own checks: 2m rounds; then the
+    leader's check_positions, m of them below 2m; each agent's
+    check_values of m bits, in agent order; and the leader's outcome as
+    protocol.decide_abort recomputes it from those values: an abort naming
+    every other agent's mismatch when it aborts, else a code_broadcast of
+    m bits.  An error names the line that breaks this, if there is one."""
+    m, leader = config.code.m, config.leader
+
+    def error(line, expected, got):
+        where = f"transcript line {line}: " if line else ""
+        return ValueError(f"{where}block {b}: expected {expected}, got {got}")
+
+    if len(transcript.rounds) != 2 * m:
+        raise error(0, f"{2 * m} rounds", len(transcript.rounds))
+    phase = transcript.check_phase
+    order = [(("check_positions",), leader)]
+    order += [(("check_values",), agent) for agent in range(config.graph.n)]
+    order += [(("abort", "code_broadcast"), leader)]
+    values = {}
+    for (kinds, sender), (line, got, kind, payload) in zip(order, phase):
+        if kind not in kinds or got != sender:
+            want = f"{' or '.join(kinds)} from agent {sender}"
+            raise error(line, want, f"{kind} from agent {got}")
+        if kind == "check_values":
+            if len(payload) != m:
+                raise error(line, f"check_values of length {m}", repr(str(payload)))
+            values[got] = payload
+        elif kind == "check_positions" and (len(payload) != m or payload[-1] >= 2 * m):
+            text = transcript_io.format_payload(kind, payload)
+            raise error(line, f"{m} check positions below {2 * m}", repr(text))
+    if len(phase) < len(order):
+        kinds, sender = order[len(phase)]
+        raise error(0, f"{' or '.join(kinds)} from agent {sender}", "the block's end")
+    abort, mismatch = protocol.decide_abort(values, leader, config.delta)
+    if abort:
+        del mismatch[leader]
+        if kind == "abort" and payload == mismatch:
+            return
+        expected = f"abort {transcript_io.format_payload('abort', mismatch)}"
+    elif kind == "code_broadcast" and len(payload) == m:
+        return
+    else:
+        expected = f"code_broadcast of length {m}"
+    raise error(line, expected, f"{kind} {transcript_io.format_payload(kind, payload)}")
+
+
 def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
     """Certify a transcript from what an eavesdropper sees: each round's
     terminal_choice must come from the leader and name a terminal, and its
-    announcements must leave exactly two configurations.
+    announcements must leave exactly two configurations; and each block
+    must be whole, as _certify_block checks once its rounds have.
 
     Each distinct record is checked against the tree once per call, and
     each distinct count's text is formatted once.  The report is written
@@ -146,6 +204,7 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
             report.append(f"block {b} round {r}: {verdict}")
             if count != 2:
                 ok = False
+        _certify_block(b, transcript, config)
     if not report:
         raise ValueError("transcript has no rounds")
     report.append(

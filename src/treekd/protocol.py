@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .bits import BitString
@@ -85,22 +85,28 @@ def select_check_positions(rng: SeededRng, total: int) -> Tuple[int, ...]:
     return tuple(sorted(rng.generator().sample(range(total), m)))
 
 
+@lru_cache(maxsize=16)
+def _decimal(delta: float) -> Fraction:
+    """delta as the decimal it prints as: the float 0.3 is below 3/10."""
+    return Fraction(str(delta))
+
+
 def decide_abort(
     check_values: Mapping[int, BitString], leader: int, delta: float
 ) -> Tuple[bool, Dict[int, Fraction]]:
     """(abort, mismatch): each key's mismatch fraction vs the leader, the
     leader's own 0 included; abort iff one strictly exceeds delta, read as
-    the decimal it prints as (the float 0.3 is below 3/10); exactly delta
-    proceeds.
+    its _decimal; exactly delta proceeds.  The largest mismatch count c is
+    compared as c/m > p/q, that is c*q > p*m, and one Fraction is built per
+    distinct count.
     """
-    limit = Fraction(str(delta))
+    limit = _decimal(delta)
     reference = check_values[leader]
     m, value = len(reference), reference.value
-    mismatch = {
-        agent: Fraction((value ^ bits.value).bit_count(), m)
-        for agent, bits in check_values.items()
-    }
-    return any(frac > limit for frac in mismatch.values()), mismatch
+    counts = {agent: (value ^ bits.value).bit_count() for agent, bits in check_values.items()}
+    fractions = {c: Fraction(c, m) for c in set(counts.values())}
+    abort = max(fractions) * limit.denominator > limit.numerator * m
+    return abort, {agent: fractions[c] for agent, c in counts.items()}
 
 
 def reconcile(

@@ -39,14 +39,17 @@ and payload (its kind's parsed value)."""
 
 class ParsedTranscript(list):
     """A block read back from text: the list of its lines, the message each
-    carries, and its rounds as the parser checked them, one (announcements
-    by sender, the choice's sender, chosen terminal) triple per
-    terminal_choice, each announcement the parser's shared read-only view."""
+    carries, its rounds as the parser checked them, one (announcements by
+    sender, the choice's sender, chosen terminal) triple per
+    terminal_choice, each announcement the parser's shared read-only view,
+    and its check phase, one (line number, sender, kind, payload) per
+    message after its rounds, in line order."""
 
     def __init__(self, tails: Dict[str, tuple]):
         super().__init__()
         self._tails = tails  # text after a seq -> (sender, kind, payload)
         self.rounds: List[Tuple[Dict[int, Mapping[EdgeKey, int]], int, int]] = []
+        self.check_phase: List[Tuple[int, int, str, object]] = []
 
     @cached_property
     def messages(self) -> List[BroadcastMessage]:
@@ -87,48 +90,39 @@ def _count(text: str, what: str) -> int:
     return int(text)
 
 
-def _announcement(text: str) -> Dict[EdgeKey, int]:
+def _announcement(text: str, edge_lists: Dict[str, tuple]) -> Dict[EdgeKey, int]:
     """text as an announcement, read only as format_payload writes one:
     one or more ``(a,b):bit`` items, comma-separated, a and b canonical.
 
-    Split at every comma, the text alternates ``(a`` and ``b):bit`` pieces,
-    as each item holds one comma and one comma joins two items.  Each
-    number gets _count's checks inline, as a call per number would cost
-    more than the checks.
-    """
-    pieces = text.split(",")
-    if len(pieces) % 2 or not text.isascii():
-        raise ValueError(f"malformed announcement payload {text!r}")
-    record: Dict[EdgeKey, int] = {}
-    for left, right in zip(pieces[::2], pieces[1::2]):
-        a = left[1:]
-        b, close, bit = right.partition("):")
-        if not (left[:1] == "(" and close and bit in _BITS
-                and a.isdigit() and (a[0] != "0" or a == "0")
-                and b.isdigit() and (b[0] != "0" or b == "0")):
-            raise ValueError(f"malformed announcement payload {text!r}")
-        record[int(a), int(b)] = _BITS[bit]
-    if len(record) != len(pieces) // 2:
-        raise ValueError(f"announcement repeats an edge: {text!r}")
-    return record
-
-
-def _edge_bits(text: str, edge_lists: Dict[str, tuple]) -> Dict[EdgeKey, int]:
-    """text as an announcement, as _announcement reads it, given the edge
-    lists read so far: cleared payload -> (edge keys, bit offsets).
-
-    A valid payload has ``:`` only before a bit, so writing every ``:1``
-    as ``:0`` clears exactly its bits, and a text whose cleared form is
-    that of a valid payload differs from it only in bits: it is valid, over
-    the same edges, and only its bits need reading.
+    edge_lists, one table per parse, maps each cleared payload read so
+    far (every ``:1`` written ``:0``) to its edge keys and bit offsets.  A
+    valid payload has ``:`` only before a bit, so a text is valid exactly
+    when its cleared form is, over the same edges: only a new cleared form
+    is checked, each error quoting text, and every text, the first one
+    included, reads its bits at the offsets.  Split at every comma, a
+    cleared text alternates ``(a`` and ``b):0`` pieces, as each item holds
+    one comma and one comma joins two items.  Each number gets _count's
+    checks inline, as a call per number would cost more than the checks.
     """
     cleared = text.replace(":1", ":0")
     known = edge_lists.get(cleared)
     if known is None:
-        record = _announcement(text)
-        offsets = [i + 1 for i, c in enumerate(text) if c == ":"]
-        edge_lists[cleared] = (tuple(record), offsets)
-        return record
+        pieces = cleared.split(",")
+        if len(pieces) % 2 or not cleared.isascii():
+            raise ValueError(f"malformed announcement payload {text!r}")
+        keys = []
+        for left, right in zip(pieces[::2], pieces[1::2]):
+            a = left[1:]
+            b, close, bit = right.partition("):")
+            if not (left[:1] == "(" and close and bit == "0"
+                    and a.isdigit() and (a[0] != "0" or a == "0")
+                    and b.isdigit() and (b[0] != "0" or b == "0")):
+                raise ValueError(f"malformed announcement payload {text!r}")
+            keys.append((int(a), int(b)))
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"announcement repeats an edge: {text!r}")
+        offsets = [i + 1 for i, c in enumerate(cleared) if c == ":"]
+        known = edge_lists[cleared] = (keys, offsets)
     keys, offsets = known
     return dict(zip(keys, [_BITS[text[i]] for i in offsets]))
 
@@ -149,9 +143,9 @@ def _mismatch(text: str) -> Fraction:
     return value
 
 
-def _parse_payload(kind: str, text: str):
+def _parse_payload(kind: str, text: str, edge_lists: Dict[str, tuple]):
     if kind == "announcement":
-        return _announcement(text)
+        return _announcement(text, edge_lists)
     if kind == "terminal_choice":
         return _count(text, "terminal choice")
     if kind == "check_positions":
@@ -196,16 +190,16 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     code_broadcast is the block's outcome, so no message may follow it in
     its block.  Each terminal_choice closes one of its block's rounds: the
     open round's announcements by sender, its own sender, and the terminal
-    it names.
+    it names; each later message of the block joins its check_phase, with
+    its line number.  What a block must hold after its rounds depends on
+    the config, so cli checks that.
 
     Each distinct thing is read once per call.  Each line's seq is checked
     first, once per distinct seq text.  The text after it, which few
     distinct texts fill, is parsed once per text into a (sender, kind,
     payload) table whose dict payloads are read-only shared views; each
-    sender text is read once, and each announcement's edge list once: its
-    payload with every ``:1`` written ``:0`` names the list, as a valid
-    payload has ``:`` only before a bit, so a payload whose cleared form
-    has parsed reads only its bits.  A line whose seq is the one expected
+    sender text is read once, and each announcement's edge list once, in
+    one _announcement table per call.  A line whose seq is the one expected
     and whose kind the block's state admits is accepted on that one test;
     any other line goes through the checks in the order above.
     """
@@ -235,10 +229,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                 if sender is None:
                     sender = senders[sender_s] = _count(sender_s, "sender")
                 kind, _, text = rest.partition(" ")
-                if kind == "announcement":
-                    payload = _edge_bits(text, edge_lists)
-                else:
-                    payload = _parse_payload(kind, text)
+                payload = _parse_payload(kind, text, edge_lists)
                 view = MappingProxyType(payload) if type(payload) is dict else payload
                 entry = tails[tail] = (sender, kind, view)
             sender, kind, payload = entry
@@ -276,6 +267,7 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             current.rounds.append((pending, sender, payload))
             open_round, pending, admits = 0, {}, _ANY_KIND
         else:  # no round is open here: the checks above would have raised
+            current.check_phase.append((lineno, sender, kind, payload))
             admits = _NO_KIND if kind in ("abort", "code_broadcast") else _CHECK_KINDS
     if open_round:
         raise ValueError(f"transcript line {open_round}: round has no terminal_choice")

@@ -419,10 +419,76 @@ def edits(alphabet):
     )
 
 
+LINE_EDITS = ("delete", "duplicate", "swap", "sender", "flip", "grow", "shrink", "abort")
+CHECK_PHASE_KINDS = ("check_positions", "check_values", "code_broadcast", "abort")
+
+
+def line_edits():
+    """One or two whole-line edits for edit_lines: (operation, whether
+    its lines come from the check phases alone, line, other line or
+    number), the numbers taken modulo the sizes."""
+    return st.lists(
+        st.tuples(st.sampled_from(LINE_EDITS), st.booleans(),
+                  st.integers(0, 255), st.integers(0, 255)),
+        min_size=1, max_size=2,
+    )
+
+
+def edit_lines(text, edits):
+    """A transcript text with each line edit applied in turn to line i of
+    the text, or of its check-phase lines: delete or duplicate it, swap it
+    with line j, give it sender j mod 7, flip its payload's character j if
+    that is a bit, put a 0 before its payload or drop the payload's first
+    character, or make it an abort naming agent j mod 7 at mismatch 0.
+    Each block's seqs are then renumbered 0, 1, 2, ..., a block starting
+    at each comment, so the text keeps the seqs a parser expects."""
+    lines = text.splitlines()
+    for operation, checks_only, i, j in edits:
+        pool = [
+            k for k, line in enumerate(lines)
+            if not checks_only or (line.split(" ") + ["", ""])[2] in CHECK_PHASE_KINDS
+        ]
+        if not pool:
+            continue
+        i = pool[i % len(pool)]
+        seq, _, rest = lines[i].partition(" ")
+        sender, _, rest = rest.partition(" ")
+        kind, _, payload = rest.partition(" ")
+        if operation == "delete":
+            del lines[i]
+        elif operation == "duplicate":
+            lines.insert(i, lines[i])
+        elif operation == "swap":
+            k = pool[j % len(pool)]
+            lines[i], lines[k] = lines[k], lines[i]
+        elif operation == "sender":
+            lines[i] = f"{seq} {j % 7} {rest}"
+        elif operation == "abort":
+            lines[i] = f"{seq} {sender} abort {j % 7}:0"
+        elif operation == "grow":
+            lines[i] = f"{seq} {sender} {kind} 0{payload}"
+        elif operation == "shrink":
+            lines[i] = f"{seq} {sender} {kind} {payload[1:]}"
+        elif operation == "flip" and payload:
+            k = j % len(payload)
+            bit = {"0": "1", "1": "0"}.get(payload[k], payload[k])
+            lines[i] = f"{seq} {sender} {kind} {payload[:k]}{bit}{payload[k + 1:]}"
+    out, seq = [], 0
+    for line in lines:
+        if line.startswith("#"):
+            out.append(line)
+            seq = 0
+        else:
+            out.append(f"{seq} {line.partition(' ')[2]}")
+            seq += 1
+    return "\n".join(out) + "\n"
+
+
 def reference_parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     """parse_transcript as it was before its fast paths: every line goes
     through every check in order, and every payload text, announcements
-    included, through _parse_payload.  The oracle for the parser's fast
+    included, through _parse_payload with a fresh edge-list table, so
+    each announcement is read in full.  The oracle for the parser's fast
     paths: on any input both give the same blocks and rounds, or raise the
     same error."""
     transcripts: List[ParsedTranscript] = []
@@ -442,7 +508,7 @@ def reference_parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                 _count(seq_s, "seq")
                 sender_s, _, rest = tail.partition(" ")
                 kind, _, text = rest.partition(" ")
-                sender, payload = _count(sender_s, "sender"), _parse_payload(kind, text)
+                sender, payload = _count(sender_s, "sender"), _parse_payload(kind, text, {})
                 view = MappingProxyType(payload) if type(payload) is dict else payload
                 entry = tails[tail] = (sender, kind, view)
             sender, kind, payload = entry
@@ -476,7 +542,62 @@ def reference_parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             current.rounds.append((pending, sender, payload))
             open_round, pending = 0, {}
         else:
+            current.check_phase.append((lineno, sender, kind, payload))
             phase = "outcome" if kind in ("abort", "code_broadcast") else "checks"
     if open_round:
         raise ValueError(f"transcript line {open_round}: round has no terminal_choice")
     return transcripts
+
+
+def recognizes_honest_blocks(lines: Iterable[str], config: ProtocolConfig) -> bool:
+    """True when lines hold one or more blocks that an honest run of config
+    could write, judged apart from cli on the oracle parser's messages.
+
+    Each block is 2m rounds, each round with one announcement from every
+    agent of tree degree above 1, over exactly its tree edges, and the
+    leader's choice of a degree-1 agent; then the leader's m check
+    positions below 2m, every agent's m check bits in agent order, and the
+    leader's outcome: an abort naming each other agent's mismatch against
+    the leader's bits when one exceeds delta, read as its decimal, and
+    otherwise a code_broadcast of m bits."""
+    try:
+        blocks = reference_parse_transcript(lines)
+    except ValueError:
+        return False
+    tree, leader, m, n = config.tree, config.leader, config.code.m, config.graph.n
+    incident: Dict[int, Set[EdgeKey]] = {}
+    for e in tree.edges:
+        for v in (e.a, e.b):
+            incident.setdefault(v, set()).add(e.key)
+    layout = {v: keys for v, keys in incident.items() if len(keys) > 1}
+    terminals = {v for v, keys in incident.items() if len(keys) == 1}
+    limit = Fraction(str(config.delta))
+    for block in blocks:
+        if len(block.rounds) != 2 * m:
+            return False
+        for announcements, chooser, chosen in block.rounds:
+            records = {sender: set(record) for sender, record in announcements.items()}
+            if records != layout or chooser != leader or chosen not in terminals:
+                return False
+        rest = [
+            msg for msg in block.messages if msg.kind not in ("announcement", "terminal_choice")
+        ]
+        shape = [("check_positions", leader)] + [("check_values", agent) for agent in range(n)]
+        if [(msg.kind, msg.sender) for msg in rest[:-1]] != shape:
+            return False
+        positions, *values, outcome = rest
+        bits = [str(msg.payload) for msg in values]
+        if (len(positions.payload) != m or any(p >= 2 * m for p in positions.payload)
+                or any(len(b) != m for b in bits) or outcome.sender != leader):
+            return False
+        mismatch = {
+            agent: Fraction(sum(x != y for x, y in zip(b, bits[leader])), m)
+            for agent, b in enumerate(bits)
+            if agent != leader
+        }
+        if any(frac > limit for frac in mismatch.values()):
+            if outcome.kind != "abort" or outcome.payload != mismatch:
+                return False
+        elif outcome.kind != "code_broadcast" or len(outcome.payload) != m:
+            return False
+    return bool(blocks)

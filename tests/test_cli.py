@@ -1,9 +1,13 @@
+import contextlib
+import difflib
 import importlib.util
+import io
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edits, mutate, reference_parse_transcript
+from conftest import (
+    edit_lines,
+    edits,
+    line_edits,
+    mutate,
+    random_tree_edges,
+    recognizes_honest_blocks,
+    reference_parse_transcript,
+)
 import treekd
 from treekd import protocol
 from treekd.cli import (
@@ -21,7 +33,7 @@ from treekd.cli import (
     EXIT_OK,
     main,
 )
-from treekd.config_io import ConfigError, load_config, parse_config
+from treekd.config_io import ConfigError, load_config, parse_config, text_lines
 from treekd.eve_analysis import consistent_configurations
 from treekd.linear_code import hamming_7_4
 
@@ -62,6 +74,44 @@ FUZZ_CONFIGS = [
     "edge 2 3 weight=3/2 flip=0.02  # comment\nedge 0 3 weight=7\n"
     "param leader=1\nparam code=repetition3\nparam seed=4\nparam epsilon=0.1\n",
 ]
+
+
+def run_log(config_text):
+    """The transcript.log that run writes for config_text."""
+    lines = []
+    for i, result in enumerate(protocol.run_blocks(parse_config(config_text))):
+        lines.append(f"# block {i}")
+        lines.extend(result.transcript)
+    return "\n".join(lines) + "\n"
+
+
+# Two noiseless blocks on a 3-agent path at delta 0.1; CHECKS3 is block 0's
+# check phase, on lines 30-34.
+NOISELESS3 = (
+    "node 0\nnode 1\nnode 2\nsource 1\nedge 0 1\nedge 1 2\nparam delta=0.1\nparam blocks=2\n"
+)
+NOISELESS3_LOG = run_log(NOISELESS3)
+CHECKS3 = (
+    "28 0 check_positions 1,2,3,6,8,11,12\n29 0 check_values 1010110\n"
+    "30 1 check_values 1010110\n31 2 check_values 1010110\n32 0 code_broadcast 1111000\n"
+)
+
+
+def edited(old, new):
+    """NOISELESS3_LOG with its first old text, which block 0 holds, as new."""
+    return NOISELESS3_LOG.replace(old, new, 1)
+
+
+# One honest block of 2 rounds on PATH3 with a 1-bit code, then block edits.
+REP1 = PATH3 + "param code=repetition1\n"
+REP1_ROUNDS = (
+    "0 1 announcement (0,1):0,(1,2):1\n1 0 terminal_choice 0\n"
+    "2 1 announcement (0,1):1,(1,2):0\n3 0 terminal_choice 2\n"
+)
+REP1_LOG = REP1_ROUNDS + (
+    "4 0 check_positions 1\n5 0 check_values 0\n6 1 check_values 0\n"
+    "7 2 check_values 0\n8 0 code_broadcast 1\n"
+)
 
 
 class TestParseConfig:
@@ -294,6 +344,22 @@ class TestParseConfig:
         assert rc == EXIT_CONFIG
 
 
+def long_sum_weights():
+    """Star weights whose exact sum's denominator outgrows what Python
+    prints: 200 distinct 3000-digit odd denominators, which summed to the
+    end reach 600000 digits over seconds; and 1/d + 1/e, over 4300 digits,
+    which the later (d-1)/d and (e-1)/e would cancel to a total of 2."""
+    rng = random.Random(23)
+    d, e = 10**2200 + 1, 10**2200 + 3
+    return [
+        [f"1/{rng.randrange(10**2999, 10**3000) | 1}" for _ in range(200)],
+        [f"1/{d}", f"1/{e}", f"{d - 1}/{d}", f"{e - 1}/{e}"],
+    ]
+
+
+LONG_SUM_WEIGHTS = long_sum_weights()
+
+
 class TestPlan:
     def test_triangle(self, tmp_path, capsys):
         cfg = write(
@@ -383,6 +449,23 @@ class TestPlan:
             f"error: total weight has more than {sys.get_int_max_str_digits()} digits\n"
         )
 
+    @pytest.mark.parametrize(
+        "weights", LONG_SUM_WEIGHTS, ids=["200-distinct-3000-digit-denominators", "cancelled-later"]
+    )
+    def test_sum_stops_at_a_long_running_denominator(self, tmp_path, capsys, weights):
+        n = len(weights) + 1
+        cfg = write(tmp_path, "star.cfg", "".join(f"node {v}\n" for v in range(n))
+                    + "source 0\n" + "".join(
+                        f"edge 0 {v} weight={w}\n" for v, w in enumerate(weights, 1)))
+        start = time.perf_counter()
+        assert main(["plan", "--config", str(cfg)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: total weight has more than {sys.get_int_max_str_digits()} digits\n"
+        )
+
     def test_run_options_rejected(self, tmp_path, capsys):
         # plan neither writes files nor draws randomness.
         cfg = write(tmp_path, "p.cfg", PATH3)
@@ -446,6 +529,21 @@ class TestAnalyze:
             ["analyze", "--transcript", str(log), "--config", str(cfg)]
         )
         return rc, capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "config, log, rounds",
+        [(NOISELESS3, NOISELESS3_LOG, 28), (REP1, REP1_LOG, 2)],
+        ids=["noiseless3", "rep1"],
+    )
+    def test_unedited_whole_blocks_pass(self, tmp_path, capsys, config, log, rounds):
+        # The edits of NOISELESS3_LOG below rewrite block 0's check phase.
+        assert NOISELESS3_LOG.splitlines()[29:34] == CHECKS3.splitlines()
+        cfg = write(tmp_path, "g.cfg", config)
+        path = write(tmp_path, "t.log", log)
+        assert main(["analyze", "--transcript", str(path), "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"PASS: {rounds} rounds, two-configuration property holds"
+        )
 
     def test_honest_transcript_passes(self, tmp_path, capsys):
         rc, out = self.run_and_analyze(
@@ -631,6 +729,59 @@ class TestAnalyze:
              "transcript line 3: expected seq 1, got 2"),
             (PATH3, "# a\u2029b\n".encode() + ANNOUNCE.encode() + b"1 0 terminal_choice \xff\n",
              "transcript line 3: byte 0xff is not UTF-8 text"),
+            # A block is whole only as a run writes it: 2m rounds, the
+            # leader's m check positions below 2m, each agent's m check bits
+            # in agent order, and the outcome those bits call for.
+            (NOISELESS3, edited(CHECKS3, CHECKS3.replace("1,2,3,6,8,11,12", "0,1").replace(
+                "code_broadcast 1111000", "code_broadcast 1")),
+             "transcript line 30: block 0: expected 7 check positions below 14, got '0,1'"),
+            (NOISELESS3, edited("31 2 check_values 1010110", "31 2 check_values 0101001"),
+             "transcript line 34: block 0: expected abort 1:0,2:1, "
+             "got code_broadcast 1111000"),
+            (NOISELESS3, edited("32 0 code_broadcast 1111000", "32 0 abort 1:1/7,2:1/7"),
+             "transcript line 34: block 0: expected code_broadcast of length 7, "
+             "got abort 1:1/7,2:1/7"),
+            (NOISELESS3,
+             edited(CHECKS3, CHECKS3.splitlines(True)[0] + "29 0 code_broadcast 1111000\n"),
+             "transcript line 31: block 0: expected check_values from agent 0, "
+             "got code_broadcast from agent 0"),
+            (NOISELESS3, edited("30 1 check_values 1010110\n31 2 check_values",
+                                "30 2 check_values 1010110\n31 1 check_values"),
+             "transcript line 32: block 0: expected check_values from agent 1, "
+             "got check_values from agent 2"),
+            (NOISELESS3, edited(CHECKS3, ""),
+             "block 0: expected check_positions from agent 0, got the block's end"),
+            (NOISELESS3, edited("32 0 code_broadcast 1111000\n", ""),
+             "block 0: expected abort or code_broadcast from agent 0, got the block's end"),
+            (REP1, REP1_ROUNDS.split("2 1 announcement")[0]
+             + "2 0 check_positions 1\n3 0 check_values 0\n4 1 check_values 0\n"
+             "5 2 check_values 0\n6 0 code_broadcast 1\n",
+             "block 0: expected 2 rounds, got 1"),
+            (REP1, REP1_LOG.replace("4 0 check_positions 1", "4 0 check_positions 2"),
+             "transcript line 5: block 0: expected 1 check positions below 2, got '2'"),
+            (REP1, REP1_LOG.replace("7 2 check_values 0", "7 2 check_values 00"),
+             "transcript line 8: block 0: expected check_values of length 1, got '00'"),
+            (REP1, REP1_LOG.replace("8 0 code_broadcast 1", "8 0 abort 1:0,2:0"),
+             "transcript line 9: block 0: expected code_broadcast of length 1, got abort 1:0,2:0"),
+            (REP1, REP1_LOG.replace("8 0 code_broadcast 1", "8 0 code_broadcast 10"),
+             "transcript line 9: block 0: expected code_broadcast of length 1, "
+             "got code_broadcast 10"),
+            (REP1, REP1_LOG.replace("7 2 check_values 0", "7 2 check_values 1"),
+             "transcript line 9: block 0: expected abort 1:0,2:1, got code_broadcast 1"),
+            (REP1, REP1_LOG.replace("7 2 check_values 0", "7 2 check_values 1").replace(
+                "8 0 code_broadcast 1", "8 0 abort 1:0,2:0"),
+             "transcript line 9: block 0: expected abort 1:0,2:1, got abort 1:0,2:0"),
+            (REP1, REP1_LOG.replace("6 1 check_values 0\n7 2", "6 2 check_values 0\n7 1"),
+             "transcript line 7: block 0: expected check_values from agent 1, "
+             "got check_values from agent 2"),
+            (REP1,
+             REP1_LOG.replace("8 0 code_broadcast 1", "8 0 check_values 0\n9 0 code_broadcast 1"),
+             "transcript line 9: block 0: expected abort or code_broadcast from agent 0, "
+             "got check_values from agent 0"),
+            (REP1 + "param leader=2\n",
+             REP1_LOG.replace(" 0 terminal_choice", " 2 terminal_choice"),
+             "transcript line 5: block 0: expected check_positions from agent 2, "
+             "got check_positions from agent 0"),
         ],
         ids=["sequence-gap", "non-terminal-choice",
              "unclosed-round-at-end", "unclosed-round-before-check",
@@ -660,7 +811,16 @@ class TestAnalyze:
              "abort-after-code-broadcast", "check-positions-after-abort",
              "not-utf8-transcript", "comment-hides-announcement-after-nel",
              "comment-hides-terminal-choice-after-ls", "comment-with-form-feed-keeps-line-numbers",
-             "not-utf8-transcript-after-ps-in-comment"],
+             "not-utf8-transcript-after-ps-in-comment",
+             "block-positions-too-few", "block-check-values-complemented",
+             "block-abort-with-agreeing-check-values", "block-check-values-deleted",
+             "block-check-values-senders-swapped", "block-cut-after-rounds",
+             "block-outcome-deleted", "block-round-missing",
+             "block-position-out-of-range", "block-check-value-too-long",
+             "block-abort-without-mismatch", "block-code-broadcast-too-long",
+             "block-code-broadcast-despite-mismatch", "block-abort-payload-wrong",
+             "block-check-values-out-of-agent-order", "block-extra-check-values",
+             "block-check-positions-not-from-leader"],
     )
     def test_malformed_transcript_exits_1_with_error(
         self, tmp_path, capsys, graph, transcript, message
@@ -674,9 +834,16 @@ class TestAnalyze:
         assert captured.out == ""
 
     # Agent 1 announces over two edges and agent 2 over three; 0, 3 and 4
-    # are terminals, and 0 leads.
+    # are terminals, and 0 leads.  A block is 6 rounds and an honest check
+    # phase, FORK5_CHECKS.
     FORK5 = "".join(f"node {v}\n" for v in range(5)) + (
         "source 1\nsource 2\nedge 0 1\nedge 1 2\nedge 2 3\nedge 2 4\n"
+        "param code=repetition3\n"
+    )
+    FORK5_CHECKS = (
+        [(0, "check_positions 0,2,4")]
+        + [(agent, "check_values 010") for agent in range(5)]
+        + [(0, "code_broadcast 111")]
     )
     # Each round as its (sender, payload) records, honest or tampered.
     FORK5_ROUNDS = {
@@ -692,8 +859,10 @@ class TestAnalyze:
 
     def fork5_counts(self, tmp_path, capsys, blocks):
         """analyze's per-round counts on a FORK5 log of the named rounds,
-        block by block, and each round's count by a fresh
-        consistent_configurations call on the oracle parser's rounds."""
+        block by block, each block padded to 6 rounds with honest ones, and
+        each round's count by a fresh consistent_configurations call on
+        the oracle parser's rounds."""
+        blocks = [names + ["honest"] * (6 - len(names)) for names in blocks]
         lines = []
         for b, names in enumerate(blocks):
             lines.append(f"# block {b}")
@@ -703,6 +872,9 @@ class TestAnalyze:
                     lines.append(f"{seq} {sender} announcement {payload}")
                     seq += 1
                 lines.append(f"{seq} 0 terminal_choice {(3, 4)[r % 2]}")
+                seq += 1
+            for sender, message in self.FORK5_CHECKS:
+                lines.append(f"{seq} {sender} {message}")
                 seq += 1
         cfg = write(tmp_path, "fork5.cfg", self.FORK5)
         log = write(tmp_path, "fork5.log", "\n".join(lines) + "\n")
@@ -771,13 +943,91 @@ class TestAnalyze:
         assert out.splitlines()[-1].startswith("PASS: 28 rounds")
 
     def test_star21_without_hub_announcement_fails(self, tmp_path, capsys):
+        # A whole hamming7_4 block whose rounds are terminal_choices alone.
+        lines = [f"{r} 0 terminal_choice {r + 1}" for r in range(14)]
+        lines += ["14 0 check_positions 0,1,2,3,4,5,6"]
+        lines += [f"{15 + agent} {agent} check_values 0000000" for agent in range(21)]
+        lines += ["36 0 code_broadcast 0000000"]
         cfg = write(tmp_path, "g.cfg", self.STAR21)
-        log = write(tmp_path, "t.log", "0 0 terminal_choice 1\n")
+        log = write(tmp_path, "t.log", "\n".join(lines) + "\n")
         rc = main(["analyze", "--transcript", str(log), "--config", str(cfg)])
         out = capsys.readouterr().out
         assert rc == EXIT_CONFIG
         assert "block 0 round 0: configurations=1048576 entropy=1.000000" in out
         assert "FAIL" in out
+
+
+def fuzz_base(n, seed, code, flip, delta):
+    """A 2-block run config on a random n-agent tree with flip on every
+    edge, and the transcript.log run writes for it."""
+    lines = [f"node {v}\nsource {v}" for v in range(n)] + [
+        f"edge {e.a} {e.b} flip={flip}" for e in random_tree_edges(n, random.Random(seed))
+    ]
+    lines += [f"param leader={seed % n}", f"param code={code}", f"param delta={delta}",
+              "param blocks=2", f"param seed={seed}"]
+    config = "\n".join(lines) + "\n"
+    return config, run_log(config)
+
+
+# Each run's first block aborts and its second completes.
+RECOGNIZER_BASES = [
+    fuzz_base(2, 1, "repetition3", 0.05, 0.2),
+    fuzz_base(3, 2, "hamming7_4", 0.05, 0.2),
+    fuzz_base(4, 1, "repetition3", 0.05, 0.2),
+    fuzz_base(5, 1, "hamming7_4", 0.05, 0.2),
+    fuzz_base(6, 1, "repetition3", 0.05, 0.2),
+]
+
+
+def analyze_passes(tmp, config_text, log_text):
+    """Whether analyze exits 0 on the log, its output discarded."""
+    cfg, log = tmp / "fuzz.cfg", tmp / "fuzz.log"
+    cfg.write_text(config_text)
+    log.write_text(log_text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["analyze", "--transcript", str(log), "--config", str(cfg)]) == EXIT_OK
+
+
+class TestAnalyzeAgreesWithTheRecognizer:
+    """analyze passes exactly the transcripts that conftest's recognizer of
+    honest blocks accepts, on mutations of honest runs over random trees
+    with both named codes and noisy links."""
+
+    def test_bases_pass_and_abort_then_complete(self, tmp_path):
+        for config_text, log_text in RECOGNIZER_BASES:
+            assert analyze_passes(tmp_path, config_text, log_text)
+            assert recognizes_honest_blocks(text_lines(log_text), parse_config(config_text))
+            outcomes = [line.split(" ")[2] for line in log_text.splitlines()
+                        if " abort " in line or " code_broadcast " in line]
+            assert outcomes == ["abort", "code_broadcast"]
+
+    def assert_agree(self, tmp, config_text, log_text, text):
+        accepted = recognizes_honest_blocks(text_lines(text), parse_config(config_text))
+        diff = "".join(difflib.unified_diff(
+            log_text.splitlines(True), text.splitlines(True), "honest", "mutant"
+        ))
+        assert analyze_passes(tmp, config_text, text) == accepted, diff
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        base=st.sampled_from(RECOGNIZER_BASES),
+        from_checks=st.booleans(),
+        changes=edits("012 ,\n"),
+    )
+    def test_character_edits(self, tmp_path_factory, base, from_checks, changes):
+        config_text, log_text = base
+        # Half the mutants are edited only from the first check phase on.
+        start = log_text.rindex("\n", 0, log_text.index(" check_positions")) + 1
+        start = start if from_checks else 0
+        text = log_text[:start] + mutate(log_text[start:], changes)
+        self.assert_agree(tmp_path_factory.getbasetemp(), config_text, log_text, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from(RECOGNIZER_BASES), changes=line_edits())
+    def test_line_edits(self, tmp_path_factory, base, changes):
+        config_text, log_text = base
+        text = edit_lines(log_text, changes)
+        self.assert_agree(tmp_path_factory.getbasetemp(), config_text, log_text, text)
 
 
 class TestGraphErrors:

@@ -13,7 +13,6 @@ from treekd.protocol import ProtocolConfig, run_blocks
 from treekd.transcript_io import (
     _announcement,
     _count,
-    _edge_bits,
     _parse_payload,
     format_payload,
     parse_transcript,
@@ -97,7 +96,7 @@ class TestChecksMatchThePatterns:
     @example("(10,2):1")
     @example("(0,1):1)")
     def test_announcement(self, text):
-        assert outcome(_parse_payload, "announcement", text) == outcome(
+        assert outcome(_parse_payload, "announcement", text, {}) == outcome(
             pattern_announcement, text
         )
 
@@ -190,7 +189,7 @@ def assert_messages_read_as_their_lines(block):
     assert len(block.messages) == len(block)
     for message, line in zip(block.messages, block):
         *head, text = (line.split(" ", 3) + [""])[:4]
-        assert message.payload == _parse_payload(message.kind, text)
+        assert message.payload == _parse_payload(message.kind, text, {})
         if message.kind == "abort" and text:
             # Read in any order, written in agent order.
             text = ",".join(sorted(text.split(","), key=lambda item: int(item.split(":")[0])))
@@ -298,13 +297,15 @@ class TestMutatedTranscripts:
 
 
 def parse_outcome(parse, text):
-    """repr of each block's lines, rounds and messages as parse reads text,
-    or the message it raises."""
+    """repr of each block's lines, rounds, check phase and messages as parse
+    reads text, or the message it raises."""
     try:
         blocks = parse(text.splitlines())
     except ValueError as exc:
         return f"ValueError: {exc}"
-    return repr([(list(block), block.rounds, block.messages) for block in blocks])
+    return repr([
+        (list(block), block.rounds, block.check_phase, block.messages) for block in blocks
+    ])
 
 
 ANNOUNCE = "0 1 announcement (0,1):0,(1,2):1\n"
@@ -367,9 +368,9 @@ class TestFastPathsMatchTheOracle:
 
 
 class TestEdgeBits:
-    """_edge_bits, with its table primed by a valid payload, reads every text
-    as _announcement does, and reads a text only by its bits exactly when its
-    cleared form is the primer's."""
+    """_announcement, with its edge-list table primed by a valid payload,
+    reads every text as the old pattern does, and reads a text only by its
+    bits exactly when its cleared form is the primer's."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -380,12 +381,13 @@ class TestEdgeBits:
     @example(primer="(0,1):0,(1,2):1", bits=list("1011"), changes=[])
     @example(primer="(0,1):0,(1,2):1", bits=list("1011"), changes=[(7, 0, "1")])
     def test_matches_announcement_after_a_valid_primer(self, primer, bits, changes):
-        assume(not outcome(_announcement, primer).startswith("ValueError"))
+        assume(not outcome(pattern_announcement, primer).startswith("ValueError"))
         items = primer.split(",")
         text = ",".join(item[:-1] + bit for item, bit in zip(items, bits))
         text = mutate(text, changes) if changes else text
         table = {}
-        _edge_bits(primer, table)
-        assert outcome(_edge_bits, text, table) == outcome(_announcement, text)
+        _announcement(primer, table)
+        expected = outcome(pattern_announcement, text)
+        assert outcome(_announcement, text, table) == expected
         same_list = text.replace(":1", ":0") == primer.replace(":1", ":0")
-        assert len(table) == (1 if same_list or "ValueError" in outcome(_announcement, text) else 2)
+        assert len(table) == (1 if same_list or "ValueError" in expected else 2)

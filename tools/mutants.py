@@ -50,8 +50,8 @@ MUTANTS = (
      'checks[agent] = BitString.from_text("".join([bits[i] for i in code_positions]))\n'
      '        codes[agent] = int("".join([bits[i] for i in check_positions]), 2)'),
     ("decide-abort-at-delta", "src/treekd/protocol.py",
-     "any(frac > limit for frac in mismatch.values())",
-     "any(frac >= limit for frac in mismatch.values())"),
+     "max(fractions) * limit.denominator > limit.numerator * m",
+     "max(fractions) * limit.denominator >= limit.numerator * m"),
     ("code-broadcast-unmasked", "src/treekd/protocol.py",
      'format_payload("code_broadcast", BitString(masked, code.m))',
      'format_payload("code_broadcast", BitString(codeword, code.m))'),
@@ -123,14 +123,12 @@ MUTANTS = (
      "            admits = _ROUND_KINDS\n",
      '            admits = _ROUND_KINDS | {"check_positions"}\n'),
     ("edge-bits-read-from-first-payload", "src/treekd/transcript_io.py",
-     "edge_lists[cleared] = (tuple(record), offsets)\n"
-     "        return record\n"
+     "known = edge_lists[cleared] = (keys, offsets)\n"
      "    keys, offsets = known\n"
      "    return dict(zip(keys, [_BITS[text[i]] for i in offsets]))",
-     "edge_lists[cleared] = (record, offsets)\n"
-     "        return record\n"
-     "    keys, offsets = known\n"
-     "    return dict(keys)"),
+     "known = edge_lists[cleared] = (keys, [_BITS[text[i]] for i in offsets])\n"
+     "    keys, bits = known\n"
+     "    return dict(zip(keys, bits))"),
     ("edge-list-key-clears-every-1", "src/treekd/transcript_io.py",
      'cleared = text.replace(":1", ":0")',
      'cleared = text.replace("1", "0")'),
@@ -147,6 +145,24 @@ MUTANTS = (
      "            if chosen not in tree.terminal_keys:\n",
      "            if chosen not in tree.terminal_keys:\n"
      '                print("\\n".join(report), file=out)\n'),
+    ("analyze-block-round-count-check-dropped", "src/treekd/cli.py",
+     "if len(transcript.rounds) != 2 * m:",
+     "if False:"),
+    ("analyze-block-sender-order-check-dropped", "src/treekd/cli.py",
+     "if kind not in kinds or got != sender:",
+     "if kind not in kinds:"),
+    ("analyze-check-values-length-check-dropped", "src/treekd/cli.py",
+     "if len(payload) != m:",
+     "if False:"),
+    ("analyze-abort-accepted-without-mismatch", "src/treekd/cli.py",
+     'elif kind == "code_broadcast" and len(payload) == m:',
+     'elif kind == "abort" or len(payload) == m:'),
+    ("analyze-abort-payload-comparison-dropped", "src/treekd/cli.py",
+     'if kind == "abort" and payload == mismatch:',
+     'if kind == "abort":'),
+    ("plan-total-weight-bound-dropped", "src/treekd/cli.py",
+     "if bound and total.denominator >= bound:",
+     "if False:"),
 )
 
 
