@@ -5,8 +5,8 @@ from __future__ import annotations
 
 class BitString:
     """An immutable bit string, index 0 first, held as one int: a
-    check_values or code_broadcast payload, as the engine broadcasts it
-    and the parser reads it back.
+    check_values or code_broadcast payload as the transcript parser reads
+    it.  Only the parser builds one: the engine writes bit text.
 
     ``value`` is big-endian: bit i of the string is bit ``len - 1 - i`` of
     the int, so the int's binary digits read as the string.

@@ -148,14 +148,14 @@ def _certify_block(b: int, transcript, config: protocol.ProtocolConfig) -> None:
         if kind == "check_values":
             if len(payload) != m:
                 raise error(line, f"check_values of length {m}", repr(str(payload)))
-            values[got] = payload
+            values[got] = payload.value
         elif kind == "check_positions" and (len(payload) != m or payload[-1] >= 2 * m):
             text = transcript_io.format_payload(kind, payload)
             raise error(line, f"{m} check positions below {2 * m}", repr(text))
     if len(phase) < len(order):
         kinds, sender = order[len(phase)]
         raise error(0, f"{' or '.join(kinds)} from agent {sender}", "the block's end")
-    abort, mismatch = protocol.decide_abort(values, leader, config.delta)
+    abort, mismatch = protocol.decide_abort(values, m, leader, config.delta)
     if abort:
         del mismatch[leader]
         if kind == "abort" and payload == mismatch:

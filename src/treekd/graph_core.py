@@ -72,7 +72,7 @@ class SpanningTree:
 
     Its incident edges, adjacency, terminal_keys (each terminal in ascending
     id to its one edge's key) and parent_edges are built once; each agent's
-    incident edge keys and the total weight, once on first read.  Neighbours
+    incident edge keys, once on first read.  Neighbours
     and incident edges are listed in ascending neighbour id, i.e. ascending
     edge-key order.
 
@@ -112,10 +112,6 @@ class SpanningTree:
         # (vertex, parent, edge key) for every vertex but 0, in BFS order
         # from agent 0, so each parent appears before its children.
         self.parent_edges: Tuple[Tuple[int, int, EdgeKey], ...] = tuple(parents)
-
-    @cached_property
-    def total_weight(self) -> Fraction:
-        return sum((e.weight for e in self.edges), Fraction(0))
 
     def adjacency(self) -> Adjacency:
         return MappingProxyType(self._adjacency)

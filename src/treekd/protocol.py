@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .bits import BitString
 from .channel_sim import broadcast, simulate_pairwise_kd
 from .graph_core import EdgeKey, SpanningTree, mst_kruskal
 from .linear_code import LinearCode, decode_to_codeword, index_of, random_codeword
@@ -92,18 +91,18 @@ def _decimal(delta: float) -> Fraction:
 
 
 def decide_abort(
-    check_values: Mapping[int, BitString], leader: int, delta: float
+    check_words: Mapping[int, int], m: int, leader: int, delta: float
 ) -> Tuple[bool, Dict[int, Fraction]]:
-    """(abort, mismatch): each key's mismatch fraction vs the leader, the
-    leader's own 0 included; abort iff one strictly exceeds delta, read as
-    its _decimal; exactly delta proceeds.  The largest mismatch count c is
-    compared as c/m > p/q, that is c*q > p*m, and one Fraction is built per
-    distinct count.
+    """(abort, mismatch): each key's mismatch fraction vs the leader over
+    its m check bits, an m-bit int word, the leader's own 0 included;
+    abort iff one strictly exceeds delta, read as its _decimal; exactly
+    delta proceeds.  m is an argument, since a word's int drops its
+    leading zeros.  The largest mismatch count c is compared as c/m > p/q,
+    that is c*q > p*m, and one Fraction is built per distinct count.
     """
     limit = _decimal(delta)
-    reference = check_values[leader]
-    m, value = len(reference), reference.value
-    counts = {agent: (value ^ bits.value).bit_count() for agent, bits in check_values.items()}
+    value = check_words[leader]
+    counts = {agent: (value ^ word).bit_count() for agent, word in check_words.items()}
     fractions = {c: Fraction(c, m) for c in set(counts.values())}
     abort = max(fractions) * limit.denominator > limit.numerator * m
     return abort, {agent: fractions[c] for agent, c in counts.items()}
@@ -119,12 +118,12 @@ def reconcile(
     """Code-based reconciliation: the leader broadcasts c XOR its code bits
     for a random codeword c, and every key, the leader too, decodes that
     XOR its own bits and outputs the codeword's index; the leader decodes
-    c itself, so it gets the index it drew.  Code bits are m-bit words.
+    c itself, so it gets the index it drew.  Code bits are m-bit words,
+    and the broadcast is the masked word's m-bit text.
     """
     _, codeword = random_codeword(code, rng)
     masked = codeword ^ codebits[leader]
-    text = format_payload("code_broadcast", BitString(masked, code.m))
-    broadcast(transcript, leader, "code_broadcast", text)
+    broadcast(transcript, leader, "code_broadcast", format(masked, f"0{code.m}b"))
     return {
         agent: index_of(code, decode_to_codeword(code, masked ^ bits)[0])
         for agent, bits in codebits.items()
@@ -183,8 +182,9 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
 
     Agents with one word share everything after the rounds, so the block
     splits, checks and decodes one holder per distinct word, the leader for
-    its own, and maps the results back to every agent in agent order,
-    splitting a word's bit text into its check payload and its code word.
+    its own, and maps the results back to every agent in agent order.
+    A word's bit text splits into its check text, which is broadcast as
+    written and read as an int word for decide_abort, and its code word.
 
     A completed block's key is the codeword index each agent decoded; for
     these systematic codes the key bits are the index's k bits.
@@ -203,12 +203,12 @@ def run_block(config: ProtocolConfig, block_index: int = 0) -> KeyResult:
     checks, codes = {}, {}
     for word, agent in holder.items():
         bits = format(word, f"0{2 * m}b")
-        checks[agent] = BitString.from_text("".join([bits[i] for i in check_positions]))
+        checks[agent] = "".join([bits[i] for i in check_positions])
         codes[agent] = int("".join([bits[i] for i in code_positions]), 2)
-    texts = {agent: format_payload("check_values", bits) for agent, bits in checks.items()}
     for agent, h in enumerate(held):
-        broadcast(transcript, agent, "check_values", texts[h])
-    abort, fractions = decide_abort(checks, leader, config.delta)
+        broadcast(transcript, agent, "check_values", checks[h])
+    check_words = {agent: int(text, 2) for agent, text in checks.items()}
+    abort, fractions = decide_abort(check_words, m, leader, config.delta)
     mismatch = {agent: fractions[h] for agent, h in enumerate(held) if agent != leader}
     if abort:
         broadcast(transcript, leader, "abort", format_payload("abort", mismatch))

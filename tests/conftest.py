@@ -120,13 +120,19 @@ def random_connected_graph(
     return SecurityGraph(n=n, edges=edges, sources=range(n))
 
 
+def tree_weight(tree: SpanningTree) -> Fraction:
+    """The exact, unbounded sum of a tree's edge weights.  plan sums with
+    a digit bound instead; this is the oracle sum the MST tests compare."""
+    return sum((e.weight for e in tree.edges), Fraction(0))
+
+
 def brute_force_mst_weight(g: SecurityGraph) -> Optional[Fraction]:
     """Minimum spanning-tree weight by enumerating all (n-1)-edge subsets,
     each one that SpanningTree accepts."""
     best = None
     for subset in combinations(g.edges, g.n - 1):
         try:
-            total = SpanningTree(g.n, subset).total_weight
+            total = tree_weight(SpanningTree(g.n, subset))
         except ValueError:
             continue
         if best is None or total < best:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_components, brute_force_mst_weight, mst_prim, random_connected_graph
+from conftest import (
+    bfs_components,
+    brute_force_mst_weight,
+    mst_prim,
+    random_connected_graph,
+    tree_weight,
+)
 from treekd.config_io import ConfigError, parse_config
 from treekd.graph_core import (
     DisconnectedGraphError,
@@ -152,21 +158,21 @@ class TestMst:
     def test_triangle_kruskal(self):
         tree = mst_kruskal(self.triangle())
         assert {e.key for e in tree.edges} == {(0, 1), (1, 2)}
-        assert tree.total_weight == 3
+        assert tree_weight(tree) == 3
 
     def test_triangle_prim_any_root(self):
         for root in range(3):
-            assert mst_prim(self.triangle(), root).total_weight == 3
+            assert tree_weight(mst_prim(self.triangle(), root)) == 3
 
     def test_star_is_its_own_mst(self):
         g = star_graph(6)
         tree = mst_kruskal(g)
-        assert tree.total_weight == 5
+        assert tree_weight(tree) == 5
         assert {e.key for e in tree.edges} == {e.key for e in g.edges}
 
     def test_single_edge(self):
         g = SecurityGraph(2, [WeightedEdge(0, 1, weight=Fraction(4))], sources={0})
-        assert mst_prim(g, 1).total_weight == 4
+        assert tree_weight(mst_prim(g, 1)) == 4
 
     def test_disconnected_raises(self):
         g = SecurityGraph(3, [WeightedEdge(0, 1)], sources={0})
@@ -180,8 +186,8 @@ class TestMst:
         for _ in range(30):
             g = random_connected_graph(8, rng, extra_edges=3)
             expected = brute_force_mst_weight(g)
-            assert mst_kruskal(g).total_weight == expected
-            assert mst_prim(g, rng.randrange(8)).total_weight == expected
+            assert tree_weight(mst_kruskal(g)) == expected
+            assert tree_weight(mst_prim(g, rng.randrange(8))) == expected
 
     def test_large_distinct_denominators_sort_in_time(self):
         # A sort key scaled to the lcm of the denominators grows toward
@@ -197,16 +203,16 @@ class TestMst:
         start = time.perf_counter()
         tree = mst_kruskal(g)
         assert time.perf_counter() - start < 0.5
-        assert tree.total_weight == mst_prim(g).total_weight
+        assert tree_weight(tree) == tree_weight(mst_prim(g))
 
     def test_kruskal_prim_weight_agreement(self):
         rng = random.Random(7)
         for _ in range(50):
             n = rng.randrange(2, 13)
             g = random_connected_graph(n, rng, extra_edges=rng.randrange(0, 5))
-            kw = mst_kruskal(g).total_weight
+            kw = tree_weight(mst_kruskal(g))
             for root in range(n):
-                assert mst_prim(g, root).total_weight == kw
+                assert tree_weight(mst_prim(g, root)) == kw
 
     def test_identical_edge_set_with_distinct_weights(self):
         rng = random.Random(99)
@@ -373,4 +379,4 @@ class TestSpanningTreeType:
             3,
             [WeightedEdge(0, 1, weight=Fraction(3, 2)), WeightedEdge(1, 2, weight=2)],
         )
-        assert tree.total_weight == Fraction(7, 2)
+        assert tree_weight(tree) == Fraction(7, 2)

@@ -71,24 +71,31 @@ class TestSelectCheckPositions:
 
 class TestDecideAbort:
     def test_identical_strings_proceed(self):
-        values = {a: BitString.from_text("1010") for a in range(3)}
-        abort, mismatch = decide_abort(values, leader=0, delta=0.05)
+        values = {a: 0b1010 for a in range(3)}
+        abort, mismatch = decide_abort(values, 4, leader=0, delta=0.05)
         assert not abort
         assert all(f == 0 for f in mismatch.values())
 
     def test_excess_mismatch_aborts(self):
         m = 10
         delta = 0.2
-        bad = BitString.from_text("111" + "0" * 7)  # 3 > ceil(0.2*10)
-        values = {0: BitString.from_text("0" * m), 1: bad}
-        abort, _ = decide_abort(values, leader=0, delta=delta)
+        bad = 0b1110000000  # 3 > ceil(0.2*10)
+        values = {0: 0, 1: bad}
+        abort, _ = decide_abort(values, m, leader=0, delta=delta)
         assert abort
 
     def test_exactly_delta_proceeds(self):
-        values = {0: BitString.from_text("0000"), 1: BitString.from_text("1000")}
-        abort, mismatch = decide_abort(values, leader=0, delta=0.25)
+        values = {0: 0b0000, 1: 0b1000}
+        abort, mismatch = decide_abort(values, 4, leader=0, delta=0.25)
         assert mismatch[1] == Fraction(1, 4)
         assert not abort
+
+    def test_m_is_the_argument_not_a_bit_length(self):
+        # Both words are shorter than m as ints: the leader's 0 has no
+        # bits and agent 1's 0b0001 has one, yet each is 4 check bits.
+        abort, mismatch = decide_abort({0: 0b0000, 1: 0b0001}, 4, 0, 0.2)
+        assert mismatch == {0: Fraction(0), 1: Fraction(1, 4)}
+        assert abort
 
     @pytest.mark.parametrize(
         "wrong, m, delta, aborts",
@@ -96,28 +103,28 @@ class TestDecideAbort:
     )
     def test_decimal_delta_is_exact(self, wrong, m, delta, aborts):
         # Each float delta here is just below the fraction it is written as.
-        values = {
-            0: BitString.from_text("0" * m),
-            1: BitString.from_text("1" * wrong + "0" * (m - wrong)),
-        }
-        abort, mismatch = decide_abort(values, leader=0, delta=delta)
+        values = {0: 0, 1: int("1" * wrong + "0" * (m - wrong), 2)}
+        abort, mismatch = decide_abort(values, m, leader=0, delta=delta)
         assert mismatch[1] == Fraction(wrong, m)
         assert abort == aborts
 
     def test_parsed_check_values_give_the_engine_verdict(self, tmp_path):
-        # parse_transcript reads each check_values payload back as the type
-        # the engine broadcasts, so decide_abort on a run transcript's
-        # blocks gives the engine's verdict and fractions.
+        # parse_transcript reads each check_values payload back as the bits
+        # the engine broadcasts, so decide_abort on the payloads' m-bit
+        # words gives the engine's verdict and fractions.
         config = path_config(n=5, flip=0.05, delta=0.3, seed=17, blocks=50, leader=2)
         cli.cmd_run(config, tmp_path, out=io.StringIO())
         blocks = parse_transcript((tmp_path / "transcript.log").read_text().splitlines())
         results = run_blocks(config)
         assert len(blocks) == len(results) == 50
+        m = config.code.m
         for block, result in zip(blocks, results):
             values = {
-                msg.sender: msg.payload for msg in block.messages if msg.kind == "check_values"
+                msg.sender: msg.payload.value
+                for msg in block.messages
+                if msg.kind == "check_values"
             }
-            abort, fractions = decide_abort(values, config.leader, config.delta)
+            abort, fractions = decide_abort(values, m, config.leader, config.delta)
             assert abort == (result.status == "aborted")
             assert fractions.pop(config.leader) == 0
             assert fractions == result.mismatch
@@ -168,12 +175,8 @@ class TestLeaderIsAnyKey:
     key: its own mismatch of 0, and the index it gets by decoding."""
 
     def test_decide_abort_gives_the_leader_zero(self):
-        values = {
-            0: BitString.from_text("0110"),
-            1: BitString.from_text("1110"),
-            2: BitString.from_text("0110"),
-        }
-        abort, mismatch = decide_abort(values, leader=2, delta=0.25)
+        values = {0: 0b0110, 1: 0b1110, 2: 0b0110}
+        abort, mismatch = decide_abort(values, 4, leader=2, delta=0.25)
         assert not abort
         assert mismatch == {0: Fraction(0), 1: Fraction(1, 4), 2: Fraction(0)}
 
@@ -625,25 +628,24 @@ class TestOneReconstructionPerBlock:
 class TestOncePerDistinctString:
     """At low noise most agents hold the same string, and run_block splits
     and decodes one holder's string per distinct word, not once per agent:
-    each split builds one check_values payload, and the block one more
-    payload, its code_broadcast."""
+    decide_abort gets one check word per distinct string."""
 
     def counted_block(self, monkeypatch, config):
         calls = Counter()
         original_decode = linear_code.decode_to_codeword
-        original_init = BitString.__init__
+        original_decide = protocol.decide_abort
 
         def decode(code, word):
             calls["decode"] += 1
             return original_decode(code, word)
 
-        def init(bits, value, length):
-            calls["payload"] += 1
-            original_init(bits, value, length)
+        def decide(check_words, m, leader, delta):
+            calls["check_words"] += len(check_words)
+            return original_decide(check_words, m, leader, delta)
 
         for module in (linear_code, protocol):
             monkeypatch.setattr(module, "decode_to_codeword", decode)
-        monkeypatch.setattr(BitString, "__init__", init)
+        monkeypatch.setattr(protocol, "decide_abort", decide)
         result = run_block(config)
         monkeypatch.undo()
         return result, calls
@@ -662,7 +664,23 @@ class TestOncePerDistinctString:
         result, calls = self.counted_block(monkeypatch, self.tree_config(0.0, 4))
         assert result.status == "completed"
         assert len(set(result.key_indices.values())) == 1
-        assert calls == {"decode": 1, "payload": 2}
+        assert calls == {"decode": 1, "check_words": 1}
+
+    def test_run_blocks_builds_no_bit_string(self, monkeypatch):
+        # The engine writes its check and code bits as text; only the
+        # transcript parser builds a BitString.
+        built = Counter()
+        original_init = BitString.__init__
+
+        def init(bits, value, length):
+            built["bit strings"] += 1
+            original_init(bits, value, length)
+
+        monkeypatch.setattr(BitString, "__init__", init)
+        config = path_config(n=5, flip=0.05, delta=0.3, seed=17, blocks=50, leader=2)
+        statuses = Counter(result.status for result in run_blocks(config))
+        assert statuses["completed"] and statuses["aborted"]
+        assert built == {}
 
     def test_only_streams_that_draw_are_seeded(self, monkeypatch):
         # One Mersenne Twister per edge session, round, check draw and code

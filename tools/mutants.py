@@ -45,16 +45,19 @@ MUTANTS = (
      "if 0 <= index < len(code.codewords) and",
      "if index < len(code.codewords) and"),
     ("run-block-check-and-code-positions-swapped", "src/treekd/protocol.py",
-     'checks[agent] = BitString.from_text("".join([bits[i] for i in check_positions]))\n'
+     'checks[agent] = "".join([bits[i] for i in check_positions])\n'
      '        codes[agent] = int("".join([bits[i] for i in code_positions]), 2)',
-     'checks[agent] = BitString.from_text("".join([bits[i] for i in code_positions]))\n'
+     'checks[agent] = "".join([bits[i] for i in code_positions])\n'
      '        codes[agent] = int("".join([bits[i] for i in check_positions]), 2)'),
     ("decide-abort-at-delta", "src/treekd/protocol.py",
      "max(fractions) * limit.denominator > limit.numerator * m",
      "max(fractions) * limit.denominator >= limit.numerator * m"),
     ("code-broadcast-unmasked", "src/treekd/protocol.py",
-     'format_payload("code_broadcast", BitString(masked, code.m))',
-     'format_payload("code_broadcast", BitString(codeword, code.m))'),
+     'format(masked, f"0{code.m}b")',
+     'format(codeword, f"0{code.m}b")'),
+    ("run-block-decides-on-2m-check-bits", "src/treekd/protocol.py",
+     "decide_abort(check_words, m, leader, config.delta)",
+     "decide_abort(check_words, 2 * m, leader, config.delta)"),
     ("render-choice-seq-shifted", "src/treekd/subroutine.py",
      "seqs = range(stride - 1, end, stride)",
      "seqs = range(stride, end + 1, stride)"),
@@ -154,6 +157,9 @@ MUTANTS = (
     ("analyze-check-values-length-check-dropped", "src/treekd/cli.py",
      "if len(payload) != m:",
      "if False:"),
+    ("analyze-decides-on-agent-count-bits", "src/treekd/cli.py",
+     "protocol.decide_abort(values, m, leader, config.delta)",
+     "protocol.decide_abort(values, len(values), leader, config.delta)"),
     ("analyze-abort-accepted-without-mismatch", "src/treekd/cli.py",
      'elif kind == "code_broadcast" and len(payload) == m:',
      'elif kind == "abort" or len(payload) == m:'),
