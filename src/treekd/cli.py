@@ -121,65 +121,75 @@ def cmd_run(config: protocol.ProtocolConfig, out_dir: Optional[Path], out=None) 
 
 
 def _certify_block(b: int, transcript, config: protocol.ProtocolConfig) -> None:
-    """Raise ValueError unless block b holds what a run of config writes,
-    once its rounds have passed their own checks: 2m rounds; then the
+    """Raise ValueError unless block b's sequence, its messages but the
+    announcements in line order, is what a run of config writes: 2m
+    terminal_choices from the leader, each naming a tree terminal; the
     leader's check_positions, m of them below 2m; each agent's
-    check_values of m bits, in agent order; and the leader's outcome as
-    protocol.decide_abort recomputes it from those values: an abort naming
-    every other agent's mismatch when it aborts, else a code_broadcast of
-    m bits.  An error names the line that breaks this, if there is one."""
-    m, leader = config.code.m, config.leader
+    check_values of m bits, in agent order; the leader's outcome as
+    protocol.decide_abort recomputes it from those values, an abort naming
+    every other agent's mismatch when it aborts, else a code_broadcast of m
+    bits; then the block's end.  The parser closes every run of
+    announcements with a terminal_choice, so the choices' places fix the
+    rounds'.  The error names the first line that breaks this, or the
+    block's last line when the block ends early."""
+    m, leader, sequence = config.code.m, config.leader, transcript.sequence
+    terminals = config.tree.terminal_keys
 
     def error(line, expected, got):
-        where = f"transcript line {line}: " if line else ""
-        return ValueError(f"{where}block {b}: expected {expected}, got {got}")
+        return ValueError(f"transcript line {line}: block {b}: expected {expected}, got {got}")
 
-    if len(transcript.rounds) != 2 * m:
-        raise error(0, f"{2 * m} rounds", len(transcript.rounds))
-    phase = transcript.check_phase
-    order = [(("check_positions",), leader)]
+    order = [(("terminal_choice",), leader)] * (2 * m)
+    order += [(("check_positions",), leader)]
     order += [(("check_values",), agent) for agent in range(config.graph.n)]
     order += [(("abort", "code_broadcast"), leader)]
     values = {}
-    for (kinds, sender), (line, got, kind, payload) in zip(order, phase):
+    for (kinds, sender), (line, got, kind, payload) in zip(order, sequence):
         if kind not in kinds or got != sender:
             want = f"{' or '.join(kinds)} from agent {sender}"
             raise error(line, want, f"{kind} from agent {got}")
-        if kind == "check_values":
+        if kind == "terminal_choice":
+            if payload not in terminals:
+                raise error(line, "terminal_choice of a terminal", f"terminal_choice {payload}")
+        elif kind == "check_values":
             if len(payload) != m:
                 raise error(line, f"check_values of length {m}", repr(str(payload)))
             values[got] = payload.value
-        elif kind == "check_positions" and (len(payload) != m or payload[-1] >= 2 * m):
-            text = transcript_io.format_payload(kind, payload)
-            raise error(line, f"{m} check positions below {2 * m}", repr(text))
-    if len(phase) < len(order):
-        kinds, sender = order[len(phase)]
-        raise error(0, f"{' or '.join(kinds)} from agent {sender}", "the block's end")
-    abort, mismatch = protocol.decide_abort(values, m, leader, config.delta)
-    if abort:
-        del mismatch[leader]
-        if kind == "abort" and payload == mismatch:
-            return
-        expected = f"abort {transcript_io.format_payload('abort', mismatch)}"
-    elif kind == "code_broadcast" and len(payload) == m:
-        return
-    else:
-        expected = f"code_broadcast of length {m}"
-    raise error(line, expected, f"{kind} {transcript_io.format_payload(kind, payload)}")
+        elif kind == "check_positions":
+            if len(payload) != m or payload[-1] >= 2 * m:
+                text = transcript_io.format_payload(kind, payload)
+                raise error(line, f"{m} check positions below {2 * m}", repr(text))
+        else:  # the outcome, once every check value is in
+            abort, mismatch = protocol.decide_abort(values, m, leader, config.delta)
+            if abort:
+                del mismatch[leader]
+                if kind == "abort" and payload == mismatch:
+                    continue
+                want = f"abort {transcript_io.format_payload('abort', mismatch)}"
+            elif kind == "code_broadcast" and len(payload) == m:
+                continue
+            else:
+                want = f"code_broadcast of length {m}"
+            raise error(line, want, f"{kind} {transcript_io.format_payload(kind, payload)}")
+    if len(sequence) < len(order):
+        kinds, sender = order[len(sequence)]
+        want = f"{' or '.join(kinds)} from agent {sender}"
+        raise error(sequence[-1][0], want, "the block's end")
+    if len(sequence) > len(order):
+        line, got, kind, _ = sequence[len(order)]
+        raise error(line, "the block's end", f"{kind} from agent {got}")
 
 
 def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
-    """Certify a transcript from what an eavesdropper sees: each round's
-    terminal_choice must come from the leader and name a terminal, and its
-    announcements must leave exactly two configurations; and each block
-    must be whole, as _certify_block checks once its rounds have.
+    """Certify a transcript from what an eavesdropper sees: each block must
+    be whole, as _certify_block checks, and each of its rounds'
+    announcements must leave exactly two configurations.
 
     Each distinct record is checked against the tree once per call, and
     each distinct count's text is formatted once.  The report is written
     once, after the last block certifies, so an error leaves stdout empty.
     """
     config = config_io.load_config(config_path)
-    tree, leader = config.tree, config.leader
+    tree = config.tree
     text = config_io.read_text(transcript_path, "transcript line")
     blocks = transcript_io.parse_transcript(config_io.text_lines(text))
     checked: Dict[int, int] = {}  # id(record view) -> its constraints, -1 if invalid
@@ -187,15 +197,9 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
     report: List[str] = []
     ok = True
     for b, transcript in enumerate(blocks):
+        _certify_block(b, transcript, config)
         rounds = eve_analysis.rounds_from_transcript(transcript)
-        for r, (announcements, chooser, chosen) in enumerate(rounds):
-            if chooser != leader:
-                raise ValueError(
-                    f"block {b} round {r}: terminal_choice from agent {chooser}, "
-                    f"not the leader {leader}"
-                )
-            if chosen not in tree.terminal_keys:
-                raise ValueError(f"block {b} round {r}: agent {chosen} is not terminal")
+        for r, announcements in enumerate(rounds):
             count = eve_analysis.consistent_configurations(announcements, tree, checked)
             verdict = verdicts.get(count)
             if verdict is None:
@@ -204,7 +208,6 @@ def cmd_analyze(transcript_path: Path, config_path: Path, out=None) -> int:
             report.append(f"block {b} round {r}: {verdict}")
             if count != 2:
                 ok = False
-        _certify_block(b, transcript, config)
     if not report:
         raise ValueError("transcript has no rounds")
     report.append(

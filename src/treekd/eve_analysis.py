@@ -9,7 +9,7 @@ Honest rounds must always leave exactly two complementary candidates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from .graph_core import EdgeKey, SpanningTree
 from .transcript_io import ParsedTranscript
@@ -66,9 +66,8 @@ def secret_entropy(count: int) -> float:
     return 1.0 if count else 0.0
 
 
-def rounds_from_transcript(transcript: ParsedTranscript) -> List[Tuple[dict, int, int]]:
-    """A block's (announcements by sender, chooser, chosen terminal) rounds,
-    as parse_transcript grouped them, each announcement a read-only view.
-    A round is the run of announcements its terminal_choice closes; the
-    check, code and abort messages after the rounds are not part of it."""
+def rounds_from_transcript(transcript: ParsedTranscript) -> List[dict]:
+    """A block's rounds as parse_transcript grouped them, each the
+    announcements by sender, each a read-only view, that one
+    terminal_choice closes; the choice itself is in the block's sequence."""
     return transcript.rounds

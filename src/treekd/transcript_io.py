@@ -39,17 +39,16 @@ and payload (its kind's parsed value)."""
 
 class ParsedTranscript(list):
     """A block read back from text: the list of its lines, the message each
-    carries, its rounds as the parser checked them, one (announcements by
-    sender, the choice's sender, chosen terminal) triple per
+    carries, its rounds, one dict of announcements by sender per
     terminal_choice, each announcement the parser's shared read-only view,
-    and its check phase, one (line number, sender, kind, payload) per
-    message after its rounds, in line order."""
+    and its sequence, one (line number, sender, kind, payload) per message
+    that is not an announcement, in line order."""
 
     def __init__(self, tails: Dict[str, tuple]):
         super().__init__()
         self._tails = tails  # text after a seq -> (sender, kind, payload)
-        self.rounds: List[Tuple[Dict[int, Mapping[EdgeKey, int]], int, int]] = []
-        self.check_phase: List[Tuple[int, int, str, object]] = []
+        self.rounds: List[Dict[int, Mapping[EdgeKey, int]]] = []
+        self.sequence: List[Tuple[int, int, str, object]] = []
 
     @cached_property
     def messages(self) -> List[BroadcastMessage]:
@@ -62,7 +61,9 @@ class ParsedTranscript(list):
 
 
 def format_payload(kind: str, payload) -> str:
-    """The one renderer of a message payload as transcript text."""
+    """A parsed payload as transcript text, as _parse_payload reads it back.
+    The engine writes its terminal_choice, check_values and code_broadcast
+    text itself."""
     if kind == "announcement":
         return ",".join(f"({a},{b}):{bit}" for (a, b), bit in payload.items())
     if kind in ("terminal_choice", "check_values", "code_broadcast"):
@@ -172,9 +173,6 @@ def _parse_payload(kind: str, text: str, edge_lists: Dict[str, tuple]):
 
 
 _ROUND_KINDS = frozenset(("announcement", "terminal_choice"))
-_CHECK_KINDS = frozenset(("check_positions", "check_values", "code_broadcast", "abort"))
-_ANY_KIND = _ROUND_KINDS | _CHECK_KINDS
-_NO_KIND = frozenset()  # after a block's outcome
 
 
 def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
@@ -183,16 +181,12 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     This is where sequence numbers and kinds enter the program from
     outside, so they are checked here: each block's numbers run 0, 1, 2,
     ... (a 0 starts the next block), every kind is a known one, a
-    terminal_choice must close every run of announcements, each agent
-    announces at most once per round, and a block's rounds come before
-    its other messages: once a block has carried any other message, a
-    later announcement or terminal_choice in it is an error.  An abort or
-    code_broadcast is the block's outcome, so no message may follow it in
-    its block.  Each terminal_choice closes one of its block's rounds: the
-    open round's announcements by sender, its own sender, and the terminal
-    it names; each later message of the block joins its check_phase, with
-    its line number.  What a block must hold after its rounds depends on
-    the config, so cli checks that.
+    terminal_choice must close every run of announcements, and each agent
+    announces at most once per round.  Each terminal_choice closes one of
+    its block's rounds, the open round's announcements by sender; it and
+    every other message that is not an announcement join the block's
+    sequence, with its line number.  Which messages a block must hold, and
+    in what order, depends on the config, so cli checks that.
 
     Each distinct thing is read once per call.  Each line's seq is checked
     first, once per distinct seq text.  The text after it, which few
@@ -200,8 +194,8 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     payload) table whose dict payloads are read-only shared views; each
     sender text is read once, and each announcement's edge list once, in
     one _announcement table per call.  A line whose seq is the one expected
-    and whose kind the block's state admits is accepted on that one test;
-    any other line goes through the checks in the order above.
+    and that breaks neither round rule on its face is accepted on those
+    tests; any other line goes through the checks in the order above.
     """
     transcripts: List[ParsedTranscript] = []
     current: ParsedTranscript | None = None
@@ -210,7 +204,6 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     senders: Dict[str, int] = {}  # sender text -> its value
     edge_lists: Dict[str, tuple] = {}  # cleared payload -> (edge keys, bit offsets)
     expected = -1  # the seq the next line of the block must carry; -1 before a block
-    admits = _ANY_KIND  # the kinds the block's state takes without further checks
     open_round = 0  # first line of a round; only a terminal_choice may follow it
     pending: Dict[int, Mapping[EdgeKey, int]] = {}  # the open round's records by sender
     for lineno, raw in enumerate(lines, start=1):
@@ -233,8 +226,8 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                 view = MappingProxyType(payload) if type(payload) is dict else payload
                 entry = tails[tail] = (sender, kind, view)
             sender, kind, payload = entry
-            if seq != expected or kind not in admits or (
-                kind == "announcement" and sender in pending
+            if seq != expected or (kind == "announcement" and sender in pending) or (
+                open_round and kind not in _ROUND_KINDS
             ):
                 if open_round and (seq == 0 or kind not in _ROUND_KINDS):
                     raise ValueError(f"round from line {open_round} has no terminal_choice")
@@ -246,15 +239,11 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                 if seq == 0:
                     current = ParsedTranscript(tails)
                     transcripts.append(current)
-                    expected, admits = 0, _ANY_KIND
+                    expected = 0
                 if current is None:
                     raise ValueError(f"stream starts at seq {seq}")
                 if seq != expected:
                     raise ValueError(f"expected seq {expected}, got {seq}")
-                if kind in _ROUND_KINDS and kind not in admits:
-                    raise ValueError(f"{kind} after the block's rounds")
-                if admits is _NO_KIND:
-                    raise ValueError(f"{kind} after the block's outcome")
             current.append(line)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
@@ -262,13 +251,11 @@ def parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
         if kind == "announcement":
             open_round = open_round or lineno
             pending[sender] = payload
-            admits = _ROUND_KINDS
-        elif kind == "terminal_choice":
-            current.rounds.append((pending, sender, payload))
-            open_round, pending, admits = 0, {}, _ANY_KIND
-        else:  # no round is open here: the checks above would have raised
-            current.check_phase.append((lineno, sender, kind, payload))
-            admits = _NO_KIND if kind in ("abort", "code_broadcast") else _CHECK_KINDS
+            continue
+        if kind == "terminal_choice":
+            current.rounds.append(pending)
+            open_round, pending = 0, {}
+        current.sequence.append((lineno, sender, kind, payload))
     if open_round:
         raise ValueError(f"transcript line {open_round}: round has no terminal_choice")
     return transcripts

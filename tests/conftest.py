@@ -205,6 +205,23 @@ def structurally_valid(
     return True
 
 
+def gf2_basis(rows: Iterable[int], unknowns: int) -> Optional[Dict[int, int]]:
+    """Gaussian elimination over GF(2) of rows, each a Python int, bit i
+    for unknown i and bit `unknowns` for the right-hand side: the echelon
+    basis, each row keyed on its lowest unknown bit, or None when a row
+    reduces to 0 = 1."""
+    lhs = (1 << unknowns) - 1
+    basis: Dict[int, int] = {}
+    for row in rows:
+        while row & lhs and (row & -row) in basis:
+            row ^= basis[row & -row]
+        if row & lhs:
+            basis[row & -row] = row
+        elif row:
+            return None
+    return basis
+
+
 def gf2_configurations(
     announcements: Mapping[int, Mapping[EdgeKey, int]], tree: SpanningTree
 ) -> int:
@@ -222,18 +239,69 @@ def gf2_configurations(
     """
     column = {e.key: i for i, e in enumerate(tree.edges)}
     unknowns = len(column) + len(announcements)
-    lhs, rhs = (1 << unknowns) - 1, 1 << unknowns
-    basis: Dict[int, int] = {}  # lowest unknown bit -> the row leading with it
-    for j, masked in enumerate(announcements.values(), start=len(column)):
-        for key, bit in masked.items():
-            row = (1 << column[key]) | (1 << j) | (rhs if bit else 0)
-            while row & lhs and (row & -row) in basis:
-                row ^= basis[row & -row]
-            if row & lhs:
-                basis[row & -row] = row
-            elif row:
-                return 0
-    return 2 ** (unknowns - len(basis))
+    basis = gf2_basis((
+        (1 << column[key]) | (1 << j) | (bit << unknowns)
+        for j, masked in enumerate(announcements.values(), start=len(column))
+        for key, bit in masked.items()
+    ), unknowns)
+    return 0 if basis is None else 2 ** (unknowns - len(basis))
+
+
+def gf2_key_entropy(
+    block: ParsedTranscript,
+    tree: SpanningTree,
+    code: LinearCode,
+    leaked: Iterable[Tuple[EdgeKey, int, int]] = (),
+    key: Optional[int] = None,
+) -> Optional[int]:
+    """The bits of entropy a noiseless completed block's key keeps given the
+    block as parse_transcript reads it, by Gaussian elimination over GF(2):
+    the oracle for the paper's claim that the transcript leaves the key
+    whole.
+
+    The unknowns are each edge's bit at each of the 2m positions, one mask
+    bit per announcer per position and the key index's k bits.  Each
+    (edge, bit) entry of an announcement reads x_e,r ^ mu_v,r = bit; on
+    noiseless links every agent's bit at r is the chosen terminal edge's,
+    so each check_values bit reads x_e,r = bit at its check position, and
+    each code_broadcast bit reads (codeword of the index)_i ^ x_e,q = bit at
+    code position q, the codeword linear in the index bits.  Each leaked
+    (edge key, position, true bit) and, when key is given, each of its
+    index bits adds one more equation.  The key bits are the highest
+    unknowns, so the rows that eliminate down to key bits alone fix
+    k - entropy of them.  None when elimination reads 0 = 1.
+    """
+    m, positions = code.m, 2 * code.m
+    names = [("edge", e.key, r) for e in tree.edges for r in range(positions)]
+    names += [("mask", v, r) for r, records in enumerate(block.rounds) for v in records]
+    names += [("key", t) for t in range(code.k)]
+    column = {name: 1 << i for i, name in enumerate(names)}
+    first_key, rhs = 1 << len(names) - code.k, 1 << len(names)
+    payloads = {kind: payload for _, _, kind, payload in block.sequence}
+    chosen = [p for _, _, kind, p in block.sequence if kind == "terminal_choice"]
+    secret = [column["edge", tree.terminal_keys[c], r] for r, c in enumerate(chosen)]
+    rows = [
+        column["edge", edge, r] | column["mask", agent, r] | rhs * bit
+        for r, records in enumerate(block.rounds)
+        for agent, record in records.items()
+        for edge, bit in record.items()
+    ]
+    checks = payloads["check_positions"]
+    for _, _, kind, payload in block.sequence:
+        if kind == "check_values":
+            rows += [secret[p] | rhs * bit for p, bit in zip(checks, bits_of(payload.value, m))]
+    code_positions = [p for p in range(positions) if p not in checks]
+    broadcast = bits_of(payloads["code_broadcast"].value, m)
+    for i, (q, bit) in enumerate(zip(code_positions, broadcast)):
+        row = secret[q] | rhs * bit
+        for t in range(code.k):
+            row |= column["key", t] * (code.codewords[1 << t] >> (m - 1 - i) & 1)
+        rows.append(row)
+    rows += [column["edge", edge, p] | rhs * bit for edge, p, bit in leaked]
+    if key is not None:
+        rows += [column["key", t] | rhs * (key >> t & 1) for t in range(code.k)]
+    basis = gf2_basis(rows, len(names))
+    return None if basis is None else code.k - sum(1 for low in basis if low >= first_key)
 
 
 def brute_force_configurations(
@@ -425,8 +493,11 @@ def edits(alphabet):
     )
 
 
-LINE_EDITS = ("delete", "duplicate", "swap", "sender", "flip", "grow", "shrink", "abort")
+LINE_EDITS = (
+    "delete", "duplicate", "swap", "move", "sender", "flip", "grow", "shrink", "abort",
+)
 CHECK_PHASE_KINDS = ("check_positions", "check_values", "code_broadcast", "abort")
+ROUND_KINDS = ("announcement", "terminal_choice")
 
 
 def line_edits():
@@ -443,11 +514,12 @@ def line_edits():
 def edit_lines(text, edits):
     """A transcript text with each line edit applied in turn to line i of
     the text, or of its check-phase lines: delete or duplicate it, swap it
-    with line j, give it sender j mod 7, flip its payload's character j if
-    that is a bit, put a 0 before its payload or drop the payload's first
-    character, or make it an abort naming agent j mod 7 at mismatch 0.
-    Each block's seqs are then renumbered 0, 1, 2, ..., a block starting
-    at each comment, so the text keeps the seqs a parser expects."""
+    with line j, move it to position j of the text, give it sender j mod
+    7, flip its payload's character j if that is a bit, put a 0 before its
+    payload or drop the payload's first character, or make it an abort
+    naming agent j mod 7 at mismatch 0.  Each block's seqs are then
+    renumbered 0, 1, 2, ..., a block starting at each comment, so the text
+    keeps the seqs a parser expects."""
     lines = text.splitlines()
     for operation, checks_only, i, j in edits:
         pool = [
@@ -467,6 +539,9 @@ def edit_lines(text, edits):
         elif operation == "swap":
             k = pool[j % len(pool)]
             lines[i], lines[k] = lines[k], lines[i]
+        elif operation == "move":
+            line = lines.pop(i)
+            lines.insert(j % (len(lines) + 1), line)
         elif operation == "sender":
             lines[i] = f"{seq} {j % 7} {rest}"
         elif operation == "abort":
@@ -495,14 +570,13 @@ def reference_parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
     through every check in order, and every payload text, announcements
     included, through _parse_payload with a fresh edge-list table, so
     each announcement is read in full.  The oracle for the parser's fast
-    paths: on any input both give the same blocks and rounds, or raise the
-    same error."""
+    paths: on any input both give the same blocks, rounds and sequences,
+    or raise the same error."""
     transcripts: List[ParsedTranscript] = []
     current: Optional[ParsedTranscript] = None
     tails: Dict[str, tuple] = {}
     open_round = 0
     pending: Dict[int, Mapping[EdgeKey, int]] = {}
-    phase = "rounds"
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":
@@ -519,7 +593,7 @@ def reference_parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
                 entry = tails[tail] = (sender, kind, view)
             sender, kind, payload = entry
             seq = _count(seq_s, "seq")
-            if open_round and (seq == 0 or kind not in ("announcement", "terminal_choice")):
+            if open_round and (seq == 0 or kind not in ROUND_KINDS):
                 raise ValueError(f"round from line {open_round} has no terminal_choice")
             if kind == "announcement" and sender in pending:
                 raise ValueError(
@@ -529,27 +603,21 @@ def reference_parse_transcript(lines: Iterable[str]) -> List[ParsedTranscript]:
             if seq == 0:
                 current = ParsedTranscript(tails)
                 transcripts.append(current)
-                phase = "rounds"
             if current is None:
                 raise ValueError(f"stream starts at seq {seq}")
             if seq != len(current):
                 raise ValueError(f"expected seq {len(current)}, got {seq}")
-            if phase != "rounds" and kind in ("announcement", "terminal_choice"):
-                raise ValueError(f"{kind} after the block's rounds")
-            if phase == "outcome":
-                raise ValueError(f"{kind} after the block's outcome")
             current.append(line)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"transcript line {lineno}: {exc}") from exc
         if kind == "announcement":
             open_round = open_round or lineno
             pending[sender] = payload
-        elif kind == "terminal_choice":
-            current.rounds.append((pending, sender, payload))
+            continue
+        if kind == "terminal_choice":
+            current.rounds.append(pending)
             open_round, pending = 0, {}
-        else:
-            current.check_phase.append((lineno, sender, kind, payload))
-            phase = "outcome" if kind in ("abort", "code_broadcast") else "checks"
+        current.sequence.append((lineno, sender, kind, payload))
     if open_round:
         raise ValueError(f"transcript line {open_round}: round has no terminal_choice")
     return transcripts
@@ -559,13 +627,14 @@ def recognizes_honest_blocks(lines: Iterable[str], config: ProtocolConfig) -> bo
     """True when lines hold one or more blocks that an honest run of config
     could write, judged apart from cli on the oracle parser's messages.
 
-    Each block is 2m rounds, each round with one announcement from every
-    agent of tree degree above 1, over exactly its tree edges, and the
-    leader's choice of a degree-1 agent; then the leader's m check
-    positions below 2m, every agent's m check bits in agent order, and the
-    leader's outcome: an abort naming each other agent's mismatch against
-    the leader's bits when one exceeds delta, read as its decimal, and
-    otherwise a code_broadcast of m bits."""
+    Each block is its rounds' messages, then the rest, in that order.  The
+    rounds are 2m, each with one announcement from every agent of tree
+    degree above 1, over exactly its tree edges, and the leader's choice
+    of a degree-1 agent.  The rest is the leader's m check positions below
+    2m, every agent's m check bits in agent order, and the leader's
+    outcome, then nothing: an abort naming each other agent's mismatch
+    against the leader's bits when one exceeds delta, read as its decimal,
+    and otherwise a code_broadcast of m bits."""
     try:
         blocks = reference_parse_transcript(lines)
     except ValueError:
@@ -579,15 +648,18 @@ def recognizes_honest_blocks(lines: Iterable[str], config: ProtocolConfig) -> bo
     terminals = {v for v, keys in incident.items() if len(keys) == 1}
     limit = Fraction(str(config.delta))
     for block in blocks:
+        messages = block.messages
+        head = [msg for msg in messages if msg.kind in ROUND_KINDS]
+        rest = messages[len(head):]
+        if any(msg.kind in ROUND_KINDS for msg in rest):
+            return False  # a round message after the check phase began
+        choices = [msg for msg in head if msg.kind == "terminal_choice"]
         if len(block.rounds) != 2 * m:
             return False
-        for announcements, chooser, chosen in block.rounds:
+        for announcements, choice in zip(block.rounds, choices):
             records = {sender: set(record) for sender, record in announcements.items()}
-            if records != layout or chooser != leader or chosen not in terminals:
+            if records != layout or choice.sender != leader or choice.payload not in terminals:
                 return False
-        rest = [
-            msg for msg in block.messages if msg.kind not in ("announcement", "terminal_choice")
-        ]
         shape = [("check_positions", leader)] + [("check_values", agent) for agent in range(n)]
         if [(msg.kind, msg.sender) for msg in rest[:-1]] != shape:
             return False

@@ -112,6 +112,10 @@ REP1_LOG = REP1_ROUNDS + (
     "4 0 check_positions 1\n5 0 check_values 0\n6 1 check_values 0\n"
     "7 2 check_values 0\n8 0 code_broadcast 1\n"
 )
+# The block with agent 2's check bit flipped, and the abort that calls for.
+REP1_ABORT = REP1_LOG.replace("7 2 check_values 0", "7 2 check_values 1").replace(
+    "8 0 code_broadcast 1", "8 0 abort 1:0,2:1"
+)
 
 
 class TestParseConfig:
@@ -585,7 +589,8 @@ class TestAnalyze:
             (PATH3, ANNOUNCE + "2 0 terminal_choice 0\n",
              "transcript line 2: expected seq 1, got 2"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 1\n",
-             "block 0 round 0: agent 1 is not terminal"),
+             "transcript line 2: block 0: expected terminal_choice of a terminal, "
+             "got terminal_choice 1"),
             (PATH3, ANNOUNCE,
              "transcript line 1: round has no terminal_choice"),
             (PATH3, "# block 0\n" + ANNOUNCE + "1 0 check_positions 0\n",
@@ -684,39 +689,45 @@ class TestAnalyze:
             (PATH3, ANNOUNCE + "1 0 terminal_choice\n",
              "transcript line 2: terminal choice '' is not a canonical ASCII number"),
             (PATH3, ANNOUNCE + "1 0 terminal_choice 7\n",
-             "block 0 round 0: agent 7 is not terminal"),
+             "transcript line 2: block 0: expected terminal_choice of a terminal, "
+             "got terminal_choice 7"),
             # The report is written only once the last block certifies, so
-            # the certified round before the error prints nothing.
+            # the round before the error prints nothing.
             (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n"
              "2 1 announcement (0,1):1,(1,2):0\n3 0 terminal_choice 1\n",
-             "block 0 round 1: agent 1 is not terminal"),
+             "transcript line 4: block 0: expected terminal_choice of a terminal, "
+             "got terminal_choice 1"),
             # The config names the leader (0 by default); only it chooses.
             (PATH3, ANNOUNCE + "1 2 terminal_choice 0\n",
-             "block 0 round 0: terminal_choice from agent 2, not the leader 0"),
+             "transcript line 2: block 0: expected terminal_choice from agent 0, "
+             "got terminal_choice from agent 2"),
             (PATH3 + "param leader=2\n", ANNOUNCE + "1 0 terminal_choice 0\n",
-             "block 0 round 0: terminal_choice from agent 0, not the leader 2"),
-            # A block's rounds come before its check phase; nothing that
-            # follows a check or abort message may open or close a round.
-            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 check_positions 0\n"
-             "3 1 announcement (0,1):0,(1,2):1\n4 0 terminal_choice 0\n",
-             "transcript line 4: announcement after the block's rounds"),
-            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,2:0\n"
-             "3 0 terminal_choice 2\n",
-             "transcript line 4: terminal_choice after the block's rounds"),
+             "transcript line 2: block 0: expected terminal_choice from agent 2, "
+             "got terminal_choice from agent 0"),
+            # A block's rounds come before its check phase: a round opened
+            # after check_positions is named at its terminal_choice.
+            (REP1, REP1_ROUNDS + "4 0 check_positions 1\n"
+             "5 1 announcement (0,1):0,(1,2):1\n6 0 terminal_choice 0\n"
+             "7 0 check_values 0\n8 1 check_values 0\n9 2 check_values 0\n10 0 code_broadcast 1\n",
+             "transcript line 7: block 0: expected check_values from agent 0, "
+             "got terminal_choice from agent 0"),
+            (REP1, REP1_ABORT + "9 0 terminal_choice 2\n",
+             "transcript line 10: block 0: expected the block's end, "
+             "got terminal_choice from agent 0"),
             # An abort or code_broadcast is the block's outcome: nothing
             # follows it until the next block's seq 0.
-            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 code_broadcast 1111000\n"
-             "3 0 code_broadcast 0000000\n",
-             "transcript line 4: code_broadcast after the block's outcome"),
-            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 code_broadcast 1111000\n"
-             "3 2 check_values 0000000\n",
-             "transcript line 4: check_values after the block's outcome"),
-            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 code_broadcast 1111000\n"
-             "3 0 abort 1:0,2:0\n",
-             "transcript line 4: abort after the block's outcome"),
-            (PATH3, ANNOUNCE + "1 0 terminal_choice 0\n2 0 abort 1:0,2:0\n"
-             "3 0 check_positions 0\n",
-             "transcript line 4: check_positions after the block's outcome"),
+            (REP1, REP1_LOG + "9 0 code_broadcast 0\n",
+             "transcript line 10: block 0: expected the block's end, "
+             "got code_broadcast from agent 0"),
+            (REP1, REP1_LOG + "9 2 check_values 0\n",
+             "transcript line 10: block 0: expected the block's end, "
+             "got check_values from agent 2"),
+            (REP1, REP1_LOG + "9 0 abort 1:0,2:0\n",
+             "transcript line 10: block 0: expected the block's end, "
+             "got abort from agent 0"),
+            (REP1, REP1_ABORT + "9 0 check_positions 0\n",
+             "transcript line 10: block 0: expected the block's end, "
+             "got check_positions from agent 0"),
             (PATH3, ANNOUNCE.encode() + b"1 0 terminal_choice \xff\n",
              "transcript line 2: byte 0xff is not UTF-8 text"),
             # Only LF, CRLF and CR end a line, so each comment below runs
@@ -749,14 +760,18 @@ class TestAnalyze:
                                 "30 2 check_values 1010110\n31 1 check_values"),
              "transcript line 32: block 0: expected check_values from agent 1, "
              "got check_values from agent 2"),
+            # A block that ends early names its last line.
             (NOISELESS3, edited(CHECKS3, ""),
-             "block 0: expected check_positions from agent 0, got the block's end"),
+             "transcript line 29: block 0: expected check_positions from agent 0, "
+             "got the block's end"),
             (NOISELESS3, edited("32 0 code_broadcast 1111000\n", ""),
-             "block 0: expected abort or code_broadcast from agent 0, got the block's end"),
+             "transcript line 33: block 0: expected abort or code_broadcast from agent 0, "
+             "got the block's end"),
             (REP1, REP1_ROUNDS.split("2 1 announcement")[0]
              + "2 0 check_positions 1\n3 0 check_values 0\n4 1 check_values 0\n"
              "5 2 check_values 0\n6 0 code_broadcast 1\n",
-             "block 0: expected 2 rounds, got 1"),
+             "transcript line 3: block 0: expected terminal_choice from agent 0, "
+             "got check_positions from agent 0"),
             (REP1, REP1_LOG.replace("4 0 check_positions 1", "4 0 check_positions 2"),
              "transcript line 5: block 0: expected 1 check positions below 2, got '2'"),
             (REP1, REP1_LOG.replace("7 2 check_values 0", "7 2 check_values 00"),
@@ -884,7 +899,7 @@ class TestAnalyze:
         fresh = [
             consistent_configurations(announcements, tree)
             for block in reference_parse_transcript(lines)
-            for announcements, _, _ in block.rounds
+            for announcements in block.rounds
         ]
         assert len(report) == len(fresh) + 1
         counts = []
@@ -1000,6 +1015,20 @@ class TestAnalyzeAgreesWithTheRecognizer:
             outcomes = [line.split(" ")[2] for line in log_text.splitlines()
                         if " abort " in line or " code_broadcast " in line]
             assert outcomes == ["abort", "code_broadcast"]
+
+    def test_last_choice_swapped_with_check_positions(self, tmp_path):
+        # Both agents of the 2-agent tree are terminals, so its rounds are
+        # terminal_choices alone, and the swapped block parses.
+        config_text, log_text = RECOGNIZER_BASES[0]
+        lines = log_text.splitlines()
+        i = next(k for k, line in enumerate(lines) if " check_positions " in line)
+        assert " terminal_choice " in lines[i - 1]
+        text = edit_lines(log_text, [("swap", False, i - 1, i)])
+        kinds = [line.split(" ")[2] for line in text.splitlines()[i - 1:i + 1]]
+        assert kinds == ["check_positions", "terminal_choice"]
+        reference_parse_transcript(text_lines(text))
+        assert not recognizes_honest_blocks(text_lines(text), parse_config(config_text))
+        assert not analyze_passes(tmp_path, config_text, text)
 
     def assert_agree(self, tmp, config_text, log_text, text):
         accepted = recognizes_honest_blocks(text_lines(text), parse_config(config_text))

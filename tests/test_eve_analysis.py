@@ -1,24 +1,31 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bits_of,
     brute_force_configurations,
     brute_force_entropy,
     chi_square_uniformity,
     gf2_configurations,
+    gf2_key_entropy,
     parsed_round,
     random_tree_edges,
     structurally_valid,
 )
+from treekd.channel_sim import simulate_pairwise_kd
 from treekd.eve_analysis import (
     consistent_configurations,
     rounds_from_transcript,
     secret_entropy,
 )
-from treekd.graph_core import SpanningTree, WeightedEdge, terminal_agents
+from treekd.graph_core import SecurityGraph, SpanningTree, WeightedEdge, terminal_agents
+from treekd.linear_code import code_by_name
+from treekd.protocol import ProtocolConfig, run_block
 from treekd.rng import SeededRng
 from treekd.subroutine import announcement_layout, render_rounds
 from treekd.transcript_io import parse_transcript
@@ -28,8 +35,10 @@ def honest_round(tree, rng, seed):
     """Run one honest round; return what the eavesdropper sees of it, the
     (announcements, chooser, chosen terminal) round, and the edge bits."""
     bits = {e.key: (b := rng.randrange(2), b) for e in tree.edges}
-    (seen,) = rounds_from_transcript(parsed_round(tree, bits, seed))
-    return seen, bits
+    parsed = parsed_round(tree, bits, seed)
+    (announcements,) = rounds_from_transcript(parsed)
+    ((_, chooser, _, chosen),) = parsed.sequence
+    return (announcements, chooser, chosen), bits
 
 
 def configurations(announcements, tree):
@@ -144,7 +153,7 @@ def tampered_round(tree, rng, flip_rate, drop_rate):
         }
     chosen = rng.choice(tree.terminals)
     (parsed,) = parse_transcript(render_rounds(layout, masked, [chosen]))
-    ((announcements, _, _),) = parsed.rounds
+    (announcements,) = parsed.rounds
     return announcements
 
 
@@ -256,6 +265,56 @@ class TestLeakedEdgeBit:
                     assert len(left) == 2 and truth in left
                     assert all(left[0][key] != left[1][key] for key in truth)
                     assert brute_force_entropy(left, chosen, tree) == 1.0
+
+
+class TestWholeBlockKey:
+    """The paper's argument over a whole block: on noiseless links the
+    transcript, every message of it, leaves the key all k of its bits, and
+    an eavesdropper told one tree edge's true bits at code positions S
+    learns exactly rank(G restricted to S) of them, as gf2_key_entropy
+    solves the block's linear system."""
+
+    @pytest.mark.parametrize("name", ["hamming7_4", "repetition3"])
+    def test_key_keeps_k_bits_less_the_rank_a_leak_reveals(self, name):
+        code, rng = code_by_name(name), random.Random(4242)
+        m = code.m
+        for index, codeword in enumerate(code.codewords):  # linear in the index bits
+            rows = [code.codewords[1 << t] for t in range(code.k) if index >> t & 1]
+            assert codeword == reduce(xor, rows, 0)
+        for trial in range(6):
+            n = rng.randrange(3, 7)
+            config = ProtocolConfig(
+                graph=SecurityGraph(n, random_tree_edges(n, rng), range(n)),
+                leader=rng.randrange(n), code=code, blocks=1, delta=0.1,
+                epsilon=0.05, seed=trial,
+            )
+            result = run_block(config)
+            (block,) = parse_transcript(result.transcript)
+            tree, key = config.tree, result.key_indices[config.leader]
+            assert result.status == "completed"
+            assert gf2_key_entropy(block, tree, code) == code.k
+            # Every key fits the transcript alone; only the true one fits a
+            # leak of every code position.
+            assert gf2_key_entropy(block, tree, code, key=key) == 0
+            assert gf2_key_entropy(block, tree, code, key=key ^ 1) == 0
+
+            edge = rng.choice(tree.edges)
+            stream = SeededRng(config.seed).substream("block", 0).substream("edge", edge.a, edge.b)
+            a, b = simulate_pairwise_kd(edge, 2 * m, stream)
+            assert a == b
+            truth = bits_of(a, 2 * m)
+            (checks,) = [p for _, _, kind, p in block.sequence if kind == "check_positions"]
+            code_positions = [p for p in range(2 * m) if p not in checks]
+            some = sorted(rng.sample(range(m), rng.randrange(1, m)))
+            for leak in ([], some, list(range(m))):  # every code position last
+                leaked = [(edge.key, code_positions[i], truth[code_positions[i]]) for i in leak]
+                # 2^rank(G restricted to the leaked columns) distinct restrictions.
+                seen = {tuple(c >> (m - 1 - i) & 1 for i in leak) for c in code.codewords}
+                rank = len(seen).bit_length() - 1
+                assert rank == {0: 0, m: code.k}.get(len(leak), rank)
+                assert gf2_key_entropy(block, tree, code, leaked) == code.k - rank
+                assert gf2_key_entropy(block, tree, code, leaked, key) == 0
+            assert gf2_key_entropy(block, tree, code, leaked, key ^ 1) is None
 
 
 class TestKeyUniformity:

@@ -617,7 +617,7 @@ class TestOneReconstructionPerBlock:
         rounds = rounds_from_transcript(parsed)
         positions = 2 * config.code.m
         assert len(rounds) == positions
-        for r, (announcements, _, _) in enumerate(rounds):
+        for r, announcements in enumerate(rounds):
             shift = positions - 1 - r
             assert announcements == {
                 sender: {key: word >> shift & 1 for key, word in record.items()}

@@ -46,7 +46,8 @@ def agent_bits(tree, position_bits, seed):
     reconstruction of the round's transcript as parsed back from its text,
     and that parsed transcript."""
     transcript = parsed_round(tree, position_bits, seed)
-    ((announcements, _, chosen),) = rounds_from_transcript(transcript)
+    (announcements,) = rounds_from_transcript(transcript)
+    ((_, _, _, chosen),) = transcript.sequence
     key = tree.terminal_keys[chosen]
     bits = {}
     for agent in range(tree.n):
@@ -268,7 +269,8 @@ class TestSubroutineRound:
         (transcript,) = parse_transcript(transcript_lines(engine_transcript))
         rounds = rounds_from_transcript(transcript)
         assert len(rounds) == positions
-        for r, (announcements, _, chosen) in enumerate(rounds):
+        choices = [chosen for _, _, _, chosen in transcript.sequence]
+        for r, (announcements, chosen) in enumerate(zip(rounds, choices)):
             assert set(announcements) == set(range(n)) - terminal_agents(tree)
             key = tree.terminal_keys[chosen]
             for agent in range(n):

@@ -165,7 +165,7 @@ class TestSharedPayloadViews:
 
     def test_round_payloads_are_shared_read_only_views(self):
         (block,) = parse_transcript(self.LINES)
-        (first, _, _), (second, _, _) = block.rounds
+        first, second = block.rounds
         assert first[1] is second[1]
         with pytest.raises(TypeError):
             first[1][0, 1] = 0
@@ -178,7 +178,7 @@ class TestSharedPayloadViews:
         assert block.__dict__["messages"] is messages and block.messages is messages
         assert [m.seq for m in messages] == [0, 1, 2, 3]
         messages[0].payload[0, 1] = 0
-        ((announcements, _, _), _) = block.rounds
+        (announcements, _) = block.rounds
         assert announcements[1] == {(0, 1): 1, (1, 2): 0} == messages[2].payload
 
 
@@ -197,22 +197,30 @@ def assert_messages_read_as_their_lines(block):
         assert f"{message.seq} {message.sender} {message.kind} {rendered}" == " ".join(
             head + [text]
         )
-    assert block.rounds == regroup(block.messages)
+    assert grouped(block) == regroup(block.messages)
+
+
+def grouped(block):
+    """A parsed block's rounds and its sequence without line numbers."""
+    return block.rounds, [entry[1:] for entry in block.sequence]
 
 
 def regroup(messages):
-    """A block's rounds, message by message: each terminal_choice closes the
-    announcements since the previous terminal_choice, by sender, with its own
-    sender and payload.  The oracle
-    for the rounds parse_transcript keeps as it checks them."""
-    rounds, pending = [], {}
+    """A block's rounds and sequence, message by message: each
+    terminal_choice closes the announcements since the previous
+    terminal_choice, by sender, and every message but an announcement is
+    one (sender, kind, payload) of the sequence.  The oracle for what
+    parse_transcript keeps as it checks them."""
+    rounds, sequence, pending = [], [], {}
     for msg in messages:
         if msg.kind == "announcement":
             pending[msg.sender] = msg.payload
-        elif msg.kind == "terminal_choice":
-            rounds.append((pending, msg.sender, msg.payload))
+            continue
+        if msg.kind == "terminal_choice":
+            rounds.append(pending)
             pending = {}
-    return rounds
+        sequence.append((msg.sender, msg.kind, msg.payload))
+    return rounds, sequence
 
 
 class TestParsedRounds:
@@ -241,7 +249,7 @@ class TestParsedRounds:
         blocks = parse_transcript(lines)
         assert len(blocks) == len(results)
         for block in blocks:
-            assert block.rounds == regroup(block.messages)
+            assert grouped(block) == regroup(block.messages)
             assert len(block.rounds) == 2 * config.code.m
             assert rounds_from_transcript(block) is block.rounds
         if flip == 0.3 and n > 2:
@@ -297,14 +305,14 @@ class TestMutatedTranscripts:
 
 
 def parse_outcome(parse, text):
-    """repr of each block's lines, rounds, check phase and messages as parse
+    """repr of each block's lines, rounds, sequence and messages as parse
     reads text, or the message it raises."""
     try:
         blocks = parse(text.splitlines())
     except ValueError as exc:
         return f"ValueError: {exc}"
     return repr([
-        (list(block), block.rounds, block.check_phase, block.messages) for block in blocks
+        (list(block), block.rounds, block.sequence, block.messages) for block in blocks
     ])
 
 
@@ -312,11 +320,11 @@ ANNOUNCE = "0 1 announcement (0,1):0,(1,2):1\n"
 
 
 class TestFastPathsMatchTheOracle:
-    """parse_transcript accepts a line on one test of its seq and kind and
-    reads an announcement's bits alone once its edge list has parsed; on any
-    input it must give what the parser without those paths gives
-    (conftest.reference_parse_transcript): the same blocks and rounds, or
-    the same error."""
+    """parse_transcript accepts a line on one test of its seq and the round
+    rules and reads an announcement's bits alone once its edge list has
+    parsed; on any input it must give what the parser without those paths
+    gives (conftest.reference_parse_transcript): the same blocks, rounds
+    and sequences, or the same error."""
 
     @settings(max_examples=300, deadline=None)
     @given(

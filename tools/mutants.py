@@ -118,13 +118,12 @@ MUTANTS = (
      "            valid = len(incident) > 1 and masked.keys() == incident\n"
      "            constraints = checked[agent] ="),
     ("parser-fast-test-skips-second-announcement", "src/treekd/transcript_io.py",
-     "if seq != expected or kind not in admits or (\n"
-     '                kind == "announcement" and sender in pending\n'
-     "            ):",
-     "if seq != expected or kind not in admits:"),
+     'if seq != expected or (kind == "announcement" and sender in pending) or (',
+     "if seq != expected or ("),
     ("parser-open-round-admits-check-positions", "src/treekd/transcript_io.py",
-     "            admits = _ROUND_KINDS\n",
-     '            admits = _ROUND_KINDS | {"check_positions"}\n'),
+     "                open_round and kind not in _ROUND_KINDS\n            ):",
+     '                open_round and kind not in _ROUND_KINDS | {"check_positions"}\n'
+     "            ):"),
     ("edge-bits-read-from-first-payload", "src/treekd/transcript_io.py",
      "known = edge_lists[cleared] = (keys, offsets)\n"
      "    keys, offsets = known\n"
@@ -145,12 +144,25 @@ MUTANTS = (
      "                entropy = eve_analysis.secret_entropy(count)\n"
      "                verdict = verdicts[count == 2] ="),
     ("analyze-prints-rounds-before-an-error", "src/treekd/cli.py",
-     "            if chosen not in tree.terminal_keys:\n",
-     "            if chosen not in tree.terminal_keys:\n"
-     '                print("\\n".join(report), file=out)\n'),
+     "        _certify_block(b, transcript, config)\n",
+     '        print("\\n".join(report), file=out)\n'
+     "        _certify_block(b, transcript, config)\n"),
     ("analyze-block-round-count-check-dropped", "src/treekd/cli.py",
-     "if len(transcript.rounds) != 2 * m:",
+     '    order = [(("terminal_choice",), leader)] * (2 * m)\n'
+     '    order += [(("check_positions",), leader)]\n',
+     '    order = [(("check_positions",), leader)]\n'),
+    ("analyze-choice-slots-one-short", "src/treekd/cli.py",
+     "* (2 * m)",
+     "* (2 * m - 1)"),
+    ("analyze-choice-terminal-check-dropped", "src/treekd/cli.py",
+     "if payload not in terminals:",
      "if False:"),
+    ("analyze-trailing-message-check-dropped", "src/treekd/cli.py",
+     "if len(sequence) > len(order):",
+     "if False:"),
+    ("analyze-block-end-names-first-line", "src/treekd/cli.py",
+     "raise error(sequence[-1][0], want,",
+     "raise error(sequence[0][0], want,"),
     ("analyze-block-sender-order-check-dropped", "src/treekd/cli.py",
      "if kind not in kinds or got != sender:",
      "if kind not in kinds:"),
